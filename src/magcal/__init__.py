@@ -7,6 +7,9 @@ linear ellipsoid fit. Includes a synthetic-data simulator, error metrics,
 and reproducible Monte-Carlo, sensitivity, and timing studies.
 """
 
+# Set before the submodule imports: fileio reads it at import time.
+__version__ = "0.1.0"
+
 from .errors import (
     CalibrationError,
     DegenerateDataError,
@@ -25,14 +28,12 @@ from .experiments import (
     run_timing,
 )
 from .initfit import (
-    build_design_row,
     fit_ellipsoid,
     fit_initial,
     initial_ml_state,
     initial_params,
 )
 from .linalg import (
-    ScaleOrthoDecomp,
     attitude_from_euler,
     cholesky_upper,
     decompose_scale_ortho,
@@ -42,7 +43,7 @@ from .linalg import (
     unpack_upper,
 )
 from .metrics import apply_calibration, error_metrics, params_from_ml
-from .ml import ml_kkt_system, ml_objective, newton_step, solve_ml
+from .ml import ml_objective, solve_ml
 from .nm import nm_gradient_hessian, nm_objective, solve_nm
 from .simulate import (
     SimConfig,
@@ -56,14 +57,11 @@ from .types import (
     Dataset,
     EllipsoidCoeffs,
     ErrorMetrics,
-    MLSolveReport,
     MLState,
     SensorTruth,
     SolveOptions,
     SolveReport,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
@@ -74,11 +72,9 @@ __all__ = [
     "EllipsoidCoeffs",
     "ErrorMetrics",
     "InsufficientDataError",
-    "MLSolveReport",
     "MLState",
     "MonteCarloResult",
     "MonteCarloRun",
-    "ScaleOrthoDecomp",
     "SensitivityResult",
     "SensorTruth",
     "SimConfig",
@@ -88,7 +84,6 @@ __all__ = [
     "TimingRow",
     "apply_calibration",
     "attitude_from_euler",
-    "build_design_row",
     "cholesky_upper",
     "decompose_scale_ortho",
     "default_config",
@@ -99,9 +94,7 @@ __all__ = [
     "initial_ml_state",
     "initial_params",
     "invert_upper",
-    "ml_kkt_system",
     "ml_objective",
-    "newton_step",
     "nm_gradient_hessian",
     "nm_objective",
     "pack_upper",

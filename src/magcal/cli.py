@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 degenerate data, 4 solver failure.
+Exit codes: 0 success, 2 input error, 3 degenerate data, 4 solver failure or
+non-convergence.
 """
 
 from __future__ import annotations
@@ -84,33 +85,30 @@ def cmd_calibrate(args) -> int:
     coeffs = fit_ellipsoid(samples)
     init = initial_params(coeffs)
 
+    solvers = {
+        "nm": lambda: solve_nm(samples, init, opts),
+        "ml": lambda: solve_ml(samples, initial_ml_state(init, samples), opts),
+    }
     failed = False
     docs = {}
     methods = ("nm", "ml") if args.method == "both" else (args.method,)
     for method in methods:
         try:
-            if method == "nm":
-                report = solve_nm(samples, init, opts)
-                docs["nm"] = fileio.nm_report_dict(report, coeffs.min_eigenvalue, digest)
-            else:
-                report = solve_ml(samples, initial_ml_state(init, samples), opts)
-                docs["ml"] = fileio.ml_report_dict(report, coeffs.min_eigenvalue, digest)
+            report = solvers[method]()
+            if not report.converged:
+                print(f"{method} solver did not converge in {report.iterations} iterations",
+                      file=sys.stderr)
         except SolverFailure as exc:
-            failed = True
             print(f"{method} solver failed: {exc}", file=sys.stderr)
-            if exc.report is not None:
-                if method == "nm":
-                    docs["nm"] = fileio.nm_report_dict(
-                        exc.report, coeffs.min_eigenvalue, digest
-                    )
-                else:
-                    docs["ml"] = fileio.ml_report_dict(
-                        exc.report, coeffs.min_eigenvalue, digest
-                    )
+            report = exc.report
+        # An unconverged estimate is not one to recommend or apply.
+        failed = failed or report is None or not report.converged
+        if report is not None:
+            docs[method] = fileio.report_dict(report, coeffs.min_eigenvalue, digest)
 
     if args.method == "both":
         document = {"format_version": fileio.FORMAT_VERSION, **docs}
-        if "nm" in docs and "ml" in docs and not failed:
+        if not failed:
             document["comparison"] = _comparison(docs["nm"], docs["ml"])
     else:
         document = docs.get(args.method, {"format_version": fileio.FORMAT_VERSION})

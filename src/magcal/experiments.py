@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CalibrationError, SolverFailure
 from .initfit import fit_ellipsoid, initial_ml_state, initial_params
-from .metrics import error_metrics, params_from_ml
+from .metrics import error_metrics
 from .ml import solve_ml
 from .nm import solve_nm
 from .simulate import SimConfig, simulate, sweep_trajectory
@@ -97,19 +97,22 @@ class MonteCarloResult:
         }
 
 
-def _nm_outcome(dataset, init, truth_params, opts) -> MethodOutcome:
+def _failed_outcome(message: str, report=None) -> MethodOutcome:
+    return MethodOutcome(
+        failed=True,
+        error=message,
+        converged=False,
+        iterations=report.iterations if report else 0,
+        final_objective=report.final_objective if report else float("nan"),
+        metrics=None,
+    )
+
+
+def _outcome(solve, truth_params) -> MethodOutcome:
     try:
-        report = solve_nm(dataset, init, opts)
+        report = solve()
     except SolverFailure as exc:
-        rep = exc.report
-        return MethodOutcome(
-            failed=True,
-            error=str(exc),
-            converged=False,
-            iterations=rep.iterations if rep else 0,
-            final_objective=rep.final_objective if rep else float("nan"),
-            metrics=None,
-        )
+        return _failed_outcome(str(exc), exc.report)
     return MethodOutcome(
         failed=False,
         error=None,
@@ -117,41 +120,6 @@ def _nm_outcome(dataset, init, truth_params, opts) -> MethodOutcome:
         iterations=report.iterations,
         final_objective=report.final_objective,
         metrics=error_metrics(report.final_params, truth_params),
-    )
-
-
-def _ml_outcome(dataset, init_params_, truth_params, opts) -> MethodOutcome:
-    try:
-        state0 = initial_ml_state(init_params_, dataset)
-        report = solve_ml(dataset, state0, opts)
-    except SolverFailure as exc:
-        rep = exc.report
-        return MethodOutcome(
-            failed=True,
-            error=str(exc),
-            converged=False,
-            iterations=rep.iterations if rep else 0,
-            final_objective=rep.final_misfit if rep else float("nan"),
-            metrics=None,
-        )
-    return MethodOutcome(
-        failed=False,
-        error=None,
-        converged=report.converged,
-        iterations=report.iterations,
-        final_objective=report.final_misfit,
-        metrics=error_metrics(params_from_ml(report.final_state), truth_params),
-    )
-
-
-def _failed_outcome(message: str) -> MethodOutcome:
-    return MethodOutcome(
-        failed=True,
-        error=message,
-        converged=False,
-        iterations=0,
-        final_objective=float("nan"),
-        metrics=None,
     )
 
 
@@ -166,9 +134,19 @@ def _mc_run(args) -> MonteCarloRun:
         return MonteCarloRun(index=index, nm=bad, ml=bad)
     return MonteCarloRun(
         index=index,
-        nm=_nm_outcome(dataset, init, truth_params, opts),
-        ml=_ml_outcome(dataset, init, truth_params, opts),
+        nm=_outcome(lambda: solve_nm(dataset, init, opts), truth_params),
+        ml=_outcome(
+            lambda: solve_ml(dataset, initial_ml_state(init, dataset), opts), truth_params
+        ),
     )
+
+
+def _map(fn, jobs, workers: int) -> list:
+    """``fn`` over ``jobs`` in order, in one pool of ``workers`` processes if > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def run_monte_carlo(
@@ -191,11 +169,7 @@ def run_monte_carlo(
     jobs = [
         (config, trajectory, truth_params, children[i], i, opts) for i in range(runs)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_run, jobs))
-    else:
-        results = [_mc_run(job) for job in jobs]
+    results = _map(_mc_run, jobs, workers)
     return MonteCarloResult(runs=tuple(results), seed=seed, config=config)
 
 
@@ -222,23 +196,22 @@ def _sensitivity_run(args) -> tuple:
         return True, True
     perturbed = perturb_initial(init, alpha, sign_seq)
 
-    try:
-        nm_report = solve_nm(dataset, perturbed, opts)
-        nm_diverged = not np.isfinite(nm_report.final_objective) or (
-            nm_report.final_objective > nm_threshold
-        )
-    except SolverFailure:
-        nm_diverged = True
+    return (
+        _diverged(lambda: solve_nm(dataset, perturbed, opts), nm_threshold),
+        _diverged(
+            lambda: solve_ml(dataset, initial_ml_state(perturbed, dataset), opts),
+            ml_threshold,
+        ),
+    )
 
-    try:
-        ml_report = solve_ml(dataset, initial_ml_state(perturbed, dataset), opts)
-        ml_diverged = not np.isfinite(ml_report.final_misfit) or (
-            ml_report.final_misfit > ml_threshold
-        )
-    except SolverFailure:
-        ml_diverged = True
 
-    return nm_diverged, ml_diverged
+def _diverged(solve, threshold: float) -> bool:
+    """A solve diverges when it fails or its final objective exceeds the threshold."""
+    try:
+        report = solve()
+    except SolverFailure:
+        return True
+    return not np.isfinite(report.final_objective) or report.final_objective > threshold
 
 
 def run_sensitivity(
@@ -265,21 +238,16 @@ def run_sensitivity(
     trajectory = sweep_trajectory(config.n)
     alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
 
-    nm_counts = []
-    ml_counts = []
-    for alpha, child in zip(alphas, alpha_children):
-        run_children = child.spawn(runs)
-        jobs = [
-            (config, trajectory, alpha, nm_threshold, ml_threshold, run_children[r], opts)
-            for r in range(runs)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                flags = list(pool.map(_sensitivity_run, jobs))
-        else:
-            flags = [_sensitivity_run(job) for job in jobs]
-        nm_counts.append(sum(1 for nm_d, _ in flags if nm_d))
-        ml_counts.append(sum(1 for _, ml_d in flags if ml_d))
+    # One pool for the whole sweep; flags come back in (alpha, run) order.
+    jobs = [
+        (config, trajectory, alpha, nm_threshold, ml_threshold, run_seq, opts)
+        for alpha, child in zip(alphas, alpha_children)
+        for run_seq in child.spawn(runs)
+    ]
+    flags = _map(_sensitivity_run, jobs, workers)
+    per_alpha = [flags[i : i + runs] for i in range(0, len(flags), runs)]
+    nm_counts = [sum(1 for nm_d, _ in group if nm_d) for group in per_alpha]
+    ml_counts = [sum(1 for _, ml_d in group if ml_d) for group in per_alpha]
 
     return SensitivityResult(
         alphas=alphas,
@@ -311,8 +279,7 @@ def run_timing(
 ) -> tuple:
     """Median wall-clock solve time per (N, method).
 
-    One warm-up solve precedes the timed repeats. ``"ml"`` uses the block
-    elimination; ``"ml-dense"`` times the dense oracle path.
+    One warm-up solve precedes the timed repeats.
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
@@ -327,8 +294,7 @@ def run_timing(
         ml_init = initial_ml_state(init, dataset)
         solvers = {
             "nm": lambda: solve_nm(dataset, init, opts),
-            "ml": lambda: solve_ml(dataset, ml_init, opts, method="block"),
-            "ml-dense": lambda: solve_ml(dataset, ml_init, opts, method="dense"),
+            "ml": lambda: solve_ml(dataset, ml_init, opts),
         }
         for method in methods:
             if method not in solvers:

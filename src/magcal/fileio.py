@@ -10,15 +10,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
 
+from . import __version__
 from .linalg import pack_upper, unpack_upper
-from .types import CalibrationParams, ErrorMetrics, MLSolveReport, SolveReport
+from .types import CalibrationParams, ErrorMetrics, SolveReport
 
 FORMAT_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 SAMPLE_COLUMNS = ("yx", "yy", "yz")
 
@@ -33,7 +34,10 @@ def write_samples_csv(path, samples) -> None:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a dataset CSV; extra columns are ignored with a warning."""
+    """Read a dataset CSV; extra columns are ignored with a warning.
+
+    Raises ValueError naming the line of an unparseable or non-finite value.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -54,9 +58,12 @@ def read_samples_csv(path) -> np.ndarray:
             if not row:
                 continue
             try:
-                rows.append([float(row[i]) for i in indices])
+                values = [float(row[i]) for i in indices]
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: bad row at line {line_no}: {row}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at line {line_no}: {row}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no samples")
     return np.asarray(rows)
@@ -92,51 +99,32 @@ def read_json(path):
         return json.load(fh)
 
 
-def _base_report(method, params: CalibrationParams, min_eigenvalue, input_digest) -> dict:
-    return {
+def report_dict(report: SolveReport, min_eigenvalue=None, input_digest=None) -> dict:
+    """Report of one solve; ml reports (with a ``final_state``) add their own fields."""
+    params, state = report.final_params, report.final_state
+    out = {
         "format_version": FORMAT_VERSION,
-        "tool_version": TOOL_VERSION,
-        "method": method,
+        "tool_version": __version__,
+        "method": "nm" if state is None else "ml",
         "shape_upper": [float(v) for v in pack_upper(params.shape)],
         "offset": [float(v) for v in params.offset],
+        "objective_history": list(report.objective_history),
+        "iterations": report.iterations,
+        "converged": report.converged,
         "min_eigenvalue": None if min_eigenvalue is None else float(min_eigenvalue),
         "input_digest": input_digest,
     }
-
-
-def nm_report_dict(
-    report: SolveReport, min_eigenvalue=None, input_digest=None
-) -> dict:
-    out = _base_report("nm", report.final_params, min_eigenvalue, input_digest)
-    out["objective_history"] = list(report.objective_history)
-    out["iterations"] = report.iterations
-    out["converged"] = report.converged
-    return out
-
-
-def ml_report_dict(
-    report: MLSolveReport, min_eigenvalue=None, input_digest=None
-) -> dict:
-    from .metrics import params_from_ml
-
-    out = _base_report(
-        "ml", params_from_ml(report.final_state), min_eigenvalue, input_digest
-    )
-    out["t_upper"] = [float(v) for v in pack_upper(report.final_state.t_matrix)]
-    out["objective_history"] = list(report.objective_history)
-    out["constraint_violation_history"] = list(report.constraint_violation_history)
-    out["iterations"] = report.iterations
-    out["converged"] = report.converged
-    out["warnings"] = list(report.warnings)
+    if state is not None:
+        out["t_upper"] = [float(v) for v in pack_upper(state.t_matrix)]
+        out["constraint_violation_history"] = list(report.constraint_violation_history)
+        out["warnings"] = list(report.warnings)
     return out
 
 
 def truth_report_dict(params: CalibrationParams, input_digest=None) -> dict:
-    out = _base_report("truth", params, None, input_digest)
-    out["objective_history"] = []
-    out["iterations"] = 0
-    out["converged"] = True
-    return out
+    """Ground-truth sidecar: a report with no solve history."""
+    truth = SolveReport(objective_history=(), iterations=0, converged=True, final_params=params)
+    return {**report_dict(truth, None, input_digest), "method": "truth"}
 
 
 def params_from_report(report: dict) -> CalibrationParams:
@@ -213,7 +201,7 @@ def write_monte_carlo_csv(path, result) -> None:
 def monte_carlo_summary(result) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "seed": result.seed,
         "runs": len(result.runs),
         "config": result.config.to_dict(),
@@ -236,7 +224,7 @@ def write_sensitivity_csv(path, result) -> None:
 def sensitivity_summary(result) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "seed": result.seed,
         "runs": result.runs,
         "alphas": list(result.alphas),
@@ -268,7 +256,7 @@ def write_timing_csv(path, rows) -> None:
 def timing_summary(rows) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "rows": [
             {
                 "n": row.n,

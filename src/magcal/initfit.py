@@ -19,22 +19,14 @@ from .types import CalibrationParams, Dataset, EllipsoidCoeffs, MLState, as_samp
 MIN_SAMPLES = 10
 
 
-def build_design_row(y) -> np.ndarray:
-    """Linear-system row for one sample: [quadratic monomials, y, 1].
+def _design_matrix(samples: np.ndarray) -> np.ndarray:
+    """Linear-system rows, one per sample: [quadratic monomials, y, 1].
 
     The six quadratic columns follow the row-major upper-triangular order
     (11, 12, 13, 22, 23, 33); each off-diagonal column carries the factor 2
     for its merged symmetric counterpart, so the solved coefficients are
     the entries of A directly.
     """
-    y = np.asarray(y, dtype=float)
-    y1, y2, y3 = y
-    return np.array(
-        [y1 * y1, 2 * y1 * y2, 2 * y1 * y3, y2 * y2, 2 * y2 * y3, y3 * y3, y1, y2, y3, 1.0]
-    )
-
-
-def _design_matrix(samples: np.ndarray) -> np.ndarray:
     y1, y2, y3 = samples[:, 0], samples[:, 1], samples[:, 2]
     return np.column_stack(
         [

@@ -8,8 +8,6 @@ an upper-triangular matrix. No general N x N support is intended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -91,26 +89,15 @@ def invert_upper(r: np.ndarray) -> np.ndarray:
     return np.triu(scipy.linalg.solve_triangular(r, np.eye(3)))
 
 
-@dataclass(frozen=True)
-class ScaleOrthoDecomp:
-    """Split of a triangular shape matrix into non-orthogonality and scale.
+def decompose_scale_ortho(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor an upper-triangular matrix as (unit-diagonal) @ diag(scales).
 
-    ``m_matrix`` is upper triangular with unit diagonal (inter-axis coupling),
-    ``scales`` holds the diagonal scale factors; m_matrix @ diag(scales)
-    reproduces the original matrix.
+    Returns ``(m_matrix, scales)``: ``m_matrix`` is upper triangular with unit
+    diagonal (inter-axis coupling), ``scales`` the diagonal scale factors, and
+    ``m_matrix * scales`` reproduces ``r``.
     """
-
-    m_matrix: np.ndarray
-    scales: np.ndarray
-
-    def recompose(self) -> np.ndarray:
-        return self.m_matrix * self.scales
-
-
-def decompose_scale_ortho(r: np.ndarray) -> ScaleOrthoDecomp:
-    """Factor an upper-triangular matrix as (unit-diagonal) @ diag(scales)."""
     r = np.asarray(r, dtype=float)
     scales = np.diag(r).copy()
     if np.any(scales == 0.0):
         raise ValueError("cannot decompose: zero diagonal entry")
-    return ScaleOrthoDecomp(m_matrix=r / scales, scales=scales)
+    return r / scales, scales

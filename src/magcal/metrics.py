@@ -36,10 +36,10 @@ def error_metrics(estimate: CalibrationParams, truth: CalibrationParams) -> Erro
     error the norm of the coupling mismatch expressed in degrees, and the
     hard-iron error a third of the offset distance in Gauss.
     """
-    est = decompose_scale_ortho(estimate.shape)
-    ref = decompose_scale_ortho(truth.shape)
-    scale_rel = est.scales / ref.scales - 1.0
-    ortho_diff = (est.m_matrix - ref.m_matrix)[_STRICT_ROWS, _STRICT_COLS]
+    est_m, est_scales = decompose_scale_ortho(estimate.shape)
+    ref_m, ref_scales = decompose_scale_ortho(truth.shape)
+    scale_rel = est_scales / ref_scales - 1.0
+    ortho_diff = (est_m - ref_m)[_STRICT_ROWS, _STRICT_COLS]
     return ErrorMetrics(
         scale_pct=float(np.linalg.norm(scale_rel) / 3.0 * 100.0),
         ortho_deg=float(180.0 / (3.0 * np.pi) * np.linalg.norm(ortho_diff)),

@@ -10,9 +10,7 @@ estimate has dimension 4N+9 with the layout
 The KKT Hessian is an arrowhead matrix: each (m_k, lambda_k) 4x4 block
 couples only to the 9-dimensional (T, h) head. Newton steps are therefore
 computed in O(N) by eliminating every per-sample block onto the head via
-Schur complements. Forming and factoring the dense (4N+9)^2 system is kept
-as an oracle path (``method="dense"``) for equivalence checks and timing
-comparisons only.
+Schur complements.
 
 Convergence is declared on the norm of the full Lagrangian gradient; the
 data misfit alone can be tiny at infeasible points (it is ~0 at the
@@ -21,14 +19,13 @@ standard initialization) and is no use as a test.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
-from .errors import DivergenceError, SolverFailure
+from ._newton import newton_solve
 from .linalg import UPPER_VEC_INDICES
-from .types import MLSolveReport, MLState, SolveOptions, as_samples
+from .metrics import params_from_ml
+from .types import MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
 
@@ -94,31 +91,6 @@ def _assemble(state: MLState, samples: np.ndarray):
     return g_head, g_m, g_lam, head, coupling, diag_blocks
 
 
-def ml_kkt_system(state: MLState, data) -> tuple[np.ndarray, np.ndarray]:
-    """Full KKT gradient and dense symmetric Hessian, dimension 4N+9.
-
-    The dense Hessian is the oracle form of the arrowhead system; the
-    solver itself never builds it unless asked for the dense method.
-    """
-    samples = as_samples(data)
-    g_head, g_m, g_lam, head, coupling, diag_blocks = _assemble(state, samples)
-    n = state.n_samples
-    grad = np.concatenate([g_head, g_m.ravel(), g_lam])
-
-    dim = 4 * n + 9
-    hess = np.zeros((dim, dim))
-    hess[:9, :9] = head
-    for k in range(n):
-        mi = 9 + 3 * k
-        li = 9 + 3 * n + k
-        hess[:9, mi : mi + 3] = coupling[k, :, :3]
-        hess[mi : mi + 3, :9] = coupling[k, :, :3].T
-        hess[mi : mi + 3, mi : mi + 3] = diag_blocks[k, :3, :3]
-        hess[mi : mi + 3, li] = diag_blocks[k, :3, 3]
-        hess[li, mi : mi + 3] = diag_blocks[k, 3, :3]
-    return grad, hess
-
-
 def _step_block(g_head, g_m, g_lam, head, coupling, diag_blocks):
     """Newton step by Schur elimination of each 4x4 block onto the head."""
     n = g_lam.shape[0]
@@ -135,93 +107,40 @@ def _step_block(g_head, g_m, g_lam, head, coupling, diag_blocks):
     return np.concatenate([d_head, d_tail[:, :3].ravel(), d_tail[:, 3]])
 
 
-def _step_dense(state, samples):
-    grad, hess = ml_kkt_system(state, samples)
-    return scipy.linalg.solve(hess, -grad, assume_a="sym")
-
-
-def newton_step(state: MLState, data, method: str = "block") -> np.ndarray:
-    """One Newton step delta for the full (4N+9) estimate vector."""
-    samples = as_samples(data)
-    if method == "dense":
-        return _step_dense(state, samples)
-    if method != "block":
-        raise ValueError(f"unknown method {method!r}")
-    g_head, g_m, g_lam, head, coupling, diag_blocks = _assemble(state, samples)
-    return _step_block(g_head, g_m, g_lam, head, coupling, diag_blocks)
-
-
-def solve_ml(
-    data,
-    init: MLState,
-    opts: SolveOptions | None = None,
-    method: str = "block",
-) -> MLSolveReport:
+def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
     """Newton iteration on the full KKT system from ``init``.
 
     Exits when the Lagrangian gradient norm drops to gradient_tolerance or
     max_iterations is reached. Raises SolverFailure on singular systems and
     DivergenceError on non-finite values, both carrying the partial report.
     """
-    if method not in ("block", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     opts = opts or SolveOptions()
     samples = as_samples(data)
-    state = init
-    n = state.n_samples
-    if samples.shape[0] != n:
-        raise ValueError("state and data sample counts disagree")
+    assembly = None
+    violations = []
 
-    misfit, _ = ml_objective(state, samples)
-    constraint = np.einsum("ij,ij->i", state.field_dirs, state.field_dirs) - 1.0
-    history = [misfit]
-    violations = [float(np.max(np.abs(constraint)))]
+    def objective(state):
+        # Called once per iterate, so the violation history aligns with the misfit's.
+        dirs = state.field_dirs
+        violations.append(float(np.max(np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0))))
+        return ml_objective(state, samples)[0]
 
-    def _report(iterations, converged, final):
+    def converged(state, delta, history):
+        nonlocal assembly  # reused by the step that follows
+        assembly = _assemble(state, samples)
+        g_head, g_m, g_lam = assembly[:3]
+        grad_norm = np.sqrt(g_head @ g_head + np.einsum("ij,ij->", g_m, g_m) + g_lam @ g_lam)
+        return grad_norm <= opts.gradient_tolerance
+
+    def step(state):
+        delta = _step_block(*assembly)
+        return delta, MLState.from_vector(state.to_vector() + delta, init.n_samples)
+
+    def finish(state):
         warn = ()
-        if np.any(np.diag(final.t_matrix) <= 0.0):
+        if np.any(np.diag(state.t_matrix) <= 0.0):
             warn = ("t_matrix diagonal not strictly positive at exit",)
-        return MLSolveReport(
-            objective_history=tuple(history),
-            constraint_violation_history=tuple(violations),
-            iterations=iterations,
-            converged=converged,
-            final_state=final,
-            warnings=warn,
-        )
+        return dict(final_params=params_from_ml(state), final_state=state,
+                    constraint_violation_history=violations, warnings=warn)
 
-    if not np.isfinite(misfit):
-        raise DivergenceError("initial misfit is non-finite", _report(0, False, state))
-
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for iteration in range(opts.max_iterations + 1):
-            g_head, g_m, g_lam, head, coupling, diag_blocks = _assemble(state, samples)
-            grad_norm = np.sqrt(
-                g_head @ g_head + np.einsum("ij,ij->", g_m, g_m) + g_lam @ g_lam
-            )
-            if grad_norm <= opts.gradient_tolerance:
-                return _report(iteration, True, state)
-            if iteration == opts.max_iterations:
-                break
-            try:
-                if method == "block":
-                    delta = _step_block(g_head, g_m, g_lam, head, coupling, diag_blocks)
-                else:
-                    delta = _step_dense(state, samples)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-                raise SolverFailure(
-                    "singular KKT system in Newton step", _report(iteration, False, state)
-                ) from exc
-            state = MLState.from_vector(state.to_vector() + delta, n)
-            misfit, _ = ml_objective(state, samples)
-            history.append(misfit)
-            violations.append(float(np.max(np.abs(
-                np.einsum("ij,ij->i", state.field_dirs, state.field_dirs) - 1.0
-            ))))
-            if not np.isfinite(misfit) or not np.all(np.isfinite(delta)):
-                raise DivergenceError(
-                    "misfit became non-finite", _report(iteration + 1, False, state)
-                )
-
-    return _report(opts.max_iterations, False, state)
+    return newton_solve(init, opts, objective, step, converged, finish)

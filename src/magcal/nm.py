@@ -15,12 +15,10 @@ iteration and R stays exactly triangular.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
-from .errors import DivergenceError, SolverFailure
+from ._newton import newton_solve
 from .linalg import UPPER_VEC_INDICES
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
@@ -82,47 +80,19 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     """
     opts = opts or SolveOptions()
     samples = as_samples(data)
-    params = init
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = nm_objective(params, samples)
-    history = [f]
 
-    def _report(iterations, converged, final):
-        return SolveReport(
-            objective_history=tuple(history),
-            iterations=iterations,
-            converged=converged,
-            final_params=final,
+    def step(params):
+        grad, hess = nm_gradient_hessian(params, samples)
+        delta = scipy.linalg.solve(hess, grad, assume_a="sym")
+        return delta, CalibrationParams.from_vector(params.to_vector() - delta)
+
+    def converged(params, delta, history):
+        return delta is not None and (
+            abs(history[-1] - history[-2]) <= opts.objective_tolerance
+            or np.linalg.norm(delta) <= opts.step_tolerance
         )
 
-    if not np.isfinite(f):
-        raise DivergenceError("initial objective is non-finite", _report(0, False, params))
-
-    x = params.to_vector()
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for iteration in range(1, opts.max_iterations + 1):
-            grad, hess = nm_gradient_hessian(params, samples)
-            try:
-                step = scipy.linalg.solve(hess, grad, assume_a="sym")
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-                raise SolverFailure(
-                    "singular Hessian in Newton step",
-                    _report(iteration - 1, False, params),
-                ) from exc
-            x = x - step
-            params = CalibrationParams.from_vector(x)
-            f_new = nm_objective(params, samples)
-            history.append(f_new)
-            if not np.isfinite(f_new) or not np.all(np.isfinite(step)):
-                raise DivergenceError(
-                    "objective became non-finite",
-                    _report(iteration, False, params),
-                )
-            if abs(f_new - f) <= opts.objective_tolerance or (
-                np.linalg.norm(step) <= opts.step_tolerance
-            ):
-                return _report(iteration, True, params)
-            f = f_new
-
-    return _report(opts.max_iterations, False, params)
+    return newton_solve(
+        init, opts, lambda params: nm_objective(params, samples), step, converged,
+        lambda params: {"final_params": params},
+    )

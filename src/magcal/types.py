@@ -161,10 +161,17 @@ class Dataset:
 
 
 def as_samples(data) -> np.ndarray:
-    """Accept a Dataset or a raw (N, 3) array-like; return the samples."""
+    """Accept a Dataset or a raw (N, 3) array-like; return the samples.
+
+    Raises ValueError naming the first row that holds a NaN or infinity.
+    """
     samples = data.samples if isinstance(data, Dataset) else np.asarray(data, float)
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise ValueError(f"expected samples of shape (N, 3), got {samples.shape}")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"sample row {row} is not finite: {samples[row]}")
     return samples
 
 
@@ -208,51 +215,28 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a norm-residual solve; history index 0 is the initial value."""
+    """Outcome of an nm or ml solve; history index 0 is the initial value.
+
+    ``objective_history`` tracks the nm objective or the ml data misfit (sum
+    of squared residuals). Both estimators set ``final_params``; only ml sets
+    ``final_state`` and ``constraint_violation_history``, the worst unit-norm
+    violation max_k |  ||m_k||^2 - 1 |, aligned per iteration.
+    """
 
     objective_history: tuple
     iterations: int
     converged: bool
     final_params: CalibrationParams
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "objective_history", tuple(float(v) for v in self.objective_history)
-        )
-
-    @property
-    def final_objective(self) -> float:
-        return self.objective_history[-1]
-
-
-@dataclass(frozen=True)
-class MLSolveReport:
-    """Outcome of a constrained maximum-likelihood solve.
-
-    ``objective_history`` tracks the data misfit (sum of squared residuals),
-    ``constraint_violation_history`` the worst unit-norm violation
-    max_k |  ||m_k||^2 - 1 |, aligned per iteration.
-    """
-
-    objective_history: tuple
-    constraint_violation_history: tuple
-    iterations: int
-    converged: bool
-    final_state: MLState
+    final_state: MLState | None = None
+    constraint_violation_history: tuple = ()
     warnings: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "objective_history", tuple(float(v) for v in self.objective_history)
-        )
-        object.__setattr__(
-            self,
-            "constraint_violation_history",
-            tuple(float(v) for v in self.constraint_violation_history),
-        )
+        for name in ("objective_history", "constraint_violation_history"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     @property
-    def final_misfit(self) -> float:
+    def final_objective(self) -> float:
         return self.objective_history[-1]
 
 

@@ -65,6 +65,28 @@ class TestCalibrateCommand:
         assert doc["method"] == "nm"
         assert doc["min_eigenvalue"] is not None
 
+    def test_unconverged_solve_exits_4_without_comparison(self, tmp_path, capsys):
+        # Planar (tilt 0) data: nm converges, ml stops unconverged at 50.
+        data = tmp_path / "planar.csv"
+        report = tmp_path / "report.json"
+        main(["simulate", "--out", str(data), "--seed", "3", "--tilt", "0"])
+        assert main(["calibrate", "--input", str(data), "--out", str(report)]) == 4
+        assert "ml solver did not converge in 50 iterations" in capsys.readouterr().err
+        doc = fileio.read_json(report)
+        assert "comparison" not in doc
+        assert doc["nm"]["converged"] is True
+        assert doc["ml"]["converged"] is False
+
+    def test_non_finite_sample_exits_2_naming_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--out", str(data)])
+        lines = data.read_text().splitlines()
+        lines[5] = "0.1,nan,0.2"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--input", str(data), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        assert "line 6" in capsys.readouterr().err
+
     def test_too_few_rows_exits_3(self, tmp_path):
         data = tmp_path / "tiny.csv"
         fileio.write_samples_csv(data, np.ones((5, 3)))

@@ -112,6 +112,11 @@ class TestSensitivity:
         b = run_sensitivity(small_config, [0.0, 0.02], runs=2, seed=2)
         assert a == b
 
+    def test_parallel_matches_serial(self, small_config):
+        serial = run_sensitivity(small_config, [0.02, 0.06], runs=2, seed=3, workers=1)
+        parallel = run_sensitivity(small_config, [0.02, 0.06], runs=2, seed=3, workers=2)
+        assert parallel == serial
+
     def test_thresholds_validated(self, small_config):
         with pytest.raises(ValueError):
             run_sensitivity(small_config, [0.01], runs=1, nm_threshold=0.0, seed=0)
@@ -127,11 +132,6 @@ class TestTiming:
             assert row.median_seconds > 0
             assert row.iterations >= 1
             assert row.seconds_per_iteration <= row.median_seconds
-
-    def test_dense_oracle_method_available(self, small_config):
-        rows = run_timing(small_config, [40], repeats=1, methods=("ml", "ml-dense"))
-        block, dense = rows
-        assert dense.median_seconds > 0
 
     def test_empty_n_values_rejected(self, small_config):
         with pytest.raises(ValueError):
@@ -158,8 +158,8 @@ class TestTiming:
     def test_dense_oracle_markedly_slower_than_block_at_n_1000(self):
         import time
 
+        from kkt_oracle import newton_step
         from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
-        from magcal.ml import newton_step
         from magcal.simulate import default_truth, simulate, sweep_trajectory
 
         ds = simulate(default_truth(), sweep_trajectory(1000), seed=0)

@@ -65,6 +65,14 @@ class TestSamplesCsv:
             fileio.read_samples_csv(path)
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"yx,yy,yz\n1.0,2.0,3.0\n\n1.0,{cell},3.0\n")
+        with pytest.raises(ValueError, match="non-finite value at line 4"):
+            fileio.read_samples_csv(path)
+
+
 class TestCalibratedCsv:
     def test_magnitude_column(self, tmp_path):
         path = tmp_path / "cal.csv"
@@ -76,7 +84,7 @@ class TestCalibratedCsv:
 
 class TestReports:
     def test_nm_report_round_trip(self, solved):
-        doc = fileio.nm_report_dict(
+        doc = fileio.report_dict(
             solved["nm"], solved["coeffs"].min_eigenvalue, "sha256:abc"
         )
         assert doc["method"] == "nm"
@@ -88,7 +96,7 @@ class TestReports:
         np.testing.assert_array_equal(params.offset, solved["nm"].final_params.offset)
 
     def test_ml_report_has_both_matrices(self, solved):
-        doc = fileio.ml_report_dict(solved["ml"])
+        doc = fileio.report_dict(solved["ml"])
         assert doc["method"] == "ml"
         np.testing.assert_array_equal(
             doc["t_upper"], pack_upper(solved["ml"].final_state.t_matrix)
@@ -102,8 +110,8 @@ class TestReports:
         np.testing.assert_array_equal(fileio.params_from_report(doc).offset, p.offset)
 
     def test_select_report(self, solved):
-        nm_doc = fileio.nm_report_dict(solved["nm"])
-        ml_doc = fileio.ml_report_dict(solved["ml"])
+        nm_doc = fileio.report_dict(solved["nm"])
+        ml_doc = fileio.report_dict(solved["ml"])
         combined = {"format_version": 1, "nm": nm_doc, "ml": ml_doc}
         assert fileio.select_report(nm_doc) is nm_doc
         assert fileio.select_report(combined, "ml") is ml_doc
@@ -113,7 +121,7 @@ class TestReports:
             fileio.select_report({"format_version": 1})
 
     def test_json_round_trip(self, solved, tmp_path):
-        doc = fileio.ml_report_dict(solved["ml"], 1.25e-7, "sha256:xyz")
+        doc = fileio.report_dict(solved["ml"], 1.25e-7, "sha256:xyz")
         path = tmp_path / "report.json"
         fileio.write_json(path, doc)
         assert fileio.read_json(path) == doc

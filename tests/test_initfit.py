@@ -3,7 +3,7 @@ import pytest
 
 from magcal.errors import DegenerateDataError, InsufficientDataError
 from magcal.initfit import (
-    build_design_row,
+    _design_matrix,
     fit_ellipsoid,
     initial_ml_state,
     initial_params,
@@ -24,13 +24,13 @@ def _pack_quadric(a, b, c):
 class TestDesignRow:
     def test_unit_x(self):
         np.testing.assert_array_equal(
-            build_design_row([1.0, 0.0, 0.0]),
+            _design_matrix(np.array([[1.0, 0.0, 0.0]]))[0],
             [1, 0, 0, 0, 0, 0, 1, 0, 0, 1],
         )
 
     def test_origin(self):
         np.testing.assert_array_equal(
-            build_design_row([0.0, 0.0, 0.0]),
+            _design_matrix(np.zeros((1, 3)))[0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
         )
 
@@ -41,8 +41,7 @@ class TestDesignRow:
         c = h_true @ a @ h_true - 1.0
         z = _pack_quadric(a, b, c)
         ds = _noise_free_default()
-        for y in ds.samples[::37]:
-            assert abs(build_design_row(y) @ z) < 1e-10
+        np.testing.assert_array_less(np.abs(_design_matrix(ds.samples[::37]) @ z), 1e-10)
 
 
 class TestFitEllipsoid:
@@ -83,7 +82,7 @@ class TestFitEllipsoid:
         z = _pack_quadric(a, b_centered, c_centered)
         z /= np.linalg.norm(z)
 
-        rows = np.array([build_design_row(y) for y in samples - center])
+        rows = _design_matrix(samples - center)
         _, _, vt = np.linalg.svd(rows)
         z_svd = vt[-1]
         assert min(np.linalg.norm(z - z_svd), np.linalg.norm(z + z_svd)) < 1e-8
@@ -99,6 +98,12 @@ class TestFitEllipsoid:
             params = initial_params(fit_ellipsoid(samples))
             np.testing.assert_allclose(params.shape, r, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(params.offset, h, rtol=1e-6, atol=1e-8)
+
+    def test_non_finite_row_named(self):
+        samples = _noise_free_default().samples.copy()
+        samples[17, 1] = np.inf
+        with pytest.raises(ValueError, match="row 17"):
+            fit_ellipsoid(samples)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):

@@ -129,6 +129,14 @@ class TestSolve:
             solve_nm(np.array([[1.0, 1.0, 0.0]]), params)
         assert exc_info.value.report is not None
 
+    def test_non_finite_sample_rejected_naming_row(self, default_scene):
+        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
+        init = initial_params(fit_ellipsoid(ds))
+        samples = ds.samples.copy()
+        samples[42, 0] = -np.inf
+        with pytest.raises(ValueError, match="row 42"):
+            solve_nm(samples, init)
+
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
         opts = SolveOptions(max_iterations=1, objective_tolerance=1e-30, step_tolerance=1e-30)
