@@ -25,7 +25,7 @@ import scipy.linalg
 from ._newton import newton_solve
 from .linalg import UPPER_VEC_INDICES
 from .metrics import params_from_ml
-from .types import MLState, SolveOptions, SolveReport, as_samples
+from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
 
@@ -137,10 +137,14 @@ def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveRepo
         return delta, MLState.from_vector(state.to_vector() + delta, init.n_samples)
 
     def finish(state):
-        warn = ()
-        if np.any(np.diag(state.t_matrix) <= 0.0):
+        t, warn = state.t_matrix, ()
+        if np.any(np.diag(t) <= 0.0):
             warn = ("t_matrix diagonal not strictly positive at exit",)
-        return dict(final_params=params_from_ml(state), final_state=state,
+        # A failed solve can stop at a T with no inverse; its report gets a NaN shape.
+        params = CalibrationParams(np.triu(np.full((3, 3), np.nan)), state.offset.copy())
+        if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
+            params = params_from_ml(state)
+        return dict(final_params=params, final_state=state,
                     constraint_violation_history=violations, warnings=warn)
 
     return newton_solve(init, opts, objective, step, converged, finish)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from magcal import fileio
+from magcal import fileio, ml
 from magcal.experiments import (
     perturb_initial,
     run_monte_carlo,
@@ -95,6 +95,13 @@ class TestMonteCarlo:
         values = np.array([r.nm.metrics.scale_pct for r in result.runs])
         assert agg["scale_pct"]["mean"] == pytest.approx(values.mean())
         assert agg["scale_pct"]["std"] == pytest.approx(values.std(ddof=1))
+
+    def test_non_finite_ml_step_becomes_failed_row(self, small_config, monkeypatch):
+        monkeypatch.setattr(ml, "_step_block", lambda g_head, g_m, *rest: np.full(
+            9 + 4 * len(g_m), np.inf))
+        result = run_monte_carlo(small_config, runs=1, seed=5)
+        assert result.failure_count("ml") == 1
+        assert result.failure_count("nm") == 0
 
     def test_run_count_validated(self, small_config):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from fd import fd_gradient
 from kkt_oracle import ml_kkt_system, newton_step, step_dense
 from magcal import ml
-from magcal.errors import SolverFailure
+from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
 from magcal.linalg import unpack_upper
 from magcal.metrics import apply_calibration, error_metrics, params_from_ml
@@ -177,6 +177,41 @@ class TestSolve:
         )
         with pytest.raises(SolverFailure):
             solve_ml(rng.normal(0, 1, (n, 3)), state)
+
+    def test_non_finite_initial_t_raises_divergence(self):
+        n = 12
+        rng = np.random.default_rng(11)
+        t = np.eye(3)
+        t[1, 1] = np.inf
+        state = MLState(t_matrix=t, offset=np.zeros(3), field_dirs=rng.normal(0, 1, (n, 3)),
+                        lagrange=np.zeros(n))
+        with pytest.raises(DivergenceError) as exc_info:
+            solve_ml(rng.normal(0, 1, (n, 3)), state)
+        report = exc_info.value.report
+        assert report.iterations == 0
+        assert np.all(np.isnan(np.diag(report.final_params.shape)))
+        np.testing.assert_array_equal(report.final_state.t_matrix, t)
+
+    def test_non_finite_step_raises_divergence(self, default_scene, monkeypatch):
+        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
+        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        monkeypatch.setattr(ml, "_step_block", lambda *a: np.full(4 * ds.n_samples + 9, np.inf))
+        with pytest.raises(DivergenceError) as exc_info:
+            solve_ml(ds, state, SolveOptions(gradient_tolerance=1e-300))
+        assert exc_info.value.report.iterations == 1
+
+    def test_zero_t_diagonal_in_failure_report_gives_nan_shape(self):
+        n = 12
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(0, 1, (n, 3))
+        dirs[0] = 0.0  # singular 4x4 block, as in test_singular_tail_block_raises
+        state = MLState(t_matrix=np.diag([1.0, 0.0, 1.0]), offset=np.zeros(3),
+                        field_dirs=dirs, lagrange=np.zeros(n))
+        with pytest.raises(SolverFailure) as exc_info:
+            solve_ml(rng.normal(0, 1, (n, 3)), state)
+        report = exc_info.value.report
+        assert np.all(np.isnan(np.diag(report.final_params.shape)))
+        assert report.warnings
 
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
