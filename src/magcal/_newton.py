@@ -9,6 +9,16 @@ from .errors import DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
 
+def solve_newton_system(hess, rhs) -> np.ndarray:
+    """Symmetric solve; a non-finite system gives a NaN step, which newton_solve calls divergence.
+
+    LAPACK would call such a system singular, or even return a finite step.
+    """
+    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):
+        return np.full(rhs.shape, np.nan)
+    return scipy.linalg.solve(hess, rhs, assume_a="sym", check_finite=False)
+
+
 def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> SolveReport:
     """Full Newton steps from ``x`` until ``converged`` or max_iterations.
 

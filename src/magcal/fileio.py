@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -22,15 +23,20 @@ from .types import CalibrationParams, ErrorMetrics, SolveReport
 FORMAT_VERSION = 1
 
 SAMPLE_COLUMNS = ("yx", "yy", "yz")
+_TIMING_COLUMNS = ("n", "method", "median_seconds", "iterations", "seconds_per_iteration")
+
+
+def _write_csv(path, header, rows) -> None:
+    # Every field as str() (repr for floats) and CRLF line ends: the bytes
+    # csv.writer writes for fields that need no quoting, as numbers and
+    # method names do not.
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(line * (len(rows) + 1) % tuple(itertools.chain(header, *rows)))
 
 
 def write_samples_csv(path, samples) -> None:
-    samples = np.asarray(samples, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_COLUMNS)
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, SAMPLE_COLUMNS, np.asarray(samples, dtype=float).tolist())
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -73,11 +79,8 @@ def write_calibrated_csv(path, calibrated) -> None:
     """Calibrated samples plus a magnitude column."""
     calibrated = np.asarray(calibrated, dtype=float)
     magnitudes = np.linalg.norm(calibrated, axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("mx", "my", "mz", "magnitude"))
-        for row, mag in zip(calibrated, magnitudes):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(mag))])
+    rows = np.column_stack([calibrated, magnitudes]).tolist()
+    _write_csv(path, ("mx", "my", "mz", "magnitude"), rows)
 
 
 def file_digest(path) -> str:
@@ -166,36 +169,16 @@ def metrics_dict(metrics: ErrorMetrics) -> dict:
 
 def write_monte_carlo_csv(path, result) -> None:
     """One row per run per method."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "run",
-                "method",
-                "failed",
-                "converged",
-                "iterations",
-                "final_objective",
-                "scale_pct",
-                "ortho_deg",
-                "hard_iron_gauss",
-            )
-        )
-        for run in result.runs:
-            for method in ("nm", "ml"):
-                o = getattr(run, method)
-                m = o.metrics.as_tuple() if o.metrics is not None else ("", "", "")
-                writer.writerow(
-                    [
-                        run.index,
-                        method,
-                        int(o.failed),
-                        int(o.converged),
-                        o.iterations,
-                        repr(float(o.final_objective)),
-                    ]
-                    + [repr(float(v)) if v != "" else "" for v in m]
-                )
+    rows = []
+    for run in result.runs:
+        for method in ("nm", "ml"):
+            o = getattr(run, method)
+            m = o.metrics.as_tuple() if o.metrics is not None else ("", "", "")
+            rows.append([run.index, method, int(o.failed), int(o.converged), o.iterations,
+                         float(o.final_objective)] + [float(v) if v != "" else "" for v in m])
+    header = ("run", "method", "failed", "converged", "iterations", "final_objective",
+              "scale_pct", "ortho_deg", "hard_iron_gauss")
+    _write_csv(path, header, rows)
 
 
 def monte_carlo_summary(result) -> dict:
@@ -211,14 +194,12 @@ def monte_carlo_summary(result) -> dict:
 
 
 def write_sensitivity_csv(path, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("alpha", "method", "divergences", "runs"))
-        for alpha, nm_c, ml_c in zip(
-            result.alphas, result.nm_divergences, result.ml_divergences
-        ):
-            writer.writerow([repr(float(alpha)), "nm", nm_c, result.runs])
-            writer.writerow([repr(float(alpha)), "ml", ml_c, result.runs])
+    rows = [
+        [float(alpha), method, count, result.runs]
+        for alpha, nm_c, ml_c in zip(result.alphas, result.nm_divergences, result.ml_divergences)
+        for method, count in (("nm", nm_c), ("ml", ml_c))
+    ]
+    _write_csv(path, ("alpha", "method", "divergences", "runs"), rows)
 
 
 def sensitivity_summary(result) -> dict:
@@ -236,35 +217,12 @@ def sensitivity_summary(result) -> dict:
 
 
 def write_timing_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("n", "method", "median_seconds", "iterations", "seconds_per_iteration")
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    row.method,
-                    repr(float(row.median_seconds)),
-                    row.iterations,
-                    repr(float(row.seconds_per_iteration)),
-                ]
-            )
+    _write_csv(path, _TIMING_COLUMNS, [[getattr(row, c) for c in _TIMING_COLUMNS] for row in rows])
 
 
 def timing_summary(rows) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "tool_version": __version__,
-        "rows": [
-            {
-                "n": row.n,
-                "method": row.method,
-                "median_seconds": row.median_seconds,
-                "iterations": row.iterations,
-                "seconds_per_iteration": row.seconds_per_iteration,
-            }
-            for row in rows
-        ],
+        "rows": [{c: getattr(row, c) for c in _TIMING_COLUMNS} for row in rows],
     }

@@ -40,23 +40,23 @@ def unpack_upper(entries) -> np.ndarray:
     return out
 
 
-def attitude_from_euler(phi_deg: float, theta_deg: float, psi_deg: float) -> np.ndarray:
+def attitude_from_euler(phi_deg, theta_deg, psi_deg) -> np.ndarray:
     """Rotation from the local-level frame to the sensor body frame.
 
-    Angles are roll (phi), pitch (theta), yaw (psi) in degrees. The returned
-    matrix is a proper rotation: orthogonal with determinant +1.
+    Angles are roll (phi), pitch (theta), yaw (psi) in degrees; arrays of
+    angles broadcast and give a (..., 3, 3) stack. Each matrix is a proper
+    rotation: orthogonal with determinant +1.
     """
-    phi, theta, psi = np.deg2rad([phi_deg, theta_deg, psi_deg])
+    phi, theta, psi = np.deg2rad(np.broadcast_arrays(phi_deg, theta_deg, psi_deg))
     sf, cf = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(psi), np.cos(psi)
-    return np.array(
-        [
-            [ct * cp, sf * sp - cf * cp * st, cf * sp + cp * sf * st],
-            [st, cf * ct, -ct * sf],
-            [-ct * sp, cp * sf + cf * st * sp, cf * cp - sf * st * sp],
-        ]
-    )
+    entries = [
+        ct * cp, sf * sp - cf * cp * st, cf * sp + cp * sf * st,
+        st, cf * ct, -ct * sf,
+        -ct * sp, cp * sf + cf * st * sp, cf * cp - sf * st * sp,
+    ]
+    return np.stack(entries, axis=-1).reshape(phi.shape + (3, 3))
 
 
 def qr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,14 +20,17 @@ standard initialization) and is no use as a test.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from ._newton import newton_solve
-from .linalg import UPPER_VEC_INDICES
+from ._newton import newton_solve, solve_newton_system
+from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES
 from .metrics import params_from_ml
 from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
+_ROWS, _COLS = np.array(UPPER_POSITIONS).T
+# _step_block inverts a row's own 4x4 block where its closed form would
+# cancel more than this fraction of the terms it sums.
+_FALLBACK_RTOL = 1e-4
 
 
 def ml_objective(state: MLState, data) -> tuple[float, float]:
@@ -46,19 +49,18 @@ def ml_objective(state: MLState, data) -> tuple[float, float]:
 
 
 def _assemble(state: MLState, samples: np.ndarray):
-    """Gradient and Hessian blocks of the Lagrangian.
+    """Gradient and head Hessian of the Lagrangian, plus what the step needs.
 
-    Returns (g_head, g_m, g_lam, head, coupling, diag_blocks): the 9-vector
+    Returns (g_head, g_m, g_lam, head, t, dirs, resid, lam): the 9-vector
     head gradient, per-sample gradients (N,3) and (N,), the 9x9 head
-    Hessian, the (N,9,4) head-to-sample couplings, and the (N,4,4)
-    per-sample KKT blocks.
+    Hessian, and T with the per-sample directions, residuals and
+    multipliers from which _step_block forms the per-sample blocks.
     """
     t = state.t_matrix
     dirs = state.field_dirs
     lam = state.lagrange
     n = dirs.shape[0]
-    u = samples - state.offset
-    r = u - dirs @ t.T
+    r = samples - state.offset - dirs @ t.T
 
     g_t = -2.0 * (r.T @ dirs).ravel(order="F")[UPPER_VEC_INDICES]
     g_h = -2.0 * r.sum(axis=0)
@@ -74,37 +76,66 @@ def _assemble(state: MLState, samples: np.ndarray):
     head[6:, :6] = head[:6, 6:].T
     head[6:, 6:] = 2.0 * n * _EYE3
 
-    # Head-to-sample coupling: rows over [T entries, h], columns [m_k, lambda_k].
-    h_tm = 2.0 * (
-        np.einsum("kc,rl->kcrl", dirs, t).reshape(n, 9, 3)
-        - np.einsum("cl,kr->kcrl", _EYE3, r).reshape(n, 9, 3)
-    )
-    coupling = np.zeros((n, 9, 4))
-    coupling[:, :6, :3] = h_tm[:, UPPER_VEC_INDICES, :]
-    coupling[:, 6:9, :3] = 2.0 * t
-
-    diag_blocks = np.zeros((n, 4, 4))
-    diag_blocks[:, :3, :3] = 2.0 * t.T @ t + 2.0 * lam[:, None, None] * _EYE3
-    diag_blocks[:, :3, 3] = 2.0 * dirs
-    diag_blocks[:, 3, :3] = 2.0 * dirs
-
-    return g_head, g_m, g_lam, head, coupling, diag_blocks
+    return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
-def _step_block(g_head, g_m, g_lam, head, coupling, diag_blocks):
-    """Newton step by Schur elimination of each 4x4 block onto the head."""
+def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
+    """Newton step by Schur elimination of each (m_k, lambda_k) block onto the head.
+
+    Every block is [[A_k, 2 m_k], [2 m_k', 0]] with A_k = 2 T'T + 2 lambda_k I,
+    so one eigendecomposition T'T = V diag(ev) V' diagonalises all A_k. In
+    that basis a block's inverse is [[diag(1/a) - w w'/s, w/s], [w'/s, -1/s]]
+    with a = 2 ev + 2 lambda_k, w = 2 m_k / a and s = 2 m_k'w, and the Schur
+    sum is a sum of weighted moments of y_k = [m_k, r_k, 1]. Rows where this
+    closed form cancels (A_k or the block near singular) invert their 4x4 block.
+    """
     n = g_lam.shape[0]
-    g_tail = np.concatenate([g_m, g_lam[:, None]], axis=1)  # (N, 4)
-    tail_solve = np.linalg.solve(diag_blocks, np.concatenate(
-        [g_tail[:, :, None], np.transpose(coupling, (0, 2, 1))], axis=2
-    ))  # (N, 4, 1+9)
-    dinv_g = tail_solve[:, :, 0]
-    dinv_bt = tail_solve[:, :, 1:]
-    schur = head - np.einsum("kij,kjl->il", coupling, dinv_bt)
-    rhs = -g_head + np.einsum("kij,kj->i", coupling, dinv_g)
-    d_head = scipy.linalg.solve(schur, rhs, assume_a="sym")
-    d_tail = -(dinv_g + np.einsum("kij,j->ki", dinv_bt, d_head))
-    return np.concatenate([d_head, d_tail[:, :3].ravel(), d_tail[:, 3]])
+    ttt = t.T @ t
+    if not np.all(np.isfinite(ttt)):
+        return np.full(9 + 4 * n, np.nan)  # overflow is divergence, not a singular system
+    ev, v = np.linalg.eigh(ttt)
+    tv = t @ v
+    m_e = v.T @ dirs.T  # per-sample values in the eigenbasis are (3, N)
+    a = 2.0 * (ev[:, None] + lam)
+    bad = np.abs(a).min(axis=0) <= _FALLBACK_RTOL * np.abs(a).max(axis=0)
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad)
+    w = 2.0 * m_e * inv_a
+    s = 2.0 * (m_e * w).sum(axis=0)
+    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_e * w).sum(axis=0)
+    inv_a[:, bad] = w[:, bad] = 0.0
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
+    blocks = np.zeros((int(bad.sum()), 4, 4))
+    blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
+    blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
+    bad_inv = np.linalg.inv(blocks)
+
+    def solve_blocks(x, y):
+        # Every block inverse applied to (x_k, y_k); x is (3, N) in the eigenbasis.
+        c = (y - (w * x).sum(axis=0)) * inv_s
+        out_m, out_lam = x * inv_a + w * c, -c
+        sol = bad_inv @ np.vstack([x[:, bad], y[bad]]).T[:, :, None]
+        out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
+        return out_m, out_lam
+
+    # Sample k couples to the head along eigenvector j through lin[j] @ y_k.
+    lin = np.zeros((3, 9, 7))
+    lin[:, np.arange(6), _COLS] = 2.0 * tv[_ROWS].T
+    lin[:, np.arange(6), 3 + _ROWS] = -2.0 * v[_COLS].T
+    lin[:, 6:, 6] = 2.0 * tv.T
+    lin_flat = lin.transpose(1, 0, 2).reshape(9, 21)
+    y = np.ones((7, n))
+    y[:3], y[3:6] = dirs.T, r.T
+    moments = ((inv_a[:, None, :] * y).reshape(21, n) @ y.T).reshape(3, 7, 7)
+    z = lin_flat @ (w[:, None, :] * y).reshape(21, n)
+    g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
+    schur = (head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + (z * inv_s) @ z.T
+             - g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9))
+
+    g_me = v.T @ g_m.T
+    rhs = -g_head + lin_flat @ (solve_blocks(g_me, g_lam)[0] @ y.T).ravel()
+    d_head = solve_newton_system(schur, rhs)
+    d_m, d_lam = solve_blocks(g_me + (d_head @ lin) @ y, g_lam)
+    return np.concatenate([d_head, -(v @ d_m).T.ravel(), -d_lam])
 
 
 def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveReport:

@@ -16,9 +16,8 @@ iteration and R stays exactly triangular.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from ._newton import newton_solve
+from ._newton import newton_solve, solve_newton_system
 from .linalg import UPPER_VEC_INDICES
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
@@ -83,7 +82,7 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
 
     def step(params):
         grad, hess = nm_gradient_hessian(params, samples)
-        delta = scipy.linalg.solve(hess, grad, assume_a="sym")
+        delta = solve_newton_system(hess, grad)
         return delta, CalibrationParams.from_vector(params.to_vector() - delta)
 
     def converged(params, delta, history):

@@ -84,11 +84,8 @@ def simulate(truth: SensorTruth, trajectory, seed) -> Dataset:
     if trajectory.ndim != 2 or trajectory.shape[1] != 3 or trajectory.shape[0] < 1:
         raise ValueError(f"trajectory must be (N>=1, 3), got {trajectory.shape}")
     rng = np.random.default_rng(seed)
-    n = trajectory.shape[0]
-    clean = np.empty((n, 3))
-    for i, (roll, pitch, yaw) in enumerate(trajectory):
-        clean[i] = truth.soft_iron @ attitude_from_euler(roll, pitch, yaw) @ truth.field
-    noise = rng.normal(0.0, truth.noise_sigma, size=(n, 3))
+    clean = truth.soft_iron @ attitude_from_euler(*trajectory.T) @ truth.field
+    noise = rng.normal(0.0, truth.noise_sigma, size=clean.shape)
     return Dataset(
         samples=clean + truth.hard_iron + noise,
         truth=truth,

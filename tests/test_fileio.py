@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,26 @@ from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
+
+
+# Values whose repr is unusual: non-finite, signed zero, subnormal, extreme.
+_ODD_ROWS = np.array([
+    [np.nan, np.inf, -np.inf],
+    [-0.0, 0.0, 5e-324],
+    [1e308, -1e308, 2.2250738585072014e-308],
+    [1.0 / 3.0, 0.1, 1e16],
+    [1e-5, 123456789.0, -1.5],
+])
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What the csv module writes for the given rows, values as repr."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return out.getvalue().encode()
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +61,12 @@ class TestSamplesCsv:
         fileio.write_samples_csv(a, samples)
         fileio.write_samples_csv(b, samples)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rows = np.vstack([_ODD_ROWS, np.random.default_rng(2).normal(0, 2, (20, 3))])
+        path = tmp_path / "data.csv"
+        fileio.write_samples_csv(path, rows)
+        assert path.read_bytes() == _csv_writer_bytes(fileio.SAMPLE_COLUMNS, rows)
 
     def test_extra_columns_ignored_with_warning(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -80,6 +109,14 @@ class TestCalibratedCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mx,my,mz,magnitude"
         assert lines[1].split(",")[-1] == "5.0"
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rows = np.vstack([_ODD_ROWS, np.random.default_rng(3).normal(0, 2, (20, 3))])
+        path = tmp_path / "cal.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            fileio.write_calibrated_csv(path, rows)
+            expected = np.column_stack([rows, np.linalg.norm(rows, axis=1)])
+        assert path.read_bytes() == _csv_writer_bytes(("mx", "my", "mz", "magnitude"), expected)
 
 
 class TestReports:

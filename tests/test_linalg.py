@@ -28,6 +28,16 @@ class TestAttitude:
             np.testing.assert_allclose(c.T @ c, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(c) - 1.0) <= 1e-12
 
+    def test_angle_arrays_broadcast_to_stacked_matrices(self):
+        rng = np.random.default_rng(2)
+        roll, pitch = rng.uniform(-180, 180, (2, 4, 5))
+        stack = attitude_from_euler(roll, pitch, 30.0)
+        assert stack.shape == (4, 5, 3, 3)
+        for i in range(4):
+            for j in range(5):
+                expected = attitude_from_euler(roll[i, j], pitch[i, j], 30.0)
+                np.testing.assert_array_equal(stack[i, j], expected)
+
 
 class TestQR:
     def test_identity(self):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fd import fd_gradient
-from kkt_oracle import ml_kkt_system, newton_step, step_dense
+from fd import fd_gradient, fd_jacobian
+from kkt_oracle import ml_kkt_system, step_dense
 from magcal import ml
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
@@ -25,6 +27,10 @@ def _random_state(rng, n):
         field_dirs=rng.normal(0, 1.0, (n, 3)),
         lagrange=rng.normal(0, 0.5, n),
     )
+
+
+def _kkt(state, samples):
+    return ml_kkt_system(*ml._assemble(state, samples))
 
 
 class TestObjective:
@@ -63,7 +69,7 @@ class TestKKTSystem:
         state = _random_state(rng, 8)
         dirs = state.field_dirs / np.linalg.norm(state.field_dirs, axis=1, keepdims=True)
         state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
-        grad, _ = ml_kkt_system(state, rng.normal(0, 1, (8, 3)))
+        grad, _ = _kkt(state, rng.normal(0, 1, (8, 3)))
         np.testing.assert_allclose(grad[9 + 24 :], 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -73,23 +79,35 @@ class TestKKTSystem:
             state = _random_state(rng, n)
             samples = rng.normal(0, 1.0, (n, 3))
             fun = lambda v: ml_objective(MLState.from_vector(v, n), samples)[1]
-            grad, _ = ml_kkt_system(state, samples)
+            grad, _ = _kkt(state, samples)
             grad_fd = fd_gradient(fun, state.to_vector())
             scale = 1.0 + np.max(np.abs(grad_fd))
             assert np.max(np.abs(grad - grad_fd)) / scale < 1e-6
+
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(7)
+        n = 5
+        for _ in range(5):
+            state = _random_state(rng, n)
+            samples = rng.normal(0, 1.0, (n, 3))
+            _, hess = _kkt(state, samples)
+            hess_fd = fd_jacobian(
+                lambda v: _kkt(MLState.from_vector(v, n), samples)[0], state.to_vector()
+            )
+            assert np.max(np.abs(hess - hess_fd)) / (1.0 + np.max(np.abs(hess_fd))) < 1e-6
 
     def test_offset_block_is_2n_identity(self):
         rng = np.random.default_rng(5)
         n = 7
         state = _random_state(rng, n)
-        _, hess = ml_kkt_system(state, rng.normal(0, 1, (n, 3)))
+        _, hess = _kkt(state, rng.normal(0, 1, (n, 3)))
         np.testing.assert_array_equal(hess[6:9, 6:9], 2.0 * n * np.eye(3))
 
     def test_lambda_block_is_zero(self):
         rng = np.random.default_rng(6)
         n = 4
         state = _random_state(rng, n)
-        _, hess = ml_kkt_system(state, rng.normal(0, 1, (n, 3)))
+        _, hess = _kkt(state, rng.normal(0, 1, (n, 3)))
         lam = slice(9 + 3 * n, None)
         np.testing.assert_array_equal(hess[lam, lam], 0.0)
         np.testing.assert_array_equal(hess[:9, lam], 0.0)
@@ -100,16 +118,38 @@ class TestNewtonStep:
     def test_block_elimination_equals_dense(self, n):
         rng = np.random.default_rng(n)
         state = _random_state(rng, n)
-        samples = rng.normal(0, 1.0, (n, 3))
-        step_block = newton_step(state, samples, method="block")
-        step_dense = newton_step(state, samples, method="dense")
-        scale = np.max(np.abs(step_dense))
-        assert np.max(np.abs(step_block - step_dense)) <= 1e-9 * scale
+        assembly = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))
+        block = ml._step_block(*assembly)
+        dense = step_dense(*assembly)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(block - dense)) <= 1e-9 * scale
 
-    def test_unknown_method_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            newton_step(_random_state(rng, 3), rng.normal(0, 1, (3, 3)), method="lu")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 2**32 - 1),
+        shifts=st.lists(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-3]), max_size=3),
+    )
+    def test_block_step_equals_dense_step(self, n, seed, shifts):
+        # Rows with lambda_k at -ev_j (1 + shift) make A_k (near) singular and
+        # take the 4x4 fallback. States whose bordered blocks are themselves
+        # ill-conditioned are skipped: there Schur elimination, by LU or in
+        # closed form, loses digits that the dense solve keeps.
+        rng = np.random.default_rng(seed)
+        state = _random_state(rng, n)
+        ev = np.linalg.eigvalsh(state.t_matrix.T @ state.t_matrix)
+        lam = state.lagrange.copy()
+        for k, shift in enumerate(shifts):
+            lam[k] = -ev[rng.integers(3)] * (1.0 + shift)
+        state = MLState(state.t_matrix, state.offset, state.field_dirs, lam)
+        blocks = np.zeros((n, 4, 4))
+        t = state.t_matrix
+        blocks[:, :3, :3] = 2.0 * t.T @ t + 2.0 * lam[:, None, None] * np.eye(3)
+        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * state.field_dirs
+        assume(np.linalg.cond(blocks).max() < 1e6)
+        assembly = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))
+        dense = step_dense(*assembly)
+        assert np.max(np.abs(ml._step_block(*assembly) - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
 class TestSolve:
@@ -126,7 +166,7 @@ class TestSolve:
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=8)
         state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
         report = solve_ml(ds, state)
-        grad, _ = ml_kkt_system(report.final_state, ds)
+        grad, _ = _kkt(report.final_state, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
 
     def test_truth_init_on_noise_free_data_converges_immediately(self, default_scene):
@@ -199,6 +239,23 @@ class TestSolve:
         with pytest.raises(DivergenceError) as exc_info:
             solve_ml(ds, state, SolveOptions(gradient_tolerance=1e-300))
         assert exc_info.value.report.iterations == 1
+
+    def test_overflowing_newton_system_raises_divergence(self):
+        # Field directions up to 1e155 overflow the assembly. Each solve ends
+        # or raises DivergenceError, never a bare ValueError from LAPACK's
+        # finiteness check or a SolverFailure calling the system singular.
+        rng = np.random.default_rng(0)
+        diverged = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 10))
+            state = _random_state(rng, n)
+            dirs = state.field_dirs * 10.0 ** rng.uniform(140, 155)
+            state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
+            try:
+                solve_ml(rng.normal(0, 1.0, (n, 3)), state, SolveOptions(max_iterations=5))
+            except DivergenceError:
+                diverged += 1
+        assert diverged > 50
 
     def test_zero_t_diagonal_in_failure_report_gives_nan_shape(self):
         n = 12

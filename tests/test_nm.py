@@ -129,6 +129,21 @@ class TestSolve:
             solve_nm(np.array([[1.0, 1.0, 0.0]]), params)
         assert exc_info.value.report is not None
 
+    def test_overflowing_newton_system_raises_divergence(self):
+        # Samples near 1e77 keep the objective finite but overflow the Hessian.
+        # Each solve ends or raises DivergenceError, never a bare ValueError.
+        rng = np.random.default_rng(0)
+        diverged = 0
+        for _ in range(400):
+            params, _ = _random_instance(rng)
+            n = int(rng.integers(3, 10))
+            samples = rng.normal(0, 1.0, (n, 3)) * 10.0 ** rng.uniform(75, 78)
+            try:
+                solve_nm(samples, params, SolveOptions(max_iterations=5))
+            except DivergenceError:
+                diverged += 1
+        assert diverged > 100
+
     def test_non_finite_sample_rejected_naming_row(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
         init = initial_params(fit_ellipsoid(ds))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magcal.linalg import attitude_from_euler
 from magcal.simulate import (
     DEFAULT_FIELD,
     SimConfig,
@@ -56,6 +57,17 @@ class TestSimulate:
         np.testing.assert_array_equal(a, b)
         c = simulate(truth, traj, seed=124).samples
         assert np.any(a != c)
+
+    @pytest.mark.parametrize("n,tilt", [(300, 20.0), (300, 5.0), (3000, 0.0)])
+    def test_bit_identical_to_per_sample_loop(self, n, tilt):
+        truth = default_truth()
+        traj = sweep_trajectory(n, tilt_deg=tilt)
+        clean = np.empty((n, 3))
+        for i, (roll, pitch, yaw) in enumerate(traj):
+            clean[i] = truth.soft_iron @ attitude_from_euler(roll, pitch, yaw) @ truth.field
+        noise = np.random.default_rng(5).normal(0.0, truth.noise_sigma, size=(n, 3))
+        expected = clean + truth.hard_iron + noise
+        np.testing.assert_array_equal(simulate(truth, traj, seed=5).samples, expected)
 
     def test_noise_free_unit_norm_after_true_calibration(self, default_scene):
         truth = default_truth(sigma=0.0)
