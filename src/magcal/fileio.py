@@ -11,7 +11,6 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import warnings
 
 import numpy as np
@@ -39,17 +38,58 @@ def write_samples_csv(path, samples) -> None:
     _write_csv(path, SAMPLE_COLUMNS, np.asarray(samples, dtype=float).tolist())
 
 
+def _parse_body(lines, indices) -> np.ndarray:
+    # The one cell parser for dataset bodies, used both for the whole file
+    # and, after a failure, for the ranges that locate the offending line.
+    # loadtxt warns on input with no rows; read_samples_csv reports that.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", usecols=indices, ndmin=2,
+                          comments=None, quotechar='"')
+
+
+def _body_fault(lines, indices):
+    """None if the lines parse to finite values, else what is wrong with them."""
+    try:
+        samples = _parse_body(lines, indices)
+    except ValueError:
+        return "bad row"
+    return None if np.isfinite(samples).all() else "non-finite value"
+
+
+def _raise_first_bad_line(path, indices):
+    """Raise the error for the first body line that _parse_body rejects or
+    reads as non-finite; the whole body is known to contain one."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()[1:]
+    # lines[:lo] are clean and the first bad line is in lines[lo:hi]. Each
+    # probe parses only lines[lo:mid], so the search parses about 2N lines.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _body_fault(lines[lo:mid], indices) is None:
+            lo = mid
+        else:
+            hi = mid
+    row = next(csv.reader(lines[lo:hi]), [])
+    raise ValueError(f"{path}: {_body_fault(lines[lo:hi], indices)} at line {lo + 2}: {row}")
+
+
 def read_samples_csv(path) -> np.ndarray:
     """Read a dataset CSV; extra columns are ignored with a warning.
 
-    Raises ValueError naming the line of an unparseable or non-finite value.
+    Blank lines are skipped. A cell is a float64 literal as np.loadtxt reads
+    it, optionally in double quotes or with surrounding whitespace; ``#``
+    starts no comment. Raises ValueError naming the line of an unparseable
+    or non-finite value.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports
+    # put before the header.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        if not first:
             raise ValueError(f"{path}: empty dataset file")
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in next(csv.reader([first]), [])]
         try:
             indices = [header.index(c) for c in SAMPLE_COLUMNS]
         except ValueError:
@@ -59,20 +99,16 @@ def read_samples_csv(path) -> np.ndarray:
         extras = [h for h in header if h not in SAMPLE_COLUMNS]
         if extras:
             warnings.warn(f"{path}: ignoring extra columns {extras}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values = [float(row[i]) for i in indices]
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: bad row at line {line_no}: {row}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: non-finite value at line {line_no}: {row}")
-            rows.append(values)
-    if not rows:
+        try:
+            samples = _parse_body(fh, indices)
+            clean = np.isfinite(samples).all()
+        except ValueError:
+            clean = False
+    if not clean:
+        _raise_first_bad_line(path, indices)
+    if not len(samples):
         raise ValueError(f"{path}: no samples")
-    return np.asarray(rows)
+    return samples
 
 
 def write_calibrated_csv(path, calibrated) -> None:

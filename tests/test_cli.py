@@ -87,6 +87,21 @@ class TestCalibrateCommand:
                      str(tmp_path / "r.json")]) == 2
         assert "line 6" in capsys.readouterr().err
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start the file with a UTF-8 BOM.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        main(["simulate", "--out", str(plain), "--seed", "124"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        docs = []
+        for data in (plain, marked):
+            report = data.with_suffix(".json")
+            assert main(["calibrate", "--input", str(data), "--out", str(report)]) == 0
+            doc = fileio.read_json(report)
+            for method in ("nm", "ml"):
+                del doc[method]["input_digest"]
+            docs.append(doc)
+        assert docs[1] == docs[0]
+
     def test_too_few_rows_exits_3(self, tmp_path):
         data = tmp_path / "tiny.csv"
         fileio.write_samples_csv(data, np.ones((5, 3)))
