@@ -14,7 +14,6 @@ from magcal import (
     error_metrics,
     fit_initial,
     initial_ml_state,
-    params_from_ml,
     simulate,
     solve_ml,
     solve_nm,
@@ -44,15 +43,14 @@ def main():
     true_params = truth.calibration()
     for name, est in (
         ("nm", nm_report.final_params),
-        ("ml", params_from_ml(ml_report.final_state)),
+        ("ml", ml_report.final_params),
     ):
         m = error_metrics(est, true_params)
         print(f"\n{name} errors vs truth: scale {m.scale_pct:.4f} %   "
               f"orthogonality {m.ortho_deg:.4f} deg   "
               f"hard iron {m.hard_iron_gauss:.5f} Gauss")
 
-    diff = np.max(np.abs(nm_report.final_params.shape
-                         - params_from_ml(ml_report.final_state).shape))
+    diff = np.max(np.abs(nm_report.final_params.shape - ml_report.final_params.shape))
     print(f"\nlargest shape-entry disagreement between the two: {diff:.2e}")
 
 

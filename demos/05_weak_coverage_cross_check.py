@@ -16,7 +16,6 @@ from magcal import (
     error_metrics,
     fit_initial,
     initial_ml_state,
-    params_from_ml,
     simulate,
     solve_ml,
     solve_nm,
@@ -27,7 +26,7 @@ from magcal import (
 def calibrate_both(dataset):
     init, _ = fit_initial(dataset)
     nm = solve_nm(dataset, init).final_params
-    ml = params_from_ml(solve_ml(dataset, initial_ml_state(init, dataset)).final_state)
+    ml = solve_ml(dataset, initial_ml_state(init, dataset)).final_params
     return {"nm": nm, "ml": ml}
 
 

@@ -19,9 +19,7 @@ from .errors import (
 )
 from .experiments import (
     MonteCarloResult,
-    MonteCarloRun,
     SensitivityResult,
-    TimingRow,
     perturb_initial,
     run_monte_carlo,
     run_sensitivity,
@@ -32,15 +30,6 @@ from .initfit import (
     fit_initial,
     initial_ml_state,
     initial_params,
-)
-from .linalg import (
-    attitude_from_euler,
-    cholesky_upper,
-    decompose_scale_ortho,
-    invert_upper,
-    pack_upper,
-    qr_decompose,
-    unpack_upper,
 )
 from .metrics import apply_calibration, error_metrics, params_from_ml
 from .ml import ml_objective, solve_ml
@@ -74,18 +63,13 @@ __all__ = [
     "InsufficientDataError",
     "MLState",
     "MonteCarloResult",
-    "MonteCarloRun",
     "SensitivityResult",
     "SensorTruth",
     "SimConfig",
     "SolveOptions",
     "SolveReport",
     "SolverFailure",
-    "TimingRow",
     "apply_calibration",
-    "attitude_from_euler",
-    "cholesky_upper",
-    "decompose_scale_ortho",
     "default_config",
     "default_truth",
     "error_metrics",
@@ -93,14 +77,11 @@ __all__ = [
     "fit_initial",
     "initial_ml_state",
     "initial_params",
-    "invert_upper",
     "ml_objective",
     "nm_gradient_hessian",
     "nm_objective",
-    "pack_upper",
     "params_from_ml",
     "perturb_initial",
-    "qr_decompose",
     "run_monte_carlo",
     "run_sensitivity",
     "run_timing",
@@ -108,5 +89,4 @@ __all__ = [
     "solve_ml",
     "solve_nm",
     "sweep_trajectory",
-    "unpack_upper",
 ]

@@ -7,6 +7,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -14,10 +15,8 @@ import numpy as np
 
 from . import experiments, fileio
 from .errors import DegenerateDataError, InsufficientDataError, SolverFailure
-from .initfit import fit_ellipsoid, initial_ml_state, initial_params
+from .initfit import fit_initial
 from .metrics import apply_calibration, error_metrics
-from .ml import solve_ml
-from .nm import solve_nm
 from .simulate import SimConfig, default_config, simulate, sweep_trajectory
 from .types import SolveOptions
 
@@ -37,25 +36,16 @@ def _truth_sidecar(out_path) -> str:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
-        config = SimConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    dataset = simulate(config.truth(), sweep_trajectory(config.n, args.tilt), config.seed)
+        config = dataclasses.replace(config, seed=args.seed)
+    dataset = simulate(config.truth, sweep_trajectory(config.n, args.tilt), config.seed)
     fileio.write_samples_csv(args.out, dataset.samples)
     truth_path = args.truth_out or _truth_sidecar(args.out)
     truth_doc = fileio.truth_report_dict(
-        config.truth().calibration(), input_digest=fileio.file_digest(args.out)
+        config.truth.calibration(), input_digest=fileio.file_digest(args.out)
     )
     fileio.write_json(truth_path, truth_doc)
     print(f"wrote {dataset.n_samples} samples to {args.out}; truth to {truth_path}")
     return 0
-
-
-def _solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        max_iterations=args.max_iterations,
-        objective_tolerance=args.objective_tolerance,
-        step_tolerance=args.step_tolerance,
-        gradient_tolerance=args.gradient_tolerance,
-    )
 
 
 def _comparison(nm_doc: dict, ml_doc: dict) -> dict:
@@ -81,20 +71,15 @@ def _comparison(nm_doc: dict, ml_doc: dict) -> dict:
 def cmd_calibrate(args) -> int:
     samples = fileio.read_samples_csv(args.input)
     digest = fileio.file_digest(args.input)
-    opts = _solve_options(args)
-    coeffs = fit_ellipsoid(samples)
-    init = initial_params(coeffs)
-
-    solvers = {
-        "nm": lambda: solve_nm(samples, init, opts),
-        "ml": lambda: solve_ml(samples, initial_ml_state(init, samples), opts),
-    }
+    opts = SolveOptions(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(SolveOptions)})
+    init, coeffs = fit_initial(samples)
     failed = False
     docs = {}
     methods = ("nm", "ml") if args.method == "both" else (args.method,)
     for method in methods:
         try:
-            report = solvers[method]()
+            report = experiments.solve(method, samples, init, opts)
             if not report.converged:
                 print(f"{method} solver did not converge in {report.iterations} iterations",
                       file=sys.stderr)
@@ -133,7 +118,7 @@ def cmd_metrics(args) -> int:
     truth = fileio.params_from_report(
         fileio.select_report(fileio.read_json(args.truth), args.truth_method)
     )
-    result = fileio.metrics_dict(error_metrics(estimate, truth))
+    result = dataclasses.asdict(error_metrics(estimate, truth))
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -196,13 +181,6 @@ def cmd_timing(args) -> int:
     return 0
 
 
-def _add_solver_flags(sub) -> None:
-    sub.add_argument("--max-iterations", type=int, default=50)
-    sub.add_argument("--objective-tolerance", type=float, default=1e-12)
-    sub.add_argument("--step-tolerance", type=float, default=1e-10)
-    sub.add_argument("--gradient-tolerance", type=float, default=1e-9)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magcal",
@@ -222,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--input", required=True, help="dataset CSV")
     cal.add_argument("--method", choices=("nm", "ml", "both"), default="both")
     cal.add_argument("--out", required=True, help="output report JSON")
-    _add_solver_flags(cal)
+    for f in dataclasses.fields(SolveOptions):
+        cal.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     cal.set_defaults(func=cmd_calibrate)
 
     app = subs.add_parser("apply", help="apply a calibration report to a dataset")

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
 
 from .errors import CalibrationError, SolverFailure
-from .initfit import fit_ellipsoid, initial_ml_state, initial_params
+from .initfit import fit_initial, initial_ml_state
 from .metrics import error_metrics
 from .ml import solve_ml
 from .nm import solve_nm
 from .simulate import SimConfig, simulate, sweep_trajectory
-from .types import CalibrationParams, ErrorMetrics, SolveOptions
+from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
 
-METRIC_NAMES = ("scale_pct", "ortho_deg", "hard_iron_gauss")
+METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
 # Divergence cutoffs on the final objective value for the bundled default
 # scenario (sigma = 0.003, N = 300). They scale with both N and sigma, so
@@ -33,6 +33,19 @@ DEFAULT_ML_THRESHOLD = 0.004
 # Default master seeds for the bundled studies.
 DEFAULT_MC_SEED = 20240901
 DEFAULT_SENSITIVITY_SEED = 18687
+
+
+def solve(method: str, data, init: CalibrationParams,
+          opts: SolveOptions | None = None) -> SolveReport:
+    """Run estimator ``method`` ("nm" or "ml") from the initial estimate ``init``."""
+    # The solvers are looked up by module-global name at call time, so a
+    # rebinding of ``solve_nm``/``solve_ml`` here (as perfbench's tracer does)
+    # applies to every study and CLI solve.
+    if method == "nm":
+        return solve_nm(data, init, opts)
+    if method == "ml":
+        return solve_ml(data, initial_ml_state(init, data), opts)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def perturb_initial(params: CalibrationParams, alpha: float, seed) -> CalibrationParams:
@@ -108,9 +121,9 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
     )
 
 
-def _outcome(solve, truth_params) -> MethodOutcome:
+def _outcome(method, dataset, init, opts, truth_params) -> MethodOutcome:
     try:
-        report = solve()
+        report = solve(method, dataset, init, opts)
     except SolverFailure as exc:
         return _failed_outcome(str(exc), exc.report)
     return MethodOutcome(
@@ -125,24 +138,25 @@ def _outcome(solve, truth_params) -> MethodOutcome:
 
 def _mc_run(args) -> MonteCarloRun:
     config, trajectory, truth_params, seed_seq, index, opts = args
-    truth = config.truth()
-    dataset = simulate(truth, trajectory, seed_seq)
+    dataset = simulate(config.truth, trajectory, seed_seq)
     try:
-        init = initial_params(fit_ellipsoid(dataset))
+        init, _ = fit_initial(dataset)
     except CalibrationError as exc:
         bad = _failed_outcome(f"init-fit failed: {exc}")
         return MonteCarloRun(index=index, nm=bad, ml=bad)
     return MonteCarloRun(
         index=index,
-        nm=_outcome(lambda: solve_nm(dataset, init, opts), truth_params),
-        ml=_outcome(
-            lambda: solve_ml(dataset, initial_ml_state(init, dataset), opts), truth_params
-        ),
+        nm=_outcome("nm", dataset, init, opts, truth_params),
+        ml=_outcome("ml", dataset, init, opts, truth_params),
     )
 
 
 def _map(fn, jobs, workers: int) -> list:
-    """``fn`` over ``jobs`` in order, in one pool of ``workers`` processes if > 1."""
+    """``fn`` over ``jobs`` in order, in one pool of at most ``workers`` processes."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # A fork-context pool starts all max_workers processes at the first submit.
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
@@ -164,7 +178,7 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     trajectory = sweep_trajectory(config.n)
-    truth_params = config.truth().calibration()
+    truth_params = config.truth.calibration()
     children = np.random.SeedSequence(seed).spawn(runs)
     jobs = [
         (config, trajectory, truth_params, children[i], i, opts) for i in range(runs)
@@ -188,27 +202,23 @@ def _sensitivity_run(args) -> tuple:
     """One perturbed calibration; returns (nm_diverged, ml_diverged)."""
     config, trajectory, alpha, nm_threshold, ml_threshold, run_seq, opts = args
     noise_seq, sign_seq = run_seq.spawn(2)
-    truth = config.truth()
-    dataset = simulate(truth, trajectory, noise_seq)
+    dataset = simulate(config.truth, trajectory, noise_seq)
     try:
-        init = initial_params(fit_ellipsoid(dataset))
+        init, _ = fit_initial(dataset)
     except CalibrationError:
         return True, True
     perturbed = perturb_initial(init, alpha, sign_seq)
 
     return (
-        _diverged(lambda: solve_nm(dataset, perturbed, opts), nm_threshold),
-        _diverged(
-            lambda: solve_ml(dataset, initial_ml_state(perturbed, dataset), opts),
-            ml_threshold,
-        ),
+        _diverged("nm", dataset, perturbed, opts, nm_threshold),
+        _diverged("ml", dataset, perturbed, opts, ml_threshold),
     )
 
 
-def _diverged(solve, threshold: float) -> bool:
+def _diverged(method, dataset, init, opts, threshold: float) -> bool:
     """A solve diverges when it fails or its final objective exceeds the threshold."""
     try:
-        report = solve()
+        report = solve(method, dataset, init, opts)
     except SolverFailure:
         return True
     return not np.isfinite(report.final_objective) or report.final_objective > threshold
@@ -279,32 +289,23 @@ def run_timing(
 ) -> tuple:
     """Median wall-clock solve time per (N, method).
 
-    One warm-up solve precedes the timed repeats.
+    One warm-up solve precedes the timed repeats. An ml solve is timed from
+    the fit's estimate, so its time includes building the initial ML state.
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    truth = config.truth()
     rows = []
     for n in n_values:
-        trajectory = sweep_trajectory(int(n))
-        dataset = simulate(truth, trajectory, seed)
-        init = initial_params(fit_ellipsoid(dataset))
-        ml_init = initial_ml_state(init, dataset)
-        solvers = {
-            "nm": lambda: solve_nm(dataset, init, opts),
-            "ml": lambda: solve_ml(dataset, ml_init, opts),
-        }
+        dataset = simulate(config.truth, sweep_trajectory(int(n)), seed)
+        init, _ = fit_initial(dataset)
         for method in methods:
-            if method not in solvers:
-                raise ValueError(f"unknown timing method {method!r}")
-            solve = solvers[method]
-            report = solve()  # warm-up
+            report = solve(method, dataset, init, opts)  # warm-up
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                report = solve()
+                report = solve(method, dataset, init, opts)
                 times.append(time.perf_counter() - start)
             med = float(median(times))
             iters = max(report.iterations, 1)

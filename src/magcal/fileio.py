@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .experiments import METRIC_NAMES
 from .linalg import pack_upper, unpack_upper
-from .types import CalibrationParams, ErrorMetrics, SolveReport
+from .types import CalibrationParams, SolveReport
 
 FORMAT_VERSION = 1
 
@@ -195,26 +196,17 @@ def select_report(document: dict, method: str | None = None) -> dict:
     return document[method]
 
 
-def metrics_dict(metrics: ErrorMetrics) -> dict:
-    return {
-        "scale_pct": metrics.scale_pct,
-        "ortho_deg": metrics.ortho_deg,
-        "hard_iron_gauss": metrics.hard_iron_gauss,
-    }
-
-
 def write_monte_carlo_csv(path, result) -> None:
     """One row per run per method."""
     rows = []
     for run in result.runs:
         for method in ("nm", "ml"):
             o = getattr(run, method)
-            m = o.metrics.as_tuple() if o.metrics is not None else ("", "", "")
+            m = o.metrics.as_tuple() if o.metrics is not None else ("",) * len(METRIC_NAMES)
             rows.append([run.index, method, int(o.failed), int(o.converged), o.iterations,
-                         float(o.final_objective)] + [float(v) if v != "" else "" for v in m])
-    header = ("run", "method", "failed", "converged", "iterations", "final_objective",
-              "scale_pct", "ortho_deg", "hard_iron_gauss")
-    _write_csv(path, header, rows)
+                         float(o.final_objective), *m])
+    header = ("run", "method", "failed", "converged", "iterations", "final_objective")
+    _write_csv(path, header + METRIC_NAMES, rows)
 
 
 def monte_carlo_summary(result) -> dict:

@@ -86,48 +86,29 @@ def simulate(truth: SensorTruth, trajectory, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     clean = truth.soft_iron @ attitude_from_euler(*trajectory.T) @ truth.field
     noise = rng.normal(0.0, truth.noise_sigma, size=clean.shape)
-    return Dataset(
-        samples=clean + truth.hard_iron + noise,
-        truth=truth,
-        trajectory=trajectory,
-    )
+    return Dataset(samples=clean + truth.hard_iron + noise)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Serializable simulation scenario: sensor truth plus size and seed."""
 
-    soft_iron: np.ndarray
-    hard_iron: np.ndarray
-    sigma: float
-    field: np.ndarray
+    truth: SensorTruth
     n: int
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "soft_iron", np.asarray(self.soft_iron, float))
-        object.__setattr__(self, "hard_iron", np.asarray(self.hard_iron, float))
-        object.__setattr__(self, "field", np.asarray(self.field, float))
-        if self.soft_iron.shape != (3, 3) or self.hard_iron.shape != (3,) or self.field.shape != (3,):
-            raise ValueError("bad config array shapes")
         if self.n < 1:
             raise ValueError("config requires n >= 1")
 
-    def truth(self) -> SensorTruth:
-        return SensorTruth(
-            soft_iron=self.soft_iron.copy(),
-            hard_iron=self.hard_iron.copy(),
-            noise_sigma=self.sigma,
-            field=_unit(self.field),
-        )
-
     def to_dict(self) -> dict:
+        truth = self.truth
         return {
             "format_version": 1,
-            "soft_iron": [float(v) for v in self.soft_iron.ravel()],
-            "hard_iron": [float(v) for v in self.hard_iron],
-            "sigma": float(self.sigma),
-            "field": [float(v) for v in self.field],
+            "soft_iron": [float(v) for v in truth.soft_iron.ravel()],
+            "hard_iron": [float(v) for v in truth.hard_iron],
+            "sigma": truth.noise_sigma,
+            "field": [float(v) for v in truth.field],
             "n": int(self.n),
             "seed": int(self.seed),
         }
@@ -135,25 +116,18 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         # Field direction is normalized at load; the model assumes unit norm.
-        return cls(
-            soft_iron=np.asarray(d["soft_iron"], float).reshape(3, 3),
-            hard_iron=np.asarray(d["hard_iron"], float),
-            sigma=float(d["sigma"]),
-            field=_unit(np.asarray(d["field"], float)),
-            n=int(d["n"]),
-            seed=int(d["seed"]),
+        # SensorTruth checks the array shapes, sigma >= 0 and the unit field.
+        truth = SensorTruth(
+            soft_iron=np.reshape(d["soft_iron"], (3, 3)),
+            hard_iron=d["hard_iron"],
+            noise_sigma=d["sigma"],
+            field=_unit(d["field"]),
         )
+        return cls(truth, n=int(d["n"]), seed=int(d["seed"]))
 
 
 def default_config(
     sigma: float = DEFAULT_SIGMA, n: int = DEFAULT_N, seed: int = DEFAULT_SEED
 ) -> SimConfig:
     """The bundled default scenario as a config object."""
-    return SimConfig(
-        soft_iron=DEFAULT_SOFT_IRON.copy(),
-        hard_iron=DEFAULT_HARD_IRON.copy(),
-        sigma=sigma,
-        field=_unit(DEFAULT_FIELD),
-        n=n,
-        seed=seed,
-    )
+    return SimConfig(default_truth(sigma), n, seed)

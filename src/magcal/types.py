@@ -139,21 +139,15 @@ class SensorTruth:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Raw three-axis samples (N, 3) plus optional generation metadata."""
+    """Raw three-axis samples (N, 3)."""
 
     samples: np.ndarray
-    truth: SensorTruth | None = None
-    trajectory: np.ndarray | None = None
 
     def __post_init__(self):
         samples = _as_float_array(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 1:
             raise ValueError(f"samples must be (N>=1, 3), got {samples.shape}")
         object.__setattr__(self, "samples", samples)
-        if self.trajectory is not None:
-            object.__setattr__(
-                self, "trajectory", _as_float_array(self.trajectory, samples.shape)
-            )
 
     @property
     def n_samples(self) -> int:

@@ -29,8 +29,19 @@ class TestSimulateCommand:
         main(["simulate", "--out", str(b), "--seed", "42"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_samples_is_input_error(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", n=0)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": 0},
+            {"soft_iron": [1.0] * 8},
+            {"hard_iron": [0.0, 0.0]},
+            {"sigma": -1},
+            {"field": [0, 0, 0]},
+        ],
+        ids=["n_zero", "soft_iron_8", "hard_iron_2", "sigma_negative", "field_zero"],
+    )
+    def test_zero_samples_is_input_error(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
@@ -232,6 +243,11 @@ class TestStudyCommands:
               "--out-prefix", p2])
         assert (tmp_path / "x_runs.csv").read_bytes() == (tmp_path / "y_runs.csv").read_bytes()
         assert (tmp_path / "x_summary.json").read_bytes() == (tmp_path / "y_summary.json").read_bytes()
+
+    def test_zero_workers_exits_2(self, tmp_path):
+        assert main(["montecarlo", "--runs", "2", "--workers", "0",
+                     "--out-prefix", str(tmp_path / "mc")]) == 2
+        assert not (tmp_path / "mc_runs.csv").exists()
 
     def test_sensitivity_zero_alpha(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)

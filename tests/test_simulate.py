@@ -113,10 +113,10 @@ class TestSimConfig:
         d = cfg.to_dict()
         d["field"] = list(DEFAULT_FIELD)  # raw direction, norm 0.99926
         loaded = SimConfig.from_dict(d)
-        assert np.linalg.norm(loaded.field) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(loaded.truth.field) == pytest.approx(1.0, abs=1e-12)
 
     def test_truth_invariants(self):
-        truth = default_config().truth()
+        truth = default_config().truth
         assert np.linalg.norm(truth.field) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             SensorTruth(
