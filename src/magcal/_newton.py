@@ -1,22 +1,24 @@
 """Newton iteration shared by the nm and ml estimators."""
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .errors import DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
 
 def solve_newton_system(hess, rhs) -> np.ndarray:
-    """Symmetric solve; a non-finite system gives a NaN step, which newton_solve calls divergence.
+    """Symmetric solve by LAPACK's Bunch-Kaufman LDL' (dsytrf, dsytrs) on the upper triangle.
 
-    LAPACK would call such a system singular, or even return a finite step.
+    An exactly singular factor raises LinAlgError. A non-finite system gives a NaN step, which
+    newton_solve calls divergence; LAPACK would call it singular, or even return a finite step.
     """
-    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
         return np.full(rhs.shape, np.nan)
-    return scipy.linalg.solve(hess, rhs, assume_a="sym", check_finite=False)
+    factor, pivots, info = dsytrf(hess)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular symmetric system")
+    return dsytrs(factor, pivots, rhs)[0]
 
 
 def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> SolveReport:
@@ -38,8 +40,7 @@ def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> S
     def report(iterations, done):
         return SolveReport(history, iterations, done, **finish(x))
 
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         if not record(x):
             raise DivergenceError("initial objective is non-finite", report(0, False))
         delta = None
@@ -50,7 +51,7 @@ def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> S
                 break
             try:
                 delta, x = step(x)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            except np.linalg.LinAlgError as exc:
                 raise SolverFailure("singular Newton system", report(iteration, False)) from exc
             if not record(x) or not np.all(np.isfinite(delta)):
                 raise DivergenceError("objective became non-finite", report(iteration + 1, False))

@@ -19,8 +19,8 @@ _ROWS = np.array([p[0] for p in UPPER_POSITIONS])
 _COLS = np.array([p[1] for p in UPPER_POSITIONS])
 
 # The same six entries as indices into a column-stacked 9-vector vec(R),
-# used to strike the structurally-zero coordinates from Kronecker-built
-# gradients and Hessians.
+# used to pick the free coordinates out of the vec(R)-indexed gradients and
+# Hessians that the nm and ml solvers assemble.
 UPPER_VEC_INDICES = 3 * _COLS + _ROWS
 
 

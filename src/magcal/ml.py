@@ -28,6 +28,14 @@ from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_sam
 
 _EYE3 = np.eye(3)
 _ROWS, _COLS = np.array(UPPER_POSITIONS).T
+# The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
+# the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
+# head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. These are its flat
+# positions, and where each takes its value in [vec(m'm), sum m, n].
+_SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
+_HEAD_AT = np.concatenate([9 * _SAME_P + _SAME_Q, 9 * np.arange(6) + 6 + _ROWS,
+                           54 + 9 * _ROWS + np.arange(6), [60, 70, 80]])
+_HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 + _COLS, [12] * 3])
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
@@ -69,12 +77,8 @@ def _assemble(state: MLState, samples: np.ndarray):
     g_lam = np.einsum("ij,ij->i", dirs, dirs) - 1.0
 
     head = np.zeros((9, 9))
-    h_tt = 2.0 * np.kron(dirs.T @ dirs, _EYE3)
-    head[:6, :6] = h_tt[np.ix_(UPPER_VEC_INDICES, UPPER_VEC_INDICES)]
-    h_th = 2.0 * np.kron(dirs.sum(axis=0)[:, None], _EYE3)
-    head[:6, 6:] = h_th[UPPER_VEC_INDICES, :]
-    head[6:, :6] = head[:6, 6:].T
-    head[6:, 6:] = 2.0 * n * _EYE3
+    moments = np.concatenate([(dirs.T @ dirs).ravel(), dirs.sum(axis=0), [n]])
+    head.ravel()[_HEAD_AT] = 2.0 * moments[_HEAD_FROM]
 
     return g_head, g_m, g_lam, head, t, dirs, r, lam
 

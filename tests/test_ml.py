@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fd import fd_gradient, fd_jacobian
 from kkt_oracle import ml_kkt_system, step_dense
 from magcal import ml
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
-from magcal.linalg import unpack_upper
+from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
 from magcal.metrics import apply_calibration, error_metrics, params_from_ml
 from magcal.ml import ml_objective, solve_ml
 from magcal.nm import solve_nm
@@ -31,6 +32,19 @@ def _random_state(rng, n):
 
 def _kkt(state, samples):
     return ml_kkt_system(*ml._assemble(state, samples))
+
+
+def _head_kron(dirs):
+    """The Kronecker-product assembly of ml's 9x9 head Hessian, kept as its reference."""
+    n = dirs.shape[0]
+    head = np.zeros((9, 9))
+    h_tt = 2.0 * np.kron(dirs.T @ dirs, np.eye(3))
+    head[:6, :6] = h_tt[np.ix_(UPPER_VEC_INDICES, UPPER_VEC_INDICES)]
+    h_th = 2.0 * np.kron(dirs.sum(axis=0)[:, None], np.eye(3))
+    head[:6, 6:] = h_th[UPPER_VEC_INDICES, :]
+    head[6:, :6] = head[:6, 6:].T
+    head[6:, 6:] = 2.0 * n * np.eye(3)
+    return head
 
 
 class TestObjective:
@@ -111,6 +125,23 @@ class TestKKTSystem:
         lam = slice(9 + 3 * n, None)
         np.testing.assert_array_equal(hess[lam, lam], 0.0)
         np.testing.assert_array_equal(hess[:9, lam], 0.0)
+
+
+class TestAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dirs=st.one_of(st.integers(1, 50), st.just(300)).flatmap(
+            lambda n: arrays(float, (n, 3), elements=st.floats(-1e3, 1e3))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_head_equals_kronecker_reference(self, dirs, seed):
+        rng = np.random.default_rng(seed)
+        n = dirs.shape[0]
+        state = _random_state(rng, n)
+        state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
+        head = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))[3]
+        np.testing.assert_array_equal(head, _head_kron(dirs))
 
 
 class TestNewtonStep:
@@ -217,6 +248,19 @@ class TestSolve:
         )
         with pytest.raises(SolverFailure):
             solve_ml(rng.normal(0, 1, (n, 3)), state)
+
+    def test_singular_schur_complement_raises(self):
+        # Every field direction is e1: each (m_k, lambda_k) block is regular,
+        # but the data cannot fix T's other columns, so the 9x9 Schur
+        # complement is singular.
+        n = 12
+        dirs = np.tile([1.0, 0.0, 0.0], (n, 1))
+        state = MLState(t_matrix=np.eye(3), offset=np.zeros(3), field_dirs=dirs,
+                        lagrange=np.full(n, 0.5))
+        with pytest.raises(SolverFailure, match="singular Newton system") as exc_info:
+            solve_ml(dirs.copy(), state)
+        assert not isinstance(exc_info.value, DivergenceError)
+        assert exc_info.value.report.iterations == 0
 
     def test_non_finite_initial_t_raises_divergence(self):
         n = 12

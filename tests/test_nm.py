@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fd import fd_gradient, fd_jacobian
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_params
+from magcal.linalg import UPPER_VEC_INDICES
 from magcal.metrics import error_metrics
 from magcal.nm import nm_gradient_hessian, nm_objective, solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
@@ -16,6 +20,29 @@ def _random_instance(rng, n=20):
                         rng.uniform(0.5, 1.5, 1), rng.normal(0, 0.3, 1),
                         rng.uniform(0.5, 1.5, 1), rng.normal(0, 1.0, 3)])
     return CalibrationParams.from_vector(x), samples
+
+
+def _gradient_hessian_kron(params, samples):
+    """The Kronecker-product and np.block assembly of nm's derivatives, kept as their reference."""
+    shape, eye = params.shape, np.eye(3)
+    u = samples - params.offset
+    v = u @ shape.T
+    s = np.einsum("ij,ij->i", v, v) - 1.0
+    rtr = shape.T @ shape
+    p = u @ rtr
+    su = u.T @ s
+    sv = v.T @ s
+    g_shape = 4.0 * (v * s[:, None]).T @ u
+    g_offset = -4.0 * rtr @ su
+    grad_full = np.concatenate([g_shape.ravel(order="F"), g_offset])
+    w = (u[:, :, None] * v[:, None, :]).reshape(len(u), 9)
+    u2 = u.T @ (u * s[:, None])
+    h_rr = 8.0 * w.T @ w + 4.0 * np.kron(u2, eye)
+    h_rh = -8.0 * w.T @ p - 4.0 * (np.kron(eye, sv[:, None]) + np.kron(su[:, None], shape))
+    h_hh = 4.0 * s.sum() * rtr + 8.0 * p.T @ p
+    hess_full = np.block([[h_rr, h_rh], [h_rh.T, h_hh]])
+    keep = np.concatenate([UPPER_VEC_INDICES, [9, 10, 11]])
+    return grad_full[keep], hess_full[np.ix_(keep, keep)]
 
 
 class TestObjective:
@@ -60,6 +87,20 @@ class TestDerivatives:
             scale = 1.0 + np.max(np.abs(hess_fd))
             assert np.max(np.abs(hess - hess_fd)) / scale < 1e-4
             np.testing.assert_allclose(hess, hess.T, atol=1e-9 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=arrays(float, 9, elements=st.floats(-10.0, 10.0)),
+        samples=st.one_of(st.integers(1, 50), st.just(300)).flatmap(
+            lambda n: arrays(float, (n, 3), elements=st.floats(-1e3, 1e3))
+        ),
+    )
+    def test_assembly_equals_kronecker_reference(self, x, samples):
+        params = CalibrationParams.from_vector(x)
+        grad, hess = nm_gradient_hessian(params, samples)
+        ref_grad, ref_hess = _gradient_hessian_kron(params, samples)
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(hess, ref_hess)
 
     def test_gradient_vanishes_at_converged_minimum(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
