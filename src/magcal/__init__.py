@@ -25,15 +25,10 @@ from .experiments import (
     run_sensitivity,
     run_timing,
 )
-from .initfit import (
-    fit_ellipsoid,
-    fit_initial,
-    initial_ml_state,
-    initial_params,
-)
-from .metrics import apply_calibration, error_metrics, params_from_ml
-from .ml import ml_objective, solve_ml
-from .nm import nm_gradient_hessian, nm_objective, solve_nm
+from .initfit import fit_initial, initial_ml_state
+from .metrics import apply_calibration, error_metrics
+from .ml import solve_ml
+from .nm import solve_nm
 from .simulate import (
     SimConfig,
     default_config,
@@ -44,7 +39,6 @@ from .simulate import (
 from .types import (
     CalibrationParams,
     Dataset,
-    EllipsoidCoeffs,
     ErrorMetrics,
     MLState,
     SensorTruth,
@@ -58,7 +52,6 @@ __all__ = [
     "Dataset",
     "DegenerateDataError",
     "DivergenceError",
-    "EllipsoidCoeffs",
     "ErrorMetrics",
     "InsufficientDataError",
     "MLState",
@@ -73,14 +66,8 @@ __all__ = [
     "default_config",
     "default_truth",
     "error_metrics",
-    "fit_ellipsoid",
     "fit_initial",
     "initial_ml_state",
-    "initial_params",
-    "ml_objective",
-    "nm_gradient_hessian",
-    "nm_objective",
-    "params_from_ml",
     "perturb_initial",
     "run_monte_carlo",
     "run_sensitivity",

@@ -24,7 +24,8 @@ def solve_newton_system(hess, rhs) -> np.ndarray:
 def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> SolveReport:
     """Full Newton steps from ``x`` until ``converged`` or max_iterations.
 
-    ``objective(x)`` is called once per iterate and recorded in the history.
+    ``objective(x)`` is called once per iterate, before ``converged(x, ...)``
+    and ``step(x)`` see that iterate, and is recorded in the history.
     ``step(x)`` returns ``(delta, next_x)``. ``converged(x, delta, history)``
     is asked before every step and after the last one; ``delta`` is None
     before the first. ``finish(x)`` gives the report's final-estimate fields.

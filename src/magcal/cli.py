@@ -104,6 +104,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_apply(args) -> int:
     report = fileio.select_report(fileio.read_json(args.report), args.method)
+    if not report.get("converged", True):
+        raise SolverFailure(f"the {report.get('method')} report did not converge; not applying it")
     params = fileio.params_from_report(report)
     samples = fileio.read_samples_csv(args.input)
     fileio.write_calibrated_csv(args.out, apply_calibration(params, samples))

@@ -121,7 +121,8 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
     )
 
 
-def _outcome(method, dataset, init, opts, truth_params) -> MethodOutcome:
+def _outcome(method, dataset, init, opts, truth_params=None) -> MethodOutcome:
+    """One solve as a study row; error metrics need ``truth_params``."""
     try:
         report = solve(method, dataset, init, opts)
     except SolverFailure as exc:
@@ -132,7 +133,7 @@ def _outcome(method, dataset, init, opts, truth_params) -> MethodOutcome:
         converged=report.converged,
         iterations=report.iterations,
         final_objective=report.final_objective,
-        metrics=error_metrics(report.final_params, truth_params),
+        metrics=None if truth_params is None else error_metrics(report.final_params, truth_params),
     )
 
 
@@ -208,20 +209,11 @@ def _sensitivity_run(args) -> tuple:
     except CalibrationError:
         return True, True
     perturbed = perturb_initial(init, alpha, sign_seq)
-
-    return (
-        _diverged("nm", dataset, perturbed, opts, nm_threshold),
-        _diverged("ml", dataset, perturbed, opts, ml_threshold),
-    )
-
-
-def _diverged(method, dataset, init, opts, threshold: float) -> bool:
-    """A solve diverges when it fails or its final objective exceeds the threshold."""
-    try:
-        report = solve(method, dataset, init, opts)
-    except SolverFailure:
-        return True
-    return not np.isfinite(report.final_objective) or report.final_objective > threshold
+    nm = _outcome("nm", dataset, perturbed, opts)
+    ml = _outcome("ml", dataset, perturbed, opts)
+    # A solve diverges when it fails or its final objective (NaN included) exceeds the threshold.
+    return (nm.failed or not nm.final_objective <= nm_threshold,
+            ml.failed or not ml.final_objective <= ml_threshold)
 
 
 def run_sensitivity(

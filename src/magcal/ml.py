@@ -41,21 +41,6 @@ _HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 +
 _FALLBACK_RTOL = 1e-4
 
 
-def ml_objective(state: MLState, data) -> tuple[float, float]:
-    """Data misfit and full Lagrangian value.
-
-    Returns (misfit, lagrangian) where misfit = sum ||y - T m - h||^2 and
-    lagrangian adds sum lambda_k (||m_k||^2 - 1).
-    """
-    samples = as_samples(data)
-    if samples.shape[0] != state.n_samples:
-        raise ValueError("state and data sample counts disagree")
-    r = samples - state.offset - state.field_dirs @ state.t_matrix.T
-    misfit = float(np.einsum("ij,ij->", r, r))
-    constraint = np.einsum("ij,ij->i", state.field_dirs, state.field_dirs) - 1.0
-    return misfit, misfit + float(state.lagrange @ constraint)
-
-
 def _assemble(state: MLState, samples: np.ndarray):
     """Gradient and head Hessian of the Lagrangian, plus what the step needs.
 
@@ -151,18 +136,20 @@ def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveRepo
     """
     opts = opts or SolveOptions()
     samples = as_samples(data)
+    if samples.shape[0] != init.n_samples:
+        raise ValueError("state and data sample counts disagree")
     assembly = None
     violations = []
 
     def objective(state):
-        # Called once per iterate, so the violation history aligns with the misfit's.
-        dirs = state.field_dirs
-        violations.append(float(np.max(np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0))))
-        return ml_objective(state, samples)[0]
+        # Assembled once per iterate; converged and step then reuse it.
+        nonlocal assembly
+        assembly = _assemble(state, samples)
+        g_lam, r = assembly[2], assembly[6]
+        violations.append(float(np.max(np.abs(g_lam))))
+        return float(np.einsum("ij,ij->", r, r))
 
     def converged(state, delta, history):
-        nonlocal assembly  # reused by the step that follows
-        assembly = _assemble(state, samples)
         g_head, g_m, g_lam = assembly[:3]
         grad_norm = np.sqrt(g_head @ g_head + np.einsum("ij,ij->", g_m, g_m) + g_lam @ g_lam)
         return grad_norm <= opts.gradient_tolerance

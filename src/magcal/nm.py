@@ -35,16 +35,17 @@ _RH_AT = 81 + 3 * UPPER_VEC_INDICES[:, None] + _D
 _HESS_AT = np.block([[_RR_AT, _RH_AT], [_RH_AT.T, 108 + 3 * _D[:, None] + _D]])
 
 
-def nm_objective(params: CalibrationParams, data) -> float:
-    """Sum of squared norm residuals (1 - ||R (y_k - h)||^2)^2."""
-    u = as_samples(data) - params.offset
+def nm_objective(params: CalibrationParams, samples: np.ndarray) -> float:
+    """Sum of squared norm residuals (1 - ||R (y_k - h)||^2)^2 over validated (N, 3) samples."""
+    u = samples - params.offset
     v = u @ params.shape.T
     s = np.einsum("ij,ij->i", v, v) - 1.0
     return float(s @ s)
 
 
-def nm_gradient_hessian(params: CalibrationParams, data) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient (9,) and Hessian (9, 9) of the objective.
+def nm_gradient_hessian(params: CalibrationParams,
+                        samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (9,) and Hessian (9, 9) of the objective over validated (N, 3) samples.
 
     Derivatives are assembled over the column-stacked 9-vector vec(R): the
     Kronecker-product terms of the Hessian are added in place onto the matrix
@@ -53,7 +54,7 @@ def nm_gradient_hessian(params: CalibrationParams, data) -> tuple[np.ndarray, np
     the three excluded lower-triangular coordinates.
     """
     shape = params.shape
-    u = as_samples(data) - params.offset  # (N, 3)
+    u = samples - params.offset           # (N, 3)
     v = u @ shape.T                       # rows R u_k
     s = np.einsum("ij,ij->i", v, v) - 1.0
     rtr = shape.T @ shape

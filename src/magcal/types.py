@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import pack_upper, unpack_upper
+from .linalg import pack_upper, qr_decompose, unpack_upper
 
 
 def _as_float_array(x, shape=None):
@@ -131,8 +131,6 @@ class SensorTruth:
         matrix (positive-diagonal QR), so shape @ (y - hard_iron) is a unit
         vector for noise-free data.
         """
-        from .linalg import qr_decompose
-
         _, r = qr_decompose(np.linalg.inv(self.soft_iron))
         return CalibrationParams(shape=r, offset=self.hard_iron.copy())
 

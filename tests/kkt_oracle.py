@@ -3,14 +3,29 @@
 Expands the compact assembly of magcal.ml into the full (4N+9)^2 arrowhead
 system that the library's block elimination never builds, and factors it.
 Tests compare the library's O(N) Newton step, and whole solves, against it.
+ml_objective is the Lagrangian those derivatives are checked against.
 """
 
 import numpy as np
 import scipy.linalg
 
 from magcal.linalg import UPPER_VEC_INDICES
+from magcal.types import MLState, as_samples
 
 _EYE3 = np.eye(3)
+
+
+def ml_objective(state: MLState, data) -> tuple[float, float]:
+    """Data misfit and full Lagrangian value.
+
+    Returns (misfit, lagrangian) where misfit = sum ||y - T m - h||^2 and
+    lagrangian adds sum lambda_k (||m_k||^2 - 1).
+    """
+    samples = as_samples(data)
+    r = samples - state.offset - state.field_dirs @ state.t_matrix.T
+    misfit = float(np.einsum("ij,ij->", r, r))
+    constraint = np.einsum("ij,ij->i", state.field_dirs, state.field_dirs) - 1.0
+    return misfit, misfit + float(state.lagrange @ constraint)
 
 
 def ml_kkt_system(g_head, g_m, g_lam, head, t, dirs, resid, lam):

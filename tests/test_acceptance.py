@@ -12,7 +12,7 @@ import pytest
 
 from conftest import oracle_true_params
 from fd import fd_gradient, fd_jacobian
-from kkt_oracle import ml_kkt_system, step_dense
+from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
 from magcal.cli import main as cli_main
 from magcal.experiments import (
@@ -25,7 +25,7 @@ from magcal.experiments import (
 from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
 from magcal.linalg import unpack_upper
 from magcal.metrics import error_metrics, params_from_ml
-from magcal.ml import ml_objective, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import nm_gradient_hessian, nm_objective, solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState

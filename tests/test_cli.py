@@ -178,6 +178,22 @@ class TestApplyCommand:
         cross_mags = np.loadtxt(cross, delimiter=",", skiprows=1)[:, 3]
         assert abs(cross_mags.mean() - 1.0) > 2 * abs(own_mags.mean() - 1.0)
 
+    def test_unconverged_report_exits_4_without_output(self, tmp_path):
+        # At tilt 5, seed 1005's ml solve runs off to a negative T diagonal.
+        data = tmp_path / "data.csv"
+        report = tmp_path / "report.json"
+        main(["simulate", "--out", str(data), "--seed", "1005", "--tilt", "5"])
+        assert main(["calibrate", "--input", str(data), "--out", str(report)]) == 4
+        assert fileio.read_json(report)["ml"]["converged"] is False
+        ml_out, nm_out = tmp_path / "ml.csv", tmp_path / "nm.csv"
+        assert main(["apply", "--report", str(report), "--method", "ml",
+                     "--input", str(data), "--out", str(ml_out)]) == 4
+        assert not ml_out.exists()
+        assert main(["apply", "--report", str(report), "--method", "nm",
+                     "--input", str(data), "--out", str(nm_out)]) == 0
+        mags = np.loadtxt(nm_out, delimiter=",", skiprows=1)[:, 3]
+        np.testing.assert_allclose(mags, 1.0, atol=0.05)
+
     def test_mismatched_files_exit_2(self, tmp_path):
         report = tmp_path / "r.json"
         fileio.write_json(report, {"format_version": 1})

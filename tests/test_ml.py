@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fd import fd_gradient, fd_jacobian
-from kkt_oracle import ml_kkt_system, step_dense
+from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
 from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
 from magcal.metrics import apply_calibration, error_metrics, params_from_ml
-from magcal.ml import ml_objective, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState, SolveOptions
@@ -69,12 +69,6 @@ class TestObjective:
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=1)
         state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
         assert solve_ml(ds, state).final_objective < 0.004
-
-    def test_size_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        state = _random_state(rng, 5)
-        with pytest.raises(ValueError):
-            ml_objective(state, rng.normal(0, 1, (6, 3)))
 
 
 class TestKKTSystem:
@@ -313,6 +307,39 @@ class TestSolve:
         report = exc_info.value.report
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
         assert report.warnings
+
+    def test_size_mismatch_rejected_before_iterating(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        state = _random_state(rng, 5)
+        monkeypatch.setattr(ml, "_assemble", lambda *a: pytest.fail("assembled an iterate"))
+        with pytest.raises(ValueError, match="sample counts disagree"):
+            solve_ml(rng.normal(0, 1, (6, 3)), state)
+
+    def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
+        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
+        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        calls = []
+        assemble = ml._assemble
+        monkeypatch.setattr(ml, "_assemble", lambda *a: calls.append(1) or assemble(*a))
+        report = solve_ml(ds, state, SolveOptions(max_iterations=6, gradient_tolerance=1e-300))
+        assert len(calls) == len(report.objective_history) == 7
+
+    @pytest.mark.parametrize("seed, tilt, max_k", [(7, 20.0, 8), (1005, 5.0, 50)])
+    def test_truncated_runs_are_prefixes_scored_at_their_final_state(self, seed, tilt, max_k):
+        # Seed 1005 at tilt 5 is a run that does not converge.
+        ds = simulate(default_truth(), sweep_trajectory(300, tilt), seed=seed)
+        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        capped = lambda k: SolveOptions(max_iterations=k, gradient_tolerance=1e-300)
+        full = solve_ml(ds, state, capped(max_k))
+        for k in range(1, max_k + 1):
+            report = solve_ml(ds, state, capped(k))
+            history = report.objective_history
+            violations = report.constraint_violation_history
+            assert history == full.objective_history[: k + 1]
+            assert violations == full.constraint_violation_history[: k + 1]
+            dirs = report.final_state.field_dirs
+            assert history[-1] == ml_objective(report.final_state, ds)[0]
+            assert violations[-1] == np.max(np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0))
 
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)

@@ -49,7 +49,7 @@ class TestObjective:
     def test_zero_at_truth_on_noise_free_data(self, default_scene):
         ds = simulate(default_truth(sigma=0.0), default_scene["trajectory"], seed=0)
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
-        assert nm_objective(truth, ds) < 1e-18
+        assert nm_objective(truth, ds.samples) < 1e-18
 
     def test_single_sample_by_hand(self):
         # ||R y||^2 = 2 for y = (1,1,0), so the residual is (1-2)^2 = 1.
@@ -105,7 +105,7 @@ class TestDerivatives:
     def test_gradient_vanishes_at_converged_minimum(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
         report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
-        grad, _ = nm_gradient_hessian(report.final_params, ds)
+        grad, _ = nm_gradient_hessian(report.final_params, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
 
 
