@@ -151,13 +151,7 @@ def cmd_sensitivity(args) -> int:
     config = _load_config(args.config)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     result = experiments.run_sensitivity(
-        config,
-        alphas,
-        args.runs,
-        nm_threshold=args.nm_threshold,
-        ml_threshold=args.ml_threshold,
-        seed=args.seed,
-        workers=args.workers,
+        config, alphas, args.runs, seed=args.seed, workers=args.workers
     )
     fileio.write_sensitivity_csv(args.out_prefix + "_counts.csv", result)
     fileio.write_json(args.out_prefix + "_summary.json", fileio.sensitivity_summary(result))
@@ -231,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--out-prefix", required=True)
     mc.set_defaults(func=cmd_montecarlo)
 
-    sens = subs.add_parser("sensitivity", help="initial-error divergence study")
+    about = ("initial-error divergence study: a run diverges when its solve fails or ends above "
+             "3x the objective expected at the optimum, set by the scenario's N and sigma (> 0)")
+    sens = subs.add_parser("sensitivity", help=about, description=about)
     sens.add_argument("--config", help="scenario JSON (default: bundled scenario)")
     sens.add_argument("--alphas", default="0.01,0.02,0.03,0.04,0.05,0.06,0.07")
     sens.add_argument("--runs", type=int, default=50)
-    sens.add_argument("--nm-threshold", type=float, default=experiments.DEFAULT_NM_THRESHOLD)
-    sens.add_argument("--ml-threshold", type=float, default=experiments.DEFAULT_ML_THRESHOLD)
     sens.add_argument("--seed", type=int, default=experiments.DEFAULT_SENSITIVITY_SEED)
     sens.add_argument("--workers", type=int, default=1)
     sens.add_argument("--out-prefix", required=True)

@@ -24,12 +24,6 @@ from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
-# Divergence cutoffs on the final objective value for the bundled default
-# scenario (sigma = 0.003, N = 300). They scale with both N and sigma, so
-# other scenarios need their own.
-DEFAULT_NM_THRESHOLD = 0.018
-DEFAULT_ML_THRESHOLD = 0.004
-
 # Default master seeds for the bundled studies.
 DEFAULT_MC_SEED = 20240901
 DEFAULT_SENSITIVITY_SEED = 18687
@@ -121,10 +115,10 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
     )
 
 
-def _outcome(method, dataset, init, opts, truth_params=None) -> MethodOutcome:
+def _outcome(method, dataset, init, truth_params=None) -> MethodOutcome:
     """One solve as a study row; error metrics need ``truth_params``."""
     try:
-        report = solve(method, dataset, init, opts)
+        report = solve(method, dataset, init)
     except SolverFailure as exc:
         return _failed_outcome(str(exc), exc.report)
     return MethodOutcome(
@@ -137,19 +131,27 @@ def _outcome(method, dataset, init, opts, truth_params=None) -> MethodOutcome:
     )
 
 
-def _mc_run(args) -> MonteCarloRun:
-    config, trajectory, truth_params, seed_seq, index, opts = args
-    dataset = simulate(config.truth, trajectory, seed_seq)
+def _run(args) -> tuple:
+    """Simulate, fit, perturb unless ``alpha`` is None, and solve: one run's (nm, ml) outcomes.
+
+    A Monte-Carlo run (``alpha`` None) draws its noise from ``run_seq`` and is
+    scored against the truth. A sensitivity run splits ``run_seq`` into noise
+    and perturbation-sign seeds and is not scored.
+    """
+    config, trajectory, alpha, run_seq = args
+    if alpha is None:
+        noise_seq, truth_params = run_seq, config.truth.calibration()
+    else:
+        (noise_seq, sign_seq), truth_params = run_seq.spawn(2), None
+    dataset = simulate(config.truth, trajectory, noise_seq)
     try:
         init, _ = fit_initial(dataset)
     except CalibrationError as exc:
         bad = _failed_outcome(f"init-fit failed: {exc}")
-        return MonteCarloRun(index=index, nm=bad, ml=bad)
-    return MonteCarloRun(
-        index=index,
-        nm=_outcome("nm", dataset, init, opts, truth_params),
-        ml=_outcome("ml", dataset, init, opts, truth_params),
-    )
+        return bad, bad
+    if alpha is not None:
+        init = perturb_initial(init, alpha, sign_seq)
+    return _outcome("nm", dataset, init, truth_params), _outcome("ml", dataset, init, truth_params)
 
 
 def _map(fn, jobs, workers: int) -> list:
@@ -168,7 +170,6 @@ def run_monte_carlo(
     config: SimConfig,
     runs: int,
     seed: int,
-    opts: SolveOptions | None = None,
     workers: int = 1,
 ) -> MonteCarloResult:
     """Repeated calibration of the configured scenario under fresh noise.
@@ -179,17 +180,16 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     trajectory = sweep_trajectory(config.n)
-    truth_params = config.truth.calibration()
     children = np.random.SeedSequence(seed).spawn(runs)
-    jobs = [
-        (config, trajectory, truth_params, children[i], i, opts) for i in range(runs)
-    ]
-    results = _map(_mc_run, jobs, workers)
-    return MonteCarloResult(runs=tuple(results), seed=seed, config=config)
+    results = _map(_run, [(config, trajectory, None, child) for child in children], workers)
+    rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
+    return MonteCarloResult(runs=rows, seed=seed, config=config)
 
 
 @dataclass(frozen=True)
 class SensitivityResult:
+    """Divergence counts per alpha, with the thresholds the study derived for its scenario."""
+
     alphas: tuple
     nm_divergences: tuple
     ml_divergences: tuple
@@ -199,65 +199,64 @@ class SensitivityResult:
     seed: int
 
 
-def _sensitivity_run(args) -> tuple:
-    """One perturbed calibration; returns (nm_diverged, ml_diverged)."""
-    config, trajectory, alpha, nm_threshold, ml_threshold, run_seq, opts = args
-    noise_seq, sign_seq = run_seq.spawn(2)
-    dataset = simulate(config.truth, trajectory, noise_seq)
-    try:
-        init, _ = fit_initial(dataset)
-    except CalibrationError:
-        return True, True
-    perturbed = perturb_initial(init, alpha, sign_seq)
-    nm = _outcome("nm", dataset, perturbed, opts)
-    ml = _outcome("ml", dataset, perturbed, opts)
-    # A solve diverges when it fails or its final objective (NaN included) exceeds the threshold.
-    return (nm.failed or not nm.final_objective <= nm_threshold,
-            ml.failed or not ml.final_objective <= ml_threshold)
+def _thresholds(config: SimConfig) -> tuple:
+    """Divergence cutoffs on the final (nm, ml) objectives: 3x their expected value at the optimum.
+
+    The ml misfit is about (N - 9) sigma^2, since 3N observations fit 2N + 9
+    unknowns. An nm residual ||R (y_k - h)||^2 - 1 is about 2 u_k' R e_k for a
+    unit u_k, with variance 4 sigma^2 ||R' u_k||^2, which averages to
+    4 sigma^2 ||R||_F^2 / 3 over directions. Converged runs end well below
+    these cutoffs and diverged ones far above them.
+    """
+    sigma2 = config.truth.noise_sigma ** 2
+    if sigma2 == 0.0:
+        raise ValueError("noise_sigma must be > 0: noise-free data leave no divergence threshold")
+    r_norm2 = float(np.sum(config.truth.calibration().shape ** 2))
+    expected = (4.0 * sigma2 * config.n * r_norm2 / 3.0, (config.n - 9) * sigma2)
+    return tuple(3.0 * f for f in expected)
 
 
 def run_sensitivity(
     config: SimConfig,
     alphas,
     runs: int,
-    nm_threshold: float = DEFAULT_NM_THRESHOLD,
-    ml_threshold: float = DEFAULT_ML_THRESHOLD,
     seed: int = 0,
-    opts: SolveOptions | None = None,
     workers: int = 1,
 ) -> SensitivityResult:
     """Divergence counts as the initial estimate is perturbed by each alpha.
 
     Every run redraws both the noise realization and the perturbation
-    signs. A run diverges when its final objective exceeds the method's
-    threshold or the solver fails outright.
+    signs. A run diverges when the solver fails outright or its final
+    objective (NaN included) is not within the method's threshold, which
+    the scenario's N and sigma set (see ``_thresholds``).
     """
-    if nm_threshold <= 0.0 or ml_threshold <= 0.0:
-        raise ValueError("divergence thresholds must be positive")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    thresholds = _thresholds(config)
     trajectory = sweep_trajectory(config.n)
     alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
 
-    # One pool for the whole sweep; flags come back in (alpha, run) order.
+    # One pool for the whole sweep; outcomes come back in (alpha, run) order.
     jobs = [
-        (config, trajectory, alpha, nm_threshold, ml_threshold, run_seq, opts)
+        (config, trajectory, alpha, run_seq)
         for alpha, child in zip(alphas, alpha_children)
         for run_seq in child.spawn(runs)
     ]
-    flags = _map(_sensitivity_run, jobs, workers)
-    per_alpha = [flags[i : i + runs] for i in range(0, len(flags), runs)]
-    nm_counts = [sum(1 for nm_d, _ in group if nm_d) for group in per_alpha]
-    ml_counts = [sum(1 for _, ml_d in group if ml_d) for group in per_alpha]
+    diverged = np.array([[o.failed or not o.final_objective <= limit
+                          for o, limit in zip(pair, thresholds)]
+                         for pair in _map(_run, jobs, workers)])
+    nm_counts, ml_counts = diverged.reshape(len(alphas), runs, 2).sum(axis=1).T.tolist()
 
     return SensitivityResult(
         alphas=alphas,
         nm_divergences=tuple(nm_counts),
         ml_divergences=tuple(ml_counts),
         runs=runs,
-        nm_threshold=nm_threshold,
-        ml_threshold=ml_threshold,
+        nm_threshold=thresholds[0],
+        ml_threshold=thresholds[1],
         seed=seed,
     )
 
@@ -277,15 +276,14 @@ def run_timing(
     repeats: int = 5,
     methods: tuple = ("nm", "ml"),
     seed: int = 0,
-    opts: SolveOptions | None = None,
 ) -> tuple:
     """Median wall-clock solve time per (N, method).
 
     One warm-up solve precedes the timed repeats. An ml solve is timed from
     the fit's estimate, so its time includes building the initial ML state.
     """
-    if not n_values:
-        raise ValueError("n_values must be nonempty")
+    if not n_values or not methods:
+        raise ValueError("n_values and methods must be nonempty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     rows = []
@@ -293,11 +291,11 @@ def run_timing(
         dataset = simulate(config.truth, sweep_trajectory(int(n)), seed)
         init, _ = fit_initial(dataset)
         for method in methods:
-            report = solve(method, dataset, init, opts)  # warm-up
+            report = solve(method, dataset, init)  # warm-up
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                report = solve(method, dataset, init, opts)
+                report = solve(method, dataset, init)
                 times.append(time.perf_counter() - start)
             med = float(median(times))
             iters = max(report.iterations, 1)

@@ -35,28 +35,18 @@ _RH_AT = 81 + 3 * UPPER_VEC_INDICES[:, None] + _D
 _HESS_AT = np.block([[_RR_AT, _RH_AT], [_RH_AT.T, 108 + 3 * _D[:, None] + _D]])
 
 
-def nm_objective(params: CalibrationParams, samples: np.ndarray) -> float:
-    """Sum of squared norm residuals (1 - ||R (y_k - h)||^2)^2 over validated (N, 3) samples."""
-    u = samples - params.offset
-    v = u @ params.shape.T
-    s = np.einsum("ij,ij->i", v, v) - 1.0
-    return float(s @ s)
+def nm_gradient_hessian(shape: np.ndarray, u: np.ndarray, v: np.ndarray,
+                        s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (9,) and Hessian (9, 9) of the objective at (R, h).
 
-
-def nm_gradient_hessian(params: CalibrationParams,
-                        samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient (9,) and Hessian (9, 9) of the objective over validated (N, 3) samples.
-
-    Derivatives are assembled over the column-stacked 9-vector vec(R): the
-    Kronecker-product terms of the Hessian are added in place onto the matrix
-    products at precomputed flat positions, and the 9x9 over the layout
-    [six shape entries, offset] is gathered from those blocks, leaving out
-    the three excluded lower-triangular coordinates.
+    R is ``shape``; the rows of ``u`` and ``v`` are y_k - h and R u_k over the
+    N samples y_k, and ``s`` holds the norm residuals ||v_k||^2 - 1. Derivatives
+    are assembled over the column-stacked 9-vector vec(R): the Kronecker-product
+    terms of the Hessian are added in place onto the matrix products at
+    precomputed flat positions, and the 9x9 over the layout [six shape
+    entries, offset] is gathered from those blocks, leaving out the three
+    excluded lower-triangular coordinates.
     """
-    shape = params.shape
-    u = samples - params.offset           # (N, 3)
-    v = u @ shape.T                       # rows R u_k
-    s = np.einsum("ij,ij->i", v, v) - 1.0
     rtr = shape.T @ shape
     p = u @ rtr                           # rows R'R u_k
     su = u.T @ s                          # sum s_k u_k
@@ -89,9 +79,19 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     """
     opts = opts or SolveOptions()
     samples = as_samples(data)
+    residuals = None
+
+    def objective(params):
+        # Evaluated once per iterate; step then reuses the residuals.
+        nonlocal residuals
+        u = samples - params.offset
+        v = u @ params.shape.T
+        s = np.einsum("ij,ij->i", v, v) - 1.0
+        residuals = u, v, s
+        return float(s @ s)
 
     def step(params):
-        grad, hess = nm_gradient_hessian(params, samples)
+        grad, hess = nm_gradient_hessian(params.shape, *residuals)
         delta = solve_newton_system(hess, grad)
         return delta, CalibrationParams.from_vector(params.to_vector() - delta)
 
@@ -101,7 +101,5 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
             or np.linalg.norm(delta) <= opts.step_tolerance
         )
 
-    return newton_solve(
-        init, opts, lambda params: nm_objective(params, samples), step, converged,
-        lambda params: {"final_params": params},
-    )
+    return newton_solve(init, opts, objective, step, converged,
+                        lambda params: {"final_params": params})

@@ -1,0 +1,24 @@
+"""nm's objective, written out apart from magcal.nm, and its derivatives on raw samples.
+
+nm_objective is the function that the finite-difference checks of nm's
+analytic derivatives difference; the library evaluates it only inside
+solve_nm.
+"""
+
+import numpy as np
+
+from magcal.nm import nm_gradient_hessian
+
+
+def nm_objective(params, samples) -> float:
+    """Sum of squared norm residuals (1 - ||R (y_k - h)||^2)^2 over (N, 3) samples."""
+    calibrated = (samples - params.offset) @ params.shape.T
+    residuals = 1.0 - np.einsum("ij,ij->i", calibrated, calibrated)
+    return float(residuals @ residuals)
+
+
+def nm_derivatives(params, samples):
+    """nm_gradient_hessian at ``params`` on (N, 3) ``samples``."""
+    u = samples - params.offset
+    v = u @ params.shape.T
+    return nm_gradient_hessian(params.shape, u, v, np.einsum("ij,ij->i", v, v) - 1.0)

@@ -274,6 +274,16 @@ class TestStudyCommands:
         assert summary["nm_divergences"] == [0]
         assert summary["ml_divergences"] == [0]
 
+    @pytest.mark.parametrize("args", [["sensitivity", "--alphas", ""],
+                                      ["timing", "--methods", ""],
+                                      ["sensitivity", "--config", "noise-free"]],
+                             ids=["no_alphas", "no_methods", "noise_free"])
+    def test_empty_or_noise_free_study_exits_2(self, tmp_path, args):
+        cfg = write_config(tmp_path / "cfg.json", sigma=0.0, n=100)
+        args = [cfg if a == "noise-free" else a for a in args]
+        assert main([*args, "--out-prefix", str(tmp_path / "study")]) == 2
+        assert list(tmp_path.glob("study*")) == []
+
     def test_timing_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)
         prefix = str(tmp_path / "tim")

@@ -177,9 +177,25 @@ class TestSensitivity:
         parallel = run_sensitivity(small_config, [0.02, 0.06], runs=2, seed=3, workers=2)
         assert parallel == serial
 
-    def test_thresholds_validated(self, small_config):
-        with pytest.raises(ValueError):
-            run_sensitivity(small_config, [0.01], runs=1, nm_threshold=0.0, seed=0)
+    @pytest.mark.parametrize("config", [default_config(n=1000), default_config(sigma=0.01)],
+                             ids=["n_1000", "sigma_0.01"])
+    def test_zero_alpha_never_diverges_at_other_n_and_sigma(self, config):
+        result = run_sensitivity(config, [0.0], runs=2, seed=1)
+        assert result.nm_divergences == (0,)
+        assert result.ml_divergences == (0,)
+
+    def test_default_thresholds_are_three_expected_optima(self):
+        result = run_sensitivity(default_config(), [0.0], runs=1)
+        assert result.nm_threshold == pytest.approx(0.0340, abs=5e-5)
+        assert result.ml_threshold == pytest.approx(3 * (300 - 9) * 0.003**2)
+
+    def test_empty_alphas_rejected(self, small_config):
+        with pytest.raises(ValueError, match="alphas"):
+            run_sensitivity(small_config, [], runs=1)
+
+    def test_noise_free_scenario_rejected(self):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            run_sensitivity(default_config(sigma=0.0, n=120), [0.01], runs=1)
 
 
 class TestTiming:
@@ -196,6 +212,10 @@ class TestTiming:
     def test_empty_n_values_rejected(self, small_config):
         with pytest.raises(ValueError):
             run_timing(small_config, [], repeats=1)
+
+    def test_empty_methods_rejected(self, small_config):
+        with pytest.raises(ValueError, match="methods"):
+            run_timing(small_config, [60], repeats=1, methods=())
 
     def test_unknown_method_rejected(self, small_config):
         with pytest.raises(ValueError):

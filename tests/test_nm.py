@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fd import fd_gradient, fd_jacobian
+from magcal import nm
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_ellipsoid, initial_params
 from magcal.linalg import UPPER_VEC_INDICES
 from magcal.metrics import error_metrics
-from magcal.nm import nm_gradient_hessian, nm_objective, solve_nm
+from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, SolveOptions
+from nm_reference import nm_derivatives, nm_objective
 
 
 def _random_instance(rng, n=20):
@@ -69,7 +71,7 @@ class TestDerivatives:
             params, samples = _random_instance(rng)
             x = params.to_vector()
             fun = lambda v: nm_objective(CalibrationParams.from_vector(v), samples)
-            grad, _ = nm_gradient_hessian(params, samples)
+            grad, _ = nm_derivatives(params, samples)
             grad_fd = fd_gradient(fun, x)
             scale = 1.0 + np.max(np.abs(grad_fd))
             assert np.max(np.abs(grad - grad_fd)) / scale < 1e-6
@@ -79,10 +81,10 @@ class TestDerivatives:
         for _ in range(10):
             params, samples = _random_instance(rng)
             x = params.to_vector()
-            gfun = lambda v: nm_gradient_hessian(
+            gfun = lambda v: nm_derivatives(
                 CalibrationParams.from_vector(v), samples
             )[0]
-            _, hess = nm_gradient_hessian(params, samples)
+            _, hess = nm_derivatives(params, samples)
             hess_fd = fd_jacobian(gfun, x)
             scale = 1.0 + np.max(np.abs(hess_fd))
             assert np.max(np.abs(hess - hess_fd)) / scale < 1e-4
@@ -97,7 +99,7 @@ class TestDerivatives:
     )
     def test_assembly_equals_kronecker_reference(self, x, samples):
         params = CalibrationParams.from_vector(x)
-        grad, hess = nm_gradient_hessian(params, samples)
+        grad, hess = nm_derivatives(params, samples)
         ref_grad, ref_hess = _gradient_hessian_kron(params, samples)
         np.testing.assert_array_equal(grad, ref_grad)
         np.testing.assert_array_equal(hess, ref_hess)
@@ -105,11 +107,24 @@ class TestDerivatives:
     def test_gradient_vanishes_at_converged_minimum(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
         report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
-        grad, _ = nm_gradient_hessian(report.final_params, ds.samples)
+        grad, _ = nm_derivatives(report.final_params, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
 
 
 class TestSolve:
+    def test_each_step_differentiates_its_recorded_iterate(self, default_scene, monkeypatch):
+        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
+        residuals = []
+        real = nm.nm_gradient_hessian
+        monkeypatch.setattr(nm, "nm_gradient_hessian",
+                            lambda shape, u, v, s: residuals.append(s) or real(shape, u, v, s))
+        opts = SolveOptions(max_iterations=3, objective_tolerance=1e-300, step_tolerance=1e-300)
+        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)), opts)
+        assert len(residuals) == report.iterations == 3
+        assert [s @ s for s in residuals] == list(report.objective_history[:3])
+        reference = nm_objective(report.final_params, ds.samples)
+        assert report.final_objective == pytest.approx(reference, rel=1e-12)
+
     def test_converges_fast_from_ellipsoid_init(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=3)
         report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
