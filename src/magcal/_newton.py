@@ -1,24 +1,20 @@
 """Newton iteration shared by the nm and ml estimators."""
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .errors import DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
 
 def solve_newton_system(hess, rhs) -> np.ndarray:
-    """Symmetric solve by LAPACK's Bunch-Kaufman LDL' (dsytrf, dsytrs) on the upper triangle.
+    """Solve the symmetric Newton system by numpy's LU with partial pivoting.
 
     An exactly singular factor raises LinAlgError. A non-finite system gives a NaN step, which
     newton_solve calls divergence; LAPACK would call it singular, or even return a finite step.
     """
     if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
         return np.full(rhs.shape, np.nan)
-    factor, pivots, info = dsytrf(hess)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular symmetric system")
-    return dsytrs(factor, pivots, rhs)[0]
+    return np.linalg.solve(hess, rhs)
 
 
 def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> SolveReport:

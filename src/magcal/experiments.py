@@ -8,7 +8,6 @@ serial and parallel execution produce identical results.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import median
 
@@ -19,7 +18,7 @@ from .initfit import fit_initial, initial_ml_state
 from .metrics import error_metrics
 from .ml import solve_ml
 from .nm import solve_nm
-from .simulate import SimConfig, simulate, sweep_trajectory
+from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
 from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
@@ -42,6 +41,11 @@ def solve(method: str, data, init: CalibrationParams,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_alpha(alpha) -> None:
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def perturb_initial(params: CalibrationParams, alpha: float, seed) -> CalibrationParams:
     """Multiply every free entry by (1 +/- alpha), signs drawn independently.
 
@@ -49,8 +53,7 @@ def perturb_initial(params: CalibrationParams, alpha: float, seed) -> Calibratio
     (shape entries first, then offset). Structural zeros of the shape
     matrix are unaffected since scaling zero leaves zero.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     rng = np.random.default_rng(seed)
     shape_signs = np.sign(rng.standard_normal((3, 3)))
     offset_signs = np.sign(rng.standard_normal(3))
@@ -134,16 +137,17 @@ def _outcome(method, dataset, init, truth_params=None) -> MethodOutcome:
 def _run(args) -> tuple:
     """Simulate, fit, perturb unless ``alpha`` is None, and solve: one run's (nm, ml) outcomes.
 
-    A Monte-Carlo run (``alpha`` None) draws its noise from ``run_seq`` and is
-    scored against the truth. A sensitivity run splits ``run_seq`` into noise
-    and perturbation-sign seeds and is not scored.
+    The first item is the study's scene, (truth, trajectory, noise-free
+    samples), the same for every run. A Monte-Carlo run (``alpha`` None)
+    draws its noise from ``run_seq`` and is scored against ``truth_params``.
+    A sensitivity run splits ``run_seq`` into noise and perturbation-sign
+    seeds and is not scored.
     """
-    config, trajectory, alpha, run_seq = args
-    if alpha is None:
-        noise_seq, truth_params = run_seq, config.truth.calibration()
-    else:
-        (noise_seq, sign_seq), truth_params = run_seq.spawn(2), None
-    dataset = simulate(config.truth, trajectory, noise_seq)
+    (truth, trajectory, noise_free), truth_params, alpha, run_seq = args
+    noise_seq = run_seq
+    if alpha is not None:
+        noise_seq, sign_seq = run_seq.spawn(2)
+    dataset = simulate(truth, trajectory, noise_seq, noise_free)
     try:
         init, _ = fit_initial(dataset)
     except CalibrationError as exc:
@@ -154,6 +158,12 @@ def _run(args) -> tuple:
     return _outcome("nm", dataset, init, truth_params), _outcome("ml", dataset, init, truth_params)
 
 
+def _scene(config: SimConfig) -> tuple:
+    """A study's fixed (truth, trajectory, noise-free samples): computed once, not per run."""
+    trajectory = sweep_trajectory(config.n)
+    return config.truth, trajectory, noise_free_samples(config.truth, trajectory)
+
+
 def _map(fn, jobs, workers: int) -> list:
     """``fn`` over ``jobs`` in order, in one pool of at most ``workers`` processes."""
     if workers < 1:
@@ -161,6 +171,9 @@ def _map(fn, jobs, workers: int) -> list:
     # A fork-context pool starts all max_workers processes at the first submit.
     workers = min(workers, len(jobs))
     if workers > 1:
+        # Imported here: concurrent.futures.process costs a serial caller ~20 ms at import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
@@ -179,9 +192,9 @@ def run_monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    trajectory = sweep_trajectory(config.n)
+    scene, truth_params = _scene(config), config.truth.calibration()
     children = np.random.SeedSequence(seed).spawn(runs)
-    results = _map(_run, [(config, trajectory, None, child) for child in children], workers)
+    results = _map(_run, [(scene, truth_params, None, child) for child in children], workers)
     rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
     return MonteCarloResult(runs=rows, seed=seed, config=config)
 
@@ -235,13 +248,15 @@ def run_sensitivity(
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    for alpha in alphas:  # before any run, not when a run reaches the bad alpha
+        _check_alpha(alpha)
     thresholds = _thresholds(config)
-    trajectory = sweep_trajectory(config.n)
+    scene = _scene(config)
     alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
 
     # One pool for the whole sweep; outcomes come back in (alpha, run) order.
     jobs = [
-        (config, trajectory, alpha, run_seq)
+        (scene, None, alpha, run_seq)
         for alpha, child in zip(alphas, alpha_children)
         for run_seq in child.spawn(runs)
     ]

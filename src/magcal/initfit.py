@@ -129,13 +129,17 @@ def initial_ml_state(params: CalibrationParams, data) -> MLState:
     """Starting point for the maximum-likelihood solver.
 
     The inverse shape matrix seeds t_matrix, the calibrated samples seed
-    the field directions, and all Lagrange multipliers start at zero.
+    the field directions, and all Lagrange multipliers start at zero. A
+    start so far off that the directions overflow is left to the solver,
+    which reports it as divergence.
     """
     samples = as_samples(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field_dirs = (samples - params.offset) @ params.shape.T
     return MLState(
         t_matrix=invert_upper(params.shape),
         offset=params.offset.copy(),
-        field_dirs=(samples - params.offset) @ params.shape.T,
+        field_dirs=field_dirs,
         lagrange=np.zeros(samples.shape[0]),
     )
 

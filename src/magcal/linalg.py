@@ -9,7 +9,6 @@ an upper-triangular matrix. No general N x N support is intended.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # Row/column positions of the free entries of an upper-triangular 3x3
 # matrix, row-major: (11, 12, 13, 22, 23, 33). This ordering is also the
@@ -84,9 +83,24 @@ def cholesky_upper(a: np.ndarray) -> np.ndarray:
 
 
 def invert_upper(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular matrix; stays exactly upper-triangular."""
+    """Inverse of an upper-triangular matrix by back-substitution; exactly upper-triangular.
+
+    Only the upper triangle of ``r`` is read. Raises ValueError on non-finite
+    entries and LinAlgError on a zero diagonal entry. The arithmetic is on
+    Python floats, so entries that overflow become inf or NaN without a warning.
+    """
     r = np.asarray(r, dtype=float)
-    return np.triu(scipy.linalg.solve_triangular(r, np.eye(3)))
+    if not np.isfinite(r).all():
+        raise ValueError("array must not contain infs or NaNs")
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
+    if r00 == 0.0 or r11 == 0.0 or r22 == 0.0:
+        raise np.linalg.LinAlgError("singular upper-triangular matrix: zero diagonal entry")
+    t12 = -r12 / r22 / r11
+    return np.array([
+        [1.0 / r00, -r01 / r11 / r00, -(r01 * t12 + r02 / r22) / r00],
+        [0.0, 1.0 / r11, t12],
+        [0.0, 0.0, 1.0 / r22],
+    ])
 
 
 def decompose_scale_ortho(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,20 +73,29 @@ def sweep_trajectory(n: int, tilt_deg: float = 20.0) -> np.ndarray:
     return np.column_stack([roll, pitch, yaw])
 
 
-def simulate(truth: SensorTruth, trajectory, seed) -> Dataset:
+def noise_free_samples(truth: SensorTruth, trajectory) -> np.ndarray:
+    """Samples S C m + h without noise, one row per attitude of ``trajectory``."""
+    trajectory = np.asarray(trajectory, dtype=float)
+    if trajectory.ndim != 2 or trajectory.shape[1] != 3 or trajectory.shape[0] < 1:
+        raise ValueError(f"trajectory must be (N>=1, 3), got {trajectory.shape}")
+    return truth.soft_iron @ attitude_from_euler(*trajectory.T) @ truth.field + truth.hard_iron
+
+
+def simulate(truth: SensorTruth, trajectory, seed, noise_free=None) -> Dataset:
     """Generate one dataset from the measurement model.
 
     ``seed`` feeds a fresh numpy Generator; identical (truth, trajectory,
     seed) yield identical datasets. Noise is drawn i.i.d. per axis with
-    standard deviation ``truth.noise_sigma``.
+    standard deviation ``truth.noise_sigma``. A caller that draws many noise
+    realizations of one scene passes ``noise_free``, which must be
+    ``noise_free_samples(truth, trajectory)``, and gets the same datasets
+    without recomputing it.
     """
-    trajectory = np.asarray(trajectory, dtype=float)
-    if trajectory.ndim != 2 or trajectory.shape[1] != 3 or trajectory.shape[0] < 1:
-        raise ValueError(f"trajectory must be (N>=1, 3), got {trajectory.shape}")
+    if noise_free is None:
+        noise_free = noise_free_samples(truth, trajectory)
     rng = np.random.default_rng(seed)
-    clean = truth.soft_iron @ attitude_from_euler(*trajectory.T) @ truth.field
-    noise = rng.normal(0.0, truth.noise_sigma, size=clean.shape)
-    return Dataset(samples=clean + truth.hard_iron + noise)
+    noise = rng.normal(0.0, truth.noise_sigma, size=noise_free.shape)
+    return Dataset(samples=noise_free + noise)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,13 @@ class TestStudyCommands:
         assert summary["nm_divergences"] == [0]
         assert summary["ml_divergences"] == [0]
 
+    def test_non_finite_alpha_exits_2_naming_alpha(self, tmp_path, capsys):
+        prefix = tmp_path / "sens"
+        assert main(["sensitivity", "--alphas", "0.01,nan", "--runs", "1",
+                     "--out-prefix", str(prefix)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert list(tmp_path.glob("sens*")) == []
+
     @pytest.mark.parametrize("args", [["sensitivity", "--alphas", ""],
                                       ["timing", "--methods", ""],
                                       ["sensitivity", "--config", "noise-free"]],

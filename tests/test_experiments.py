@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -68,6 +69,11 @@ class TestPerturbInitial:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             perturb_initial(self._params(), -0.1, seed=0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            perturb_initial(self._params(), alpha, seed=0)
 
 
 class TestSolve:
@@ -150,7 +156,8 @@ class TestMonteCarlo:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _map imports the pool class only when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run_monte_carlo(small_config, runs=2, seed=6)
         pooled = run_monte_carlo(small_config, runs=2, seed=6, workers=5000)
         assert sizes == [2]
@@ -188,6 +195,18 @@ class TestSensitivity:
         result = run_sensitivity(default_config(), [0.0], runs=1)
         assert result.nm_threshold == pytest.approx(0.0340, abs=5e-5)
         assert result.ml_threshold == pytest.approx(3 * (300 - 9) * 0.003**2)
+
+    def test_non_finite_alpha_rejected_before_any_run(self, small_config, monkeypatch):
+        monkeypatch.setattr(experiments, "_run", lambda job: pytest.fail("ran a job"))
+        with pytest.raises(ValueError, match="alpha"):
+            run_sensitivity(small_config, [0.01, float("nan")], runs=1)
+
+    def test_overflowing_start_counts_as_divergence(self):
+        # At alpha 1e300 the initial ml field directions overflow; that must give
+        # diverged rows, not a warning (the suite turns warnings into errors).
+        result = run_sensitivity(default_config(), [1e300], runs=2)
+        assert result.nm_divergences == (2,)
+        assert result.ml_divergences == (2,)
 
     def test_empty_alphas_rejected(self, small_config):
         with pytest.raises(ValueError, match="alphas"):

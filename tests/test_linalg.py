@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from magcal.linalg import (
     attitude_from_euler,
@@ -152,3 +153,38 @@ class TestInvertUpper:
             t = invert_upper(r)
             np.testing.assert_array_equal(np.tril(t, -1), 0.0)
             np.testing.assert_allclose(t @ r, np.eye(3), atol=1e-12)
+
+    def test_matches_scipy_triangular_solve(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            r = np.triu(rng.normal(0, 1, (3, 3)))
+            r[np.diag_indices(3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(0.1, 10.0, 3)
+            expected = scipy.linalg.solve_triangular(r, np.eye(3))
+            np.testing.assert_allclose(invert_upper(r), expected,
+                                       rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    def test_reads_only_the_upper_triangle(self):
+        r = np.array([[2.0, 0.5, -1.0], [0.0, 4.0, 0.25], [0.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(invert_upper(r + np.tril(np.ones((3, 3)), -1)),
+                                      invert_upper(r))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_zero_diagonal_raises(self, k):
+        r = np.triu(np.ones((3, 3)))
+        r[k, k] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            invert_upper(r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        r = np.triu(np.ones((3, 3)))
+        r[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            invert_upper(r)
+
+    def test_overflow_gives_inf_without_warning(self):
+        # The suite turns warnings into errors, so a warning would fail this test.
+        r = np.array([[1e-300, 1e300, 0.0], [0.0, 1e-300, 0.0], [0.0, 0.0, 1.0]])
+        t = invert_upper(r)
+        assert np.isinf(t[0, 1])
+        np.testing.assert_array_equal(np.tril(t, -1), 0.0)

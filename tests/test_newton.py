@@ -51,13 +51,28 @@ def symmetric_systems(draw):
     return hess, rng.normal(size=9)
 
 
+EPS = np.finfo(float).eps
+
+
 @settings(max_examples=300, deadline=None)
 @given(symmetric_systems())
-def test_step_is_bit_equal_to_scipy_solve(system):
-    expected, got = _scipy_step(*system), _step(*system)
-    assert (got is None) == (expected is None)
-    if expected is not None:
-        assert got.tobytes() == expected.tobytes()
+def test_step_is_backward_stable_and_matches_scipy_when_well_conditioned(system):
+    # LU and scipy's Bunch-Kaufman round differently, so the step is checked by its
+    # normwise backward error, and against scipy only where conditioning bounds the gap.
+    # Singular detection is not compared: on exactly rank-deficient systems either
+    # elimination may hit an exact zero pivot or miss it.
+    hess, rhs = system
+    got = _step(hess, rhs)
+    if got is not None:
+        scale = np.linalg.norm(hess, np.inf) * np.linalg.norm(got, np.inf)
+        residual = np.linalg.norm(hess @ got - rhs, np.inf)
+        assert residual <= 16 * EPS * (scale + np.linalg.norm(rhs, np.inf))
+    cond = np.linalg.cond(hess)
+    if cond < 1e8:
+        expected = _scipy_step(hess, rhs)
+        assert got is not None and expected is not None
+        gap = np.linalg.norm(got - expected, np.inf)
+        assert gap <= cond * 1e-14 * np.linalg.norm(expected, np.inf)
 
 
 def test_exactly_singular_system_raises():

@@ -7,6 +7,7 @@ from magcal.simulate import (
     SimConfig,
     default_config,
     default_truth,
+    noise_free_samples,
     simulate,
     sweep_trajectory,
 )
@@ -68,6 +69,8 @@ class TestSimulate:
         noise = np.random.default_rng(5).normal(0.0, truth.noise_sigma, size=(n, 3))
         expected = clean + truth.hard_iron + noise
         np.testing.assert_array_equal(simulate(truth, traj, seed=5).samples, expected)
+        noise_free = noise_free_samples(truth, traj)
+        np.testing.assert_array_equal(simulate(truth, traj, 5, noise_free).samples, expected)
 
     def test_noise_free_unit_norm_after_true_calibration(self, default_scene):
         truth = default_truth(sigma=0.0)
