@@ -31,11 +31,11 @@ def main():
     print("Raw three-axis samples, field strength normalized to 1:")
     describe("raw |y|", raw_mags)
 
-    params, coeffs = fit_initial(dataset)
+    params, min_eigenvalue = fit_initial(dataset)
     cal_mags = np.linalg.norm(apply_calibration(params, dataset.samples), axis=1)
     describe("after initial estimate", cal_mags)
 
-    print(f"\nfit normal-matrix min eigenvalue: {coeffs.min_eigenvalue:.3e}")
+    print(f"\nfit normal-matrix min eigenvalue: {min_eigenvalue:.3e}")
     print("initial shape matrix (upper triangular):")
     print(np.array_str(params.shape, precision=4, suppress_small=True))
     print(f"initial hard-iron offset: {np.array_str(params.offset, precision=4)}")

@@ -25,9 +25,9 @@ from .experiments import (
     run_sensitivity,
     run_timing,
 )
-from .initfit import fit_initial, initial_ml_state
+from .initfit import fit_initial
 from .metrics import apply_calibration, error_metrics
-from .ml import solve_ml
+from .ml import initial_ml_state, solve_ml
 from .nm import solve_nm
 from .simulate import (
     SimConfig,

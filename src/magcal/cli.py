@@ -73,7 +73,7 @@ def cmd_calibrate(args) -> int:
     digest = fileio.file_digest(args.input)
     opts = SolveOptions(**{f.name: getattr(args, f.name)
                            for f in dataclasses.fields(SolveOptions)})
-    init, coeffs = fit_initial(samples)
+    init, min_eigenvalue = fit_initial(samples)
     failed = False
     docs = {}
     methods = ("nm", "ml") if args.method == "both" else (args.method,)
@@ -89,7 +89,7 @@ def cmd_calibrate(args) -> int:
         # An unconverged estimate is not one to recommend or apply.
         failed = failed or report is None or not report.converged
         if report is not None:
-            docs[method] = fileio.report_dict(report, coeffs.min_eigenvalue, digest)
+            docs[method] = fileio.report_dict(report, min_eigenvalue, digest)
 
     if args.method == "both":
         document = {"format_version": fileio.FORMAT_VERSION, **docs}

@@ -14,9 +14,9 @@ from statistics import median
 import numpy as np
 
 from .errors import CalibrationError, SolverFailure
-from .initfit import fit_initial, initial_ml_state
+from .initfit import fit_initial
 from .metrics import error_metrics
-from .ml import solve_ml
+from .ml import initial_ml_state, solve_ml
 from .nm import solve_nm
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
 from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .linalg import cholesky_upper, invert_upper
-from .types import CalibrationParams, Dataset, EllipsoidCoeffs, MLState, as_samples
+from .linalg import cholesky_upper
+from .types import CalibrationParams, as_samples
 
 MIN_SAMPLES = 10
 
@@ -64,12 +64,13 @@ def _definiteness(a: np.ndarray) -> int:
     return 0
 
 
-def fit_ellipsoid(data) -> EllipsoidCoeffs:
-    """Least-squares quadric fit of the raw samples.
+def fit_initial(data) -> tuple[CalibrationParams, float]:
+    """Least-squares quadric fit of the raw samples, as a shape/offset estimate.
 
-    Samples are pre-centered on their mean before building the design
-    matrix (an exact reparameterization that improves conditioning); the
-    returned coefficients are expressed in the original coordinates.
+    Returns the estimate and the smallest eigenvalue of the 10x10 normal
+    matrix, which is zero for noise-free data and diagnostic only. Samples
+    are pre-centered on their mean before building the design matrix (an
+    exact reparameterization that improves conditioning).
 
     Raises InsufficientDataError below 10 samples and DegenerateDataError
     when the fitted quadric cannot be sign-fixed and scaled to an ellipsoid
@@ -105,46 +106,11 @@ def fit_ellipsoid(data) -> EllipsoidCoeffs:
     alpha = 4.0 / denom
     a = alpha * a
     b = alpha * b
-    c = alpha * c
 
-    # Undo the pre-centering: translate coefficients back to raw coordinates.
-    b_raw = b - 2.0 * a @ center
-    c_raw = c - b @ center + center @ a @ center
-    return EllipsoidCoeffs(
-        a_matrix=a, b_vec=b_raw, c_scalar=c_raw, min_eigenvalue=min_eigenvalue
-    )
-
-
-def initial_params(coeffs: EllipsoidCoeffs) -> CalibrationParams:
-    """Shape/offset estimate from scaled ellipsoid coefficients."""
     try:
-        shape = cholesky_upper(coeffs.a_matrix)
+        shape = cholesky_upper(a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError("quadric matrix is not positive definite") from exc
-    offset = -0.5 * np.linalg.solve(coeffs.a_matrix, coeffs.b_vec)
-    return CalibrationParams(shape=shape, offset=offset)
-
-
-def initial_ml_state(params: CalibrationParams, data) -> MLState:
-    """Starting point for the maximum-likelihood solver.
-
-    The inverse shape matrix seeds t_matrix, the calibrated samples seed
-    the field directions, and all Lagrange multipliers start at zero. A
-    start so far off that the directions overflow is left to the solver,
-    which reports it as divergence.
-    """
-    samples = as_samples(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        field_dirs = (samples - params.offset) @ params.shape.T
-    return MLState(
-        t_matrix=invert_upper(params.shape),
-        offset=params.offset.copy(),
-        field_dirs=field_dirs,
-        lagrange=np.zeros(samples.shape[0]),
-    )
-
-
-def fit_initial(data) -> tuple[CalibrationParams, EllipsoidCoeffs]:
-    """Convenience: ellipsoid fit plus parameter extraction in one call."""
-    coeffs = fit_ellipsoid(data)
-    return initial_params(coeffs), coeffs
+    # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
+    offset = -0.5 * np.linalg.solve(a, b - 2.0 * a @ center)
+    return CalibrationParams(shape=shape, offset=offset), min_eigenvalue

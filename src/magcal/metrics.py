@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import decompose_scale_ortho, invert_upper
-from .types import CalibrationParams, ErrorMetrics, MLState
+from .linalg import decompose_scale_ortho
+from .types import CalibrationParams, ErrorMetrics
 
 # Strictly-upper entry positions used for the orthogonality error.
 _STRICT_ROWS = np.array([0, 0, 1])
@@ -20,11 +20,6 @@ def apply_calibration(params: CalibrationParams, y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     return (y - params.offset) @ params.shape.T
-
-
-def params_from_ml(state: MLState) -> CalibrationParams:
-    """Convert a maximum-likelihood state to shape/offset form (R = T^-1)."""
-    return CalibrationParams(shape=invert_upper(state.t_matrix), offset=state.offset.copy())
 
 
 def error_metrics(estimate: CalibrationParams, truth: CalibrationParams) -> ErrorMetrics:

@@ -7,6 +7,9 @@ estimate has dimension 4N+9 with the layout
 
     x = [six T entries, h, m_1 .. m_N, lambda_1 .. lambda_N].
 
+``initial_ml_state`` maps a shape/offset estimate (R, h) onto this state
+with T = R^-1, and a solve reports its estimate back as R = T^-1.
+
 The KKT Hessian is an arrowhead matrix: each (m_k, lambda_k) 4x4 block
 couples only to the 9-dimensional (T, h) head. Newton steps are therefore
 computed in O(N) by eliminating every per-sample block onto the head via
@@ -22,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._newton import newton_solve, solve_newton_system
-from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES
-from .metrics import params_from_ml
+from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper
 from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
@@ -127,6 +129,25 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     return np.concatenate([d_head, -(v @ d_m).T.ravel(), -d_lam])
 
 
+def initial_ml_state(params: CalibrationParams, data) -> MLState:
+    """Starting point for the maximum-likelihood solver.
+
+    The inverse shape matrix seeds t_matrix, the calibrated samples seed
+    the field directions, and all Lagrange multipliers start at zero. A
+    start so far off that the directions overflow is left to the solver,
+    which reports it as divergence.
+    """
+    samples = as_samples(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field_dirs = (samples - params.offset) @ params.shape.T
+    return MLState(
+        t_matrix=invert_upper(params.shape),
+        offset=params.offset.copy(),
+        field_dirs=field_dirs,
+        lagrange=np.zeros(samples.shape[0]),
+    )
+
+
 def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
     """Newton iteration on the full KKT system from ``init``.
 
@@ -162,10 +183,11 @@ def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveRepo
         t, warn = state.t_matrix, ()
         if np.any(np.diag(t) <= 0.0):
             warn = ("t_matrix diagonal not strictly positive at exit",)
-        # A failed solve can stop at a T with no inverse; its report gets a NaN shape.
-        params = CalibrationParams(np.triu(np.full((3, 3), np.nan)), state.offset.copy())
+        # R = T^-1. A failed solve can stop at a T with no inverse; its report gets a NaN shape.
+        shape = np.triu(np.full((3, 3), np.nan))
         if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
-            params = params_from_ml(state)
+            shape = invert_upper(t)
+        params = CalibrationParams(shape, state.offset.copy())
         return dict(final_params=params, final_state=state,
                     constraint_violation_history=violations, warnings=warn)
 

@@ -35,8 +35,8 @@ DEFAULT_SEED = 20240901
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero field vector")
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"field must be finite and nonzero, got {v}")
     return v / n
 
 
@@ -65,6 +65,8 @@ def sweep_trajectory(n: int, tilt_deg: float = 20.0) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("trajectory needs at least one sample")
+    if not np.isfinite(tilt_deg):
+        raise ValueError(f"tilt must be finite, got {tilt_deg}")
     k = np.arange(1, n + 1, dtype=float)
     phase = 20.0 * np.pi * k / n
     roll = tilt_deg * np.sin(phase + np.pi / 2.0)

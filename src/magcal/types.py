@@ -7,7 +7,7 @@ parameter layouts the Newton solvers iterate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,6 +119,9 @@ class SensorTruth:
         object.__setattr__(self, "hard_iron", _as_float_array(self.hard_iron, (3,)))
         object.__setattr__(self, "field", _as_float_array(self.field, (3,)))
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        for name in ("soft_iron", "hard_iron", "noise_sigma", "field"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
         if abs(np.linalg.norm(self.field) - 1.0) > 1e-12:
@@ -168,25 +171,6 @@ def as_samples(data) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EllipsoidCoeffs:
-    """Quadric coefficients y'Ay + b'y + c = 0 of the fitted ellipsoid.
-
-    ``min_eigenvalue`` records the smallest eigenvalue of the 10x10 normal
-    matrix of the fit (zero for noise-free data); it is diagnostic only.
-    """
-
-    a_matrix: np.ndarray
-    b_vec: np.ndarray
-    c_scalar: float
-    min_eigenvalue: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_matrix", _as_float_array(self.a_matrix, (3, 3)))
-        object.__setattr__(self, "b_vec", _as_float_array(self.b_vec, (3,)))
-        object.__setattr__(self, "c_scalar", float(self.c_scalar))
-
-
-@dataclass(frozen=True)
 class SolveOptions:
     """Newton iteration controls shared by both solvers."""
 
@@ -196,13 +180,9 @@ class SolveOptions:
     gradient_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.objective_tolerance <= 0.0
-            or self.step_tolerance <= 0.0
-            or self.gradient_tolerance <= 0.0
-        ):
-            raise ValueError("all solve options must be positive")
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

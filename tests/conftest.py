@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,28 @@ def default_scene():
         "r_true": r_true,
         "h_true": h_true,
     }
+
+
+def _timed(study):
+    start = time.perf_counter()
+    result = study()
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_50():
+    """The default 50-run Monte-Carlo study and its wall time.
+
+    Shared by the acceptance and golden tests, so the suite runs it once.
+    """
+    import make_golden
+
+    return _timed(make_golden.monte_carlo_study)
+
+
+@pytest.fixture(scope="session")
+def sensitivity_50():
+    """The default sensitivity study (7 alphas x 50 runs) and its wall time, shared likewise."""
+    import make_golden
+
+    return _timed(make_golden.sensitivity_study)

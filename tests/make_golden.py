@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Regenerate ``golden.json``: the study outputs and solver outcomes the suite pins.
+
+    PYTHONPATH=src python tests/make_golden.py
+
+The file holds the default Monte-Carlo aggregates, the default sensitivity
+counts, and each nm and ml outcome on a grid of trajectory tilts and seeds at
+zero perturbation, with the tilt-20 estimates. ``test_golden.py`` recomputes
+every entry through the functions below and compares. A change that is meant
+to move an entry regenerates the file and lists each changed entry.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing
+import pathlib
+from concurrent.futures import ProcessPoolExecutor
+
+from magcal.errors import CalibrationError, SolverFailure
+from magcal.experiments import (
+    DEFAULT_MC_SEED,
+    DEFAULT_SENSITIVITY_SEED,
+    run_monte_carlo,
+    run_sensitivity,
+    solve,
+)
+from magcal.initfit import fit_initial
+from magcal.linalg import pack_upper
+from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden.json")
+METHODS = ("nm", "ml")
+SENSITIVITY_ALPHAS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
+GRID_TILTS = (20.0, 8.0, 5.0, 3.0, 0.0)
+GRID_SEEDS = tuple(range(1000, 1050))
+ESTIMATE_TILT = 20.0
+GRID_WORKERS = 2  # the grid is most of the suite's added time; two cores halve it
+
+
+def monte_carlo_study():
+    return run_monte_carlo(default_config(), runs=50, seed=DEFAULT_MC_SEED)
+
+
+def sensitivity_study():
+    return run_sensitivity(default_config(), SENSITIVITY_ALPHAS, runs=50,
+                           seed=DEFAULT_SENSITIVITY_SEED)
+
+
+def monte_carlo_entry(result) -> dict:
+    return {m: {"failures": result.failure_count(m), "aggregate": result.aggregate(m)}
+            for m in METHODS}
+
+
+def sensitivity_entry(result) -> dict:
+    return {"nm": list(result.nm_divergences), "ml": list(result.ml_divergences)}
+
+
+def grid_cell(tilt_seed) -> dict:
+    """Outcome of each method on one (tilt, seed) dataset, started from the fit.
+
+    An outcome is "converged in K", "unconverged after K", "<error> after K"
+    for a SolverFailure, or "<error> in fit". The estimate is the report's
+    shape_upper then offset, None when the solve raised.
+    """
+    tilt, seed = tilt_seed
+    dataset = simulate(default_truth(), sweep_trajectory(300, tilt), seed)
+    try:
+        init, _ = fit_initial(dataset)
+    except CalibrationError as exc:
+        return {m: {"outcome": f"{type(exc).__name__} in fit", "estimate": None}
+                for m in METHODS}
+    cell = {}
+    for method in METHODS:
+        try:
+            report = solve(method, dataset, init)
+        except SolverFailure as exc:
+            outcome, estimate = f"{type(exc).__name__} after {exc.report.iterations}", None
+        else:
+            state = "converged in" if report.converged else "unconverged after"
+            outcome = f"{state} {report.iterations}"
+            params = report.final_params
+            estimate = [float(v) for v in (*pack_upper(params.shape), *params.offset)]
+        cell[method] = {"outcome": outcome, "estimate": estimate}
+    return cell
+
+
+def grid() -> dict:
+    """tilt -> method -> per-seed outcomes (and estimates), over GRID_TILTS x GRID_SEEDS."""
+    jobs = [(tilt, seed) for tilt in GRID_TILTS for seed in GRID_SEEDS]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=GRID_WORKERS, mp_context=spawn) as pool:
+        cells = list(pool.map(grid_cell, jobs, chunksize=5))
+    out = {}
+    for (tilt, _), cell in zip(jobs, cells):
+        for method in METHODS:
+            entry = out.setdefault(tilt, {}).setdefault(method, {"outcomes": [], "estimates": []})
+            entry["outcomes"].append(cell[method]["outcome"])
+            entry["estimates"].append(cell[method]["estimate"])
+    return out
+
+
+def grid_entry(cells: dict) -> dict:
+    """The pinned part of ``grid()``: every outcome, and the estimates at ESTIMATE_TILT only."""
+    out = {}
+    for tilt, methods in cells.items():
+        out[f"tilt {tilt:g}"] = {
+            m: {k: v for k, v in entry.items() if k == "outcomes" or tilt == ESTIMATE_TILT}
+            for m, entry in methods.items()
+        }
+    return out
+
+
+def golden() -> dict:
+    return {
+        "grid_seeds": [GRID_SEEDS[0], GRID_SEEDS[-1]],
+        "monte_carlo": monte_carlo_entry(monte_carlo_study()),
+        "sensitivity": sensitivity_entry(sensitivity_study()),
+        "grid": grid_entry(grid()),
+    }
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(golden(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

@@ -8,35 +8,21 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import oracle_true_params
 from fd import fd_gradient, fd_jacobian
 from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
 from magcal.cli import main as cli_main
-from magcal.experiments import (
-    DEFAULT_MC_SEED,
-    DEFAULT_SENSITIVITY_SEED,
-    run_monte_carlo,
-    run_sensitivity,
-    run_timing,
-)
-from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
+from magcal.experiments import run_timing
+from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
-from magcal.metrics import error_metrics, params_from_ml
-from magcal.ml import solve_ml
+from magcal.metrics import error_metrics
+from magcal.ml import initial_ml_state, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState
 from nm_reference import nm_derivatives, nm_objective
-
-
-@pytest.fixture(scope="module")
-def monte_carlo_50():
-    start = time.perf_counter()
-    result = run_monte_carlo(default_config(), runs=50, seed=DEFAULT_MC_SEED)
-    return result, time.perf_counter() - start
 
 
 def test_1_noise_free_exact_recovery():
@@ -45,7 +31,7 @@ def test_1_noise_free_exact_recovery():
     r_true, h_true = oracle_true_params(truth.soft_iron, truth.hard_iron)
     dataset = simulate(truth, sweep_trajectory(300), seed=0)
 
-    init = initial_params(fit_ellipsoid(dataset))
+    init = fit_initial(dataset)[0]
     np.testing.assert_allclose(init.shape, r_true, rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(init.offset, h_true, rtol=1e-6)
 
@@ -53,9 +39,7 @@ def test_1_noise_free_exact_recovery():
     nm_final = solve_nm(dataset, init).final_params
     assert max(error_metrics(nm_final, oracle).as_tuple()) <= 1e-6
 
-    ml_final = params_from_ml(
-        solve_ml(dataset, initial_ml_state(init, dataset)).final_state
-    )
+    ml_final = solve_ml(dataset, initial_ml_state(init, dataset)).final_params
     assert max(error_metrics(ml_final, oracle).as_tuple()) <= 1e-6
 
     assert time.perf_counter() - start < 1.0
@@ -132,12 +116,9 @@ def test_4_convergence_speed(monte_carlo_50):
         assert run.ml.final_objective < 0.004
 
 
-def test_5_divergence_pattern_under_initial_perturbation():
-    start = time.perf_counter()
-    alphas = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
-    result = run_sensitivity(
-        default_config(), alphas, runs=50, seed=DEFAULT_SENSITIVITY_SEED
-    )
+def test_5_divergence_pattern_under_initial_perturbation(sensitivity_50):
+    # The default study: alphas 0.01-0.07, 50 runs each, DEFAULT_SENSITIVITY_SEED.
+    result, elapsed = sensitivity_50
     nm = result.nm_divergences
     ml = result.ml_divergences
 
@@ -149,7 +130,7 @@ def test_5_divergence_pattern_under_initial_perturbation():
     assert all(ml[i] <= ml[i + 1] for i in range(6))
     assert all(ml[i] <= nm[i] for i in range(7))
 
-    assert time.perf_counter() - start < 300.0
+    assert elapsed < 300.0
 
 
 def test_6_block_elimination_matches_dense():
@@ -185,7 +166,7 @@ def test_7_unit_norm_constraints_at_convergence():
     ]
     for truth, trajectory, seed in scenarios:
         dataset = simulate(truth, trajectory, seed)
-        state = initial_ml_state(initial_params(fit_ellipsoid(dataset)), dataset)
+        state = initial_ml_state(fit_initial(dataset)[0], dataset)
         report = solve_ml(dataset, state)
         assert report.converged
         violations = np.abs(

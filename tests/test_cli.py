@@ -44,6 +44,13 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("tilt", ["nan", "inf"])
+    def test_non_finite_tilt_exits_2_naming_tilt(self, tmp_path, capsys, tilt):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--tilt", tilt, "--seed", "1", "--out", str(out)]) == 2
+        assert "tilt must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrateCommand:
     def test_both_methods_agree_on_rich_data(self, tmp_path):
@@ -97,6 +104,20 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--input", str(data), "--out",
                      str(tmp_path / "r.json")]) == 2
         assert "line 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gradient-tolerance", "inf", "--objective-tolerance", "inf"],
+         ["--gradient-tolerance", "nan"]],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, flags):
+        # An infinite tolerance would report the unsolved fit as a converged ml estimate.
+        data, report = tmp_path / "data.csv", tmp_path / "r.json"
+        main(["simulate", "--out", str(data), "--seed", "124"])
+        assert main(["calibrate", "--input", str(data), "--out", str(report), *flags]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_byte_order_mark_before_header(self, tmp_path):
         # Spreadsheet "CSV UTF-8" exports start the file with a UTF-8 BOM.
@@ -280,6 +301,14 @@ class TestStudyCommands:
                      "--out-prefix", str(prefix)]) == 2
         assert "alpha" in capsys.readouterr().err
         assert list(tmp_path.glob("sens*")) == []
+
+    @pytest.mark.parametrize("study", ["montecarlo", "sensitivity"])
+    def test_non_finite_sigma_exits_2_naming_it(self, tmp_path, capsys, study):
+        cfg = write_config(tmp_path / "cfg.json", sigma=float("nan"), n=100)
+        assert main([study, "--config", cfg, "--runs", "1",
+                     "--out-prefix", str(tmp_path / "study")]) == 2
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("study*")) == []
 
     @pytest.mark.parametrize("args", [["sensitivity", "--alphas", ""],
                                       ["timing", "--methods", ""],

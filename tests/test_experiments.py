@@ -270,11 +270,12 @@ class TestTiming:
         import time
 
         from kkt_oracle import step_dense
-        from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
+        from magcal.initfit import fit_initial
+        from magcal.ml import initial_ml_state
         from magcal.simulate import default_truth, simulate, sweep_trajectory
 
         ds = simulate(default_truth(), sweep_trajectory(1000), seed=0)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         ml._step_block(*ml._assemble(state, ds.samples))  # warm-up
         start = time.perf_counter()
         ml._step_block(*ml._assemble(state, ds.samples))

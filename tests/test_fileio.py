@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from magcal import fileio
-from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
+from magcal.initfit import fit_initial
 from magcal.linalg import pack_upper
-from magcal.ml import solve_ml
+from magcal.ml import initial_ml_state, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
@@ -84,11 +84,10 @@ def _assert_bit_equal(actual, expected):
 @pytest.fixture(scope="module")
 def solved():
     ds = simulate(default_truth(), sweep_trajectory(120), seed=0)
-    coeffs = fit_ellipsoid(ds)
-    init = initial_params(coeffs)
+    init, min_eigenvalue = fit_initial(ds)
     return {
         "dataset": ds,
-        "coeffs": coeffs,
+        "min_eigenvalue": min_eigenvalue,
         "nm": solve_nm(ds, init),
         "ml": solve_ml(ds, initial_ml_state(init, ds)),
     }
@@ -281,7 +280,7 @@ class TestCalibratedCsv:
 class TestReports:
     def test_nm_report_round_trip(self, solved):
         doc = fileio.report_dict(
-            solved["nm"], solved["coeffs"].min_eigenvalue, "sha256:abc"
+            solved["nm"], solved["min_eigenvalue"], "sha256:abc"
         )
         assert doc["method"] == "nm"
         assert doc["iterations"] == solved["nm"].iterations

@@ -1,0 +1,60 @@
+"""Study outputs and solver outcomes pinned by ``golden.json`` (see ``make_golden.py``)."""
+
+import json
+
+import numpy as np
+import pytest
+
+import make_golden
+
+GOLDEN = json.loads(make_golden.GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return make_golden.grid()
+
+
+def test_monte_carlo_aggregates_match_golden(monte_carlo_50):
+    got = make_golden.monte_carlo_entry(monte_carlo_50[0])
+    for method, want in GOLDEN["monte_carlo"].items():
+        assert got[method]["failures"] == want["failures"]
+        for metric, stats in want["aggregate"].items():
+            for stat, value in stats.items():
+                assert got[method]["aggregate"][metric][stat] == pytest.approx(value, rel=1e-10)
+
+
+def test_sensitivity_counts_match_golden(sensitivity_50):
+    assert make_golden.sensitivity_entry(sensitivity_50[0]) == GOLDEN["sensitivity"]
+
+
+def test_grid_outcomes_match_golden(grid):
+    got = make_golden.grid_entry(grid)
+    assert GOLDEN["grid_seeds"] == [make_golden.GRID_SEEDS[0], make_golden.GRID_SEEDS[-1]]
+    assert got.keys() == GOLDEN["grid"].keys()
+    for tilt, methods in GOLDEN["grid"].items():
+        for method, want in methods.items():
+            assert got[tilt][method]["outcomes"] == want["outcomes"], (tilt, method)
+
+
+def test_tilt_20_estimates_match_golden(grid):
+    got = make_golden.grid_entry(grid)["tilt 20"]
+    for method, want in GOLDEN["grid"]["tilt 20"].items():
+        for seed, est, ref in zip(make_golden.GRID_SEEDS, got[method]["estimates"],
+                                  want["estimates"]):
+            est, ref = np.asarray(est), np.asarray(ref)
+            # Shape and offset each within 1e-10 of their largest entry.
+            for part in (slice(0, 6), slice(6, 9)):
+                assert np.max(np.abs(est[part] - ref[part])) <= 1e-10 * np.max(np.abs(ref[part])), \
+                    (method, seed)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: under weak attitude excitation ml's full Newton steps on the KKT system "
+    "stall at the iteration cap more often than nm (tilt 5: 8 against 0; tilt 3: 31 against 14)"))
+def test_ml_unconverged_no_more_often_than_nm_at_low_tilt(grid):
+    # The paper's claim: ml is the more stable estimator without sufficient attitude excitation.
+    for tilt in (5.0, 3.0):
+        unconverged = {m: sum(not o.startswith("converged") for o in grid[tilt][m]["outcomes"])
+                       for m in make_golden.METHODS}
+        assert unconverged["ml"] <= unconverged["nm"], (tilt, unconverged)

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from magcal.errors import DegenerateDataError, InsufficientDataError
-from magcal.initfit import (
-    _design_matrix,
-    fit_ellipsoid,
-    initial_ml_state,
-    initial_params,
-)
+from magcal.initfit import _design_matrix, fit_initial
 from magcal.linalg import pack_upper
+from magcal.ml import initial_ml_state
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
 
@@ -19,6 +15,13 @@ def _noise_free_default():
 
 def _pack_quadric(a, b, c):
     return np.concatenate([pack_upper(a), b, [c]])
+
+
+def _quadric(params):
+    """(A, b, c) of y'Ay + b'y + c = 0 for a calibration: A = R'R, b = -2Ah, c = h'Ah - 1."""
+    a = params.shape.T @ params.shape
+    h = params.offset
+    return a, -2.0 * a @ h, h @ a @ h - 1.0
 
 
 class TestDesignRow:
@@ -36,10 +39,7 @@ class TestDesignRow:
 
     def test_annihilates_true_quadric(self, default_scene):
         r_true, h_true = default_scene["r_true"], default_scene["h_true"]
-        a = r_true.T @ r_true
-        b = -2.0 * a @ h_true
-        c = h_true @ a @ h_true - 1.0
-        z = _pack_quadric(a, b, c)
+        z = _pack_quadric(*_quadric(CalibrationParams(r_true, h_true)))
         ds = _noise_free_default()
         np.testing.assert_array_less(np.abs(_design_matrix(ds.samples[::37]) @ z), 1e-10)
 
@@ -49,36 +49,37 @@ class TestFitEllipsoid:
         rng = np.random.default_rng(0)
         dirs = rng.normal(0, 1, (300, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        coeffs = fit_ellipsoid(dirs)
-        np.testing.assert_allclose(coeffs.a_matrix, np.eye(3), atol=1e-8)
-        np.testing.assert_allclose(coeffs.b_vec, 0.0, atol=1e-8)
-        assert coeffs.c_scalar == pytest.approx(-1.0, abs=1e-8)
+        a, b, c = _quadric(fit_initial(dirs)[0])
+        np.testing.assert_allclose(a, np.eye(3), atol=1e-8)
+        np.testing.assert_allclose(b, 0.0, atol=1e-8)
+        assert c == pytest.approx(-1.0, abs=1e-8)
 
     def test_noise_free_default_recovers_truth(self, default_scene):
         r_true, h_true = default_scene["r_true"], default_scene["h_true"]
-        a = r_true.T @ r_true
-        coeffs = fit_ellipsoid(_noise_free_default())
-        np.testing.assert_allclose(coeffs.a_matrix, a, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(coeffs.b_vec, -2.0 * a @ h_true, rtol=1e-6)
-        assert coeffs.c_scalar == pytest.approx(h_true @ a @ h_true - 1.0, rel=1e-6)
-        assert coeffs.min_eigenvalue == pytest.approx(0.0, abs=1e-8)
+        params, min_eigenvalue = fit_initial(_noise_free_default())
+        a, b, c = _quadric(params)
+        a_true, b_true, c_true = _quadric(CalibrationParams(r_true, h_true))
+        np.testing.assert_allclose(a, a_true, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(b, b_true, rtol=1e-6)
+        assert c == pytest.approx(c_true, rel=1e-6)
+        assert min_eigenvalue == pytest.approx(0.0, abs=1e-8)
 
     def test_noisy_initial_estimate_nearly_calibrates(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
-        params = initial_params(fit_ellipsoid(ds))
+        params = fit_initial(ds)[0]
         mags = np.linalg.norm((ds.samples - params.offset) @ params.shape.T, axis=1)
         assert np.all(mags > 0.98) and np.all(mags < 1.02)
 
     def test_eigen_solution_matches_svd_oracle(self, default_scene):
-        # Undo scaling/centering on the returned coefficients and compare
-        # against the minimum right-singular vector of the centered design.
+        # Rebuild the quadric from the returned estimate, centre it as the fit
+        # does, and compare with the minimum right-singular vector of the
+        # centered design.
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=3)
         samples = ds.samples[:50]
-        coeffs = fit_ellipsoid(samples)
+        a, b, c = _quadric(fit_initial(samples)[0])
         center = samples.mean(axis=0)
-        a = coeffs.a_matrix
-        b_centered = coeffs.b_vec + 2.0 * a @ center
-        c_centered = coeffs.c_scalar + coeffs.b_vec @ center + center @ a @ center
+        b_centered = b + 2.0 * a @ center
+        c_centered = c + b @ center + center @ a @ center
         z = _pack_quadric(a, b_centered, c_centered)
         z /= np.linalg.norm(z)
 
@@ -95,7 +96,7 @@ class TestFitEllipsoid:
             dirs = rng.normal(0, 1, (40, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             samples = dirs @ np.linalg.inv(r).T + h
-            params = initial_params(fit_ellipsoid(samples))
+            params = fit_initial(samples)[0]
             np.testing.assert_allclose(params.shape, r, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(params.offset, h, rtol=1e-6, atol=1e-8)
 
@@ -103,11 +104,11 @@ class TestFitEllipsoid:
         samples = _noise_free_default().samples.copy()
         samples[17, 1] = np.inf
         with pytest.raises(ValueError, match="row 17"):
-            fit_ellipsoid(samples)
+            fit_initial(samples)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):
-            fit_ellipsoid(np.ones((9, 3)))
+            fit_initial(np.ones((9, 3)))
 
     def test_planar_data_is_degenerate(self):
         rng = np.random.default_rng(8)
@@ -116,30 +117,14 @@ class TestFitEllipsoid:
             [np.cos(angles), np.sin(angles), np.zeros_like(angles)]
         )
         with pytest.raises(DegenerateDataError):
-            initial_params(fit_ellipsoid(circle))
+            fit_initial(circle)
 
 
 class TestInitialParams:
-    def test_unit_sphere_coefficients(self):
-        from magcal.types import EllipsoidCoeffs
-
-        params = initial_params(
-            EllipsoidCoeffs(a_matrix=np.eye(3), b_vec=np.zeros(3), c_scalar=-1.0)
-        )
-        np.testing.assert_allclose(params.shape, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(params.offset, 0.0, atol=1e-14)
-
     def test_noise_free_recovery(self, default_scene):
-        params = initial_params(fit_ellipsoid(_noise_free_default()))
+        params = fit_initial(_noise_free_default())[0]
         np.testing.assert_allclose(params.shape, default_scene["r_true"], rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(params.offset, default_scene["h_true"], rtol=1e-6)
-
-    def test_scaling_identity(self, default_scene):
-        # The returned quadric is normalized so h'Ah - c = 1.
-        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=11)
-        coeffs = fit_ellipsoid(ds)
-        h = initial_params(coeffs).offset
-        assert h @ coeffs.a_matrix @ h - coeffs.c_scalar == pytest.approx(1.0, abs=1e-10)
 
 
 class TestInitialMLState:
@@ -155,7 +140,7 @@ class TestInitialMLState:
 
     def test_noise_free_unit_directions(self, default_scene):
         ds = _noise_free_default()
-        params = initial_params(fit_ellipsoid(ds))
+        params = fit_initial(ds)[0]
         state = initial_ml_state(params, ds)
         np.testing.assert_allclose(
             np.linalg.norm(state.field_dirs, axis=1), 1.0, atol=1e-6
@@ -163,5 +148,5 @@ class TestInitialMLState:
 
     def test_multipliers_start_at_zero(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=13)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         np.testing.assert_array_equal(state.lagrange, 0.0)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
-from magcal.linalg import invert_upper, unpack_upper
-from magcal.metrics import apply_calibration, error_metrics, params_from_ml
-from magcal.ml import solve_ml
+from magcal.initfit import fit_initial
+from magcal.linalg import unpack_upper
+from magcal.metrics import apply_calibration, error_metrics
+from magcal.ml import initial_ml_state, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate
-from magcal.types import CalibrationParams, MLState
+from magcal.types import CalibrationParams
 
 
 def _params(shape_entries, offset):
@@ -34,7 +34,7 @@ class TestApplyCalibration:
     def test_calibrated_spread_tracks_noise_level(self, default_scene):
         truth = default_scene["truth"]
         ds = simulate(truth, default_scene["trajectory"], seed=1)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         mags = np.linalg.norm(apply_calibration(report.final_params, ds.samples), axis=1)
         bound = 10 * truth.noise_sigma * np.linalg.norm(report.final_params.shape)
         assert mags.std() < bound
@@ -81,21 +81,9 @@ class TestErrorMetrics:
 
     def test_ml_and_nm_paths_agree_after_conversion(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=3)
-        init = initial_params(fit_ellipsoid(ds))
+        init = fit_initial(ds)[0]
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
-        ml_params = params_from_ml(solve_ml(ds, initial_ml_state(init, ds)).final_state)
+        ml_params = solve_ml(ds, initial_ml_state(init, ds)).final_params
         m = error_metrics(ml_params, truth)
         assert m.scale_pct < 0.5 and m.ortho_deg < 0.5
 
-
-class TestParamsFromML:
-    def test_inverts_t_matrix(self):
-        rng = np.random.default_rng(4)
-        shape = np.triu(rng.normal(0, 0.3, (3, 3))) + np.diag(rng.uniform(0.8, 1.3, 3))
-        state = MLState(
-            t_matrix=invert_upper(shape),
-            offset=np.array([0.1, 0.2, 0.3]),
-            field_dirs=np.zeros((1, 3)),
-            lagrange=np.zeros(1),
-        )
-        np.testing.assert_allclose(params_from_ml(state).shape, shape, atol=1e-12)

@@ -8,10 +8,11 @@ from fd import fd_gradient, fd_jacobian
 from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
 from magcal.errors import DivergenceError, SolverFailure
-from magcal.initfit import fit_ellipsoid, initial_ml_state, initial_params
+from magcal.initfit import fit_initial
 from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
-from magcal.metrics import apply_calibration, error_metrics, params_from_ml
-from magcal.ml import solve_ml
+from magcal.linalg import invert_upper
+from magcal.metrics import apply_calibration, error_metrics
+from magcal.ml import initial_ml_state, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState, SolveOptions
@@ -50,7 +51,7 @@ def _head_kron(dirs):
 class TestObjective:
     def test_initial_state_has_machine_zero_misfit(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=0)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         misfit, _ = ml_objective(state, ds)
         assert misfit < 1e-16
 
@@ -67,7 +68,7 @@ class TestObjective:
 
     def test_converged_misfit_below_threshold(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=1)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         assert solve_ml(ds, state).final_objective < 0.004
 
 
@@ -180,7 +181,7 @@ class TestNewtonStep:
 class TestSolve:
     def test_converges_fast_with_feasible_constraints(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         report = solve_ml(ds, state)
         assert report.converged
         assert report.iterations <= 5
@@ -189,7 +190,7 @@ class TestSolve:
 
     def test_kkt_stationarity_at_convergence(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=8)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         report = solve_ml(ds, state)
         grad, _ = _kkt(report.final_state, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
@@ -204,7 +205,7 @@ class TestSolve:
 
     def test_dense_method_reaches_same_solution(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], sweep_trajectory(40), seed=9)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         block = solve_ml(ds, state)
         # The same driver, with the dense oracle in place of the block step.
         monkeypatch.setattr(ml, "_step_block", step_dense)
@@ -215,22 +216,35 @@ class TestSolve:
 
     def test_gauge_consistency_with_exact_nm_solution(self, default_scene):
         ds = simulate(default_truth(sigma=0.0), default_scene["trajectory"], seed=0)
-        init = initial_params(fit_ellipsoid(ds))
+        init = fit_initial(ds)[0]
         nm_params = solve_nm(ds, init).final_params
-        ml_state = solve_ml(ds, initial_ml_state(init, ds)).final_state
+        ml_params = solve_ml(ds, initial_ml_state(init, ds)).final_params
         out_nm = apply_calibration(nm_params, ds.samples)
-        out_ml = apply_calibration(params_from_ml(ml_state), ds.samples)
+        out_ml = apply_calibration(ml_params, ds.samples)
         np.testing.assert_allclose(out_nm, out_ml, atol=1e-8)
 
     def test_estimate_matches_truth_under_noise(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=10)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         report = solve_ml(ds, state)
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
-        m = error_metrics(params_from_ml(report.final_state), truth)
+        m = error_metrics(report.final_params, truth)
         assert m.scale_pct < 0.3
         assert m.ortho_deg < 0.3
         assert m.hard_iron_gauss < 0.002
+
+    def test_final_params_invert_the_final_t_matrix(self):
+        # The report's shape is R = T^-1; this start is already the exact solution.
+        rng = np.random.default_rng(4)
+        shape = np.triu(rng.normal(0, 0.3, (3, 3))) + np.diag(rng.uniform(0.8, 1.3, 3))
+        dirs = rng.normal(0, 1, (12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        state = MLState(t_matrix=invert_upper(shape), offset=np.array([0.1, 0.2, 0.3]),
+                        field_dirs=dirs, lagrange=np.zeros(12))
+        report = solve_ml(dirs @ state.t_matrix.T + state.offset, state)
+        assert report.iterations == 0
+        np.testing.assert_allclose(report.final_params.shape, shape, atol=1e-12)
+        np.testing.assert_array_equal(report.final_params.offset, state.offset)
 
     def test_singular_tail_block_raises(self):
         n = 12
@@ -272,7 +286,7 @@ class TestSolve:
 
     def test_non_finite_step_raises_divergence(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         monkeypatch.setattr(ml, "_step_block", lambda *a: np.full(4 * ds.n_samples + 9, np.inf))
         with pytest.raises(DivergenceError) as exc_info:
             solve_ml(ds, state, SolveOptions(gradient_tolerance=1e-300))
@@ -317,7 +331,7 @@ class TestSolve:
 
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         calls = []
         assemble = ml._assemble
         monkeypatch.setattr(ml, "_assemble", lambda *a: calls.append(1) or assemble(*a))
@@ -328,7 +342,7 @@ class TestSolve:
     def test_truncated_runs_are_prefixes_scored_at_their_final_state(self, seed, tilt, max_k):
         # Seed 1005 at tilt 5 is a run that does not converge.
         ds = simulate(default_truth(), sweep_trajectory(300, tilt), seed=seed)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         capped = lambda k: SolveOptions(max_iterations=k, gradient_tolerance=1e-300)
         full = solve_ml(ds, state, capped(max_k))
         for k in range(1, max_k + 1):
@@ -343,7 +357,7 @@ class TestSolve:
 
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        state = initial_ml_state(initial_params(fit_ellipsoid(ds)), ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds)
         opts = SolveOptions(max_iterations=1, gradient_tolerance=1e-300)
         report = solve_ml(ds, state, opts)
         assert report.iterations == 1

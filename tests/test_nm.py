@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from fd import fd_gradient, fd_jacobian
 from magcal import nm
 from magcal.errors import DivergenceError, SolverFailure
-from magcal.initfit import fit_ellipsoid, initial_params
+from magcal.initfit import fit_initial
 from magcal.linalg import UPPER_VEC_INDICES
 from magcal.metrics import error_metrics
 from magcal.nm import solve_nm
@@ -60,7 +60,7 @@ class TestObjective:
 
     def test_converged_value_below_divergence_threshold(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=1)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         assert report.final_objective < 0.018
 
 
@@ -106,7 +106,7 @@ class TestDerivatives:
 
     def test_gradient_vanishes_at_converged_minimum(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         grad, _ = nm_derivatives(report.final_params, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
 
@@ -119,7 +119,7 @@ class TestSolve:
         monkeypatch.setattr(nm, "nm_gradient_hessian",
                             lambda shape, u, v, s: residuals.append(s) or real(shape, u, v, s))
         opts = SolveOptions(max_iterations=3, objective_tolerance=1e-300, step_tolerance=1e-300)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)), opts)
+        report = solve_nm(ds, fit_initial(ds)[0], opts)
         assert len(residuals) == report.iterations == 3
         assert [s @ s for s in residuals] == list(report.objective_history[:3])
         reference = nm_objective(report.final_params, ds.samples)
@@ -127,7 +127,7 @@ class TestSolve:
 
     def test_converges_fast_from_ellipsoid_init(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=3)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         assert report.converged
         assert report.iterations <= 5
         # full Newton may overshoot early; only the tail must not increase
@@ -144,12 +144,12 @@ class TestSolve:
 
     def test_shape_stays_exactly_triangular(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=4)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         np.testing.assert_array_equal(np.tril(report.final_params.shape, -1), 0.0)
 
     def test_consistency_as_noise_vanishes(self, default_scene):
         ds = simulate(default_truth(sigma=1e-6), default_scene["trajectory"], seed=5)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)))
+        report = solve_nm(ds, fit_initial(ds)[0])
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
         m = error_metrics(report.final_params, truth)
         assert m.scale_pct < 1e-4
@@ -162,7 +162,7 @@ class TestSolve:
         diverged = 0
         for seed in range(10):
             ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=seed)
-            init = initial_params(fit_ellipsoid(ds))
+            init = fit_initial(ds)[0]
             bad_init = perturb_initial(init, 0.06, seed + 1000)
             try:
                 report = solve_nm(ds, bad_init)
@@ -202,7 +202,7 @@ class TestSolve:
 
     def test_non_finite_sample_rejected_naming_row(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        init = initial_params(fit_ellipsoid(ds))
+        init = fit_initial(ds)[0]
         samples = ds.samples.copy()
         samples[42, 0] = -np.inf
         with pytest.raises(ValueError, match="row 42"):
@@ -211,6 +211,6 @@ class TestSolve:
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
         opts = SolveOptions(max_iterations=1, objective_tolerance=1e-30, step_tolerance=1e-30)
-        report = solve_nm(ds, initial_params(fit_ellipsoid(ds)), opts)
+        report = solve_nm(ds, fit_initial(ds)[0], opts)
         assert report.iterations == 1
         assert not report.converged

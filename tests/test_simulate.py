@@ -118,6 +118,24 @@ class TestSimConfig:
         loaded = SimConfig.from_dict(d)
         assert np.linalg.norm(loaded.truth.field) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("soft_iron", [np.nan] + [0.5] * 8, "soft_iron"),
+            ("hard_iron", [0.0, np.inf, 0.0], "hard_iron"),
+            ("sigma", np.nan, "noise_sigma"),
+            ("sigma", np.inf, "noise_sigma"),
+            ("field", [np.nan, 0.0, 1.0], "field"),
+            ("field", [np.inf, 0.0, 0.0], "field"),
+        ],
+        ids=["soft_iron_nan", "hard_iron_inf", "sigma_nan", "sigma_inf", "field_nan", "field_inf"],
+    )
+    def test_non_finite_truth_rejected_naming_field(self, key, value, name):
+        d = default_config().to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig.from_dict(d)
+
     def test_truth_invariants(self):
         truth = default_config().truth
         assert np.linalg.norm(truth.field) == pytest.approx(1.0, abs=1e-12)
@@ -127,4 +145,12 @@ class TestSimConfig:
                 hard_iron=np.zeros(3),
                 noise_sigma=-1.0,
                 field=np.array([1.0, 0.0, 0.0]),
+            )
+        with pytest.raises(ValueError, match="field must be finite"):
+            # Past the unit-norm check, which NaN passes.
+            SensorTruth(
+                soft_iron=np.eye(3),
+                hard_iron=np.zeros(3),
+                noise_sigma=0.0,
+                field=np.array([np.nan, 0.0, 0.0]),
             )
