@@ -13,7 +13,6 @@ from magcal import (
     default_truth,
     error_metrics,
     fit_initial,
-    initial_ml_state,
     simulate,
     solve_ml,
     solve_nm,
@@ -32,7 +31,7 @@ def main():
     print("  objective per iteration:",
           "  ".join(f"{v:.6f}" for v in nm_report.objective_history))
 
-    ml_report = solve_ml(dataset, initial_ml_state(init, dataset))
+    ml_report = solve_ml(dataset, init)
     print("\nconstrained maximum-likelihood solver:")
     print(f"  converged in {ml_report.iterations} iterations")
     print("  misfit per iteration:   ",

@@ -15,7 +15,6 @@ from magcal import (
     default_truth,
     error_metrics,
     fit_initial,
-    initial_ml_state,
     simulate,
     solve_ml,
     solve_nm,
@@ -26,7 +25,7 @@ from magcal import (
 def calibrate_both(dataset):
     init, _ = fit_initial(dataset)
     nm = solve_nm(dataset, init).final_params
-    ml = solve_ml(dataset, initial_ml_state(init, dataset)).final_params
+    ml = solve_ml(dataset, init).final_params
     return {"nm": nm, "ml": ml}
 
 

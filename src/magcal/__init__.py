@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .initfit import fit_initial
 from .metrics import apply_calibration, error_metrics
-from .ml import initial_ml_state, solve_ml
+from .ml import solve_ml
 from .nm import solve_nm
 from .simulate import (
     SimConfig,
@@ -67,7 +67,6 @@ __all__ = [
     "default_truth",
     "error_metrics",
     "fit_initial",
-    "initial_ml_state",
     "perturb_initial",
     "run_monte_carlo",
     "run_sensitivity",

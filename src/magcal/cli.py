@@ -38,11 +38,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     dataset = simulate(config.truth, sweep_trajectory(config.n, args.tilt), config.seed)
+    truth_params = config.truth.calibration()  # before any file is written
     fileio.write_samples_csv(args.out, dataset.samples)
     truth_path = args.truth_out or _truth_sidecar(args.out)
-    truth_doc = fileio.truth_report_dict(
-        config.truth.calibration(), input_digest=fileio.file_digest(args.out)
-    )
+    truth_doc = fileio.truth_report_dict(truth_params, input_digest=fileio.file_digest(args.out))
     fileio.write_json(truth_path, truth_doc)
     print(f"wrote {dataset.n_samples} samples to {args.out}; truth to {truth_path}")
     return 0
@@ -87,16 +86,15 @@ def cmd_calibrate(args) -> int:
             print(f"{method} solver failed: {exc}", file=sys.stderr)
             report = exc.report
         # An unconverged estimate is not one to recommend or apply.
-        failed = failed or report is None or not report.converged
-        if report is not None:
-            docs[method] = fileio.report_dict(report, min_eigenvalue, digest)
+        failed = failed or not report.converged
+        docs[method] = fileio.report_dict(report, min_eigenvalue, digest)
 
     if args.method == "both":
         document = {"format_version": fileio.FORMAT_VERSION, **docs}
         if not failed:
             document["comparison"] = _comparison(docs["nm"], docs["ml"])
     else:
-        document = docs.get(args.method, {"format_version": fileio.FORMAT_VERSION})
+        document = docs[args.method]
     fileio.write_json(args.out, document)
     print(f"wrote report to {args.out}")
     return 4 if failed else 0

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CalibrationError, SolverFailure
 from .initfit import fit_initial
 from .metrics import error_metrics
-from .ml import initial_ml_state, solve_ml
+from .ml import solve_ml
 from .nm import solve_nm
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
 from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
@@ -28,17 +28,19 @@ DEFAULT_MC_SEED = 20240901
 DEFAULT_SENSITIVITY_SEED = 18687
 
 
+def _check_method(method) -> None:
+    if method not in ("nm", "ml"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def solve(method: str, data, init: CalibrationParams,
           opts: SolveOptions | None = None) -> SolveReport:
     """Run estimator ``method`` ("nm" or "ml") from the initial estimate ``init``."""
+    _check_method(method)
     # The solvers are looked up by module-global name at call time, so a
     # rebinding of ``solve_nm``/``solve_ml`` here (as perfbench's tracer does)
     # applies to every study and CLI solve.
-    if method == "nm":
-        return solve_nm(data, init, opts)
-    if method == "ml":
-        return solve_ml(data, initial_ml_state(init, data), opts)
-    raise ValueError(f"unknown method {method!r}")
+    return (solve_nm if method == "nm" else solve_ml)(data, init, opts)
 
 
 def _check_alpha(alpha) -> None:
@@ -301,6 +303,8 @@ def run_timing(
         raise ValueError("n_values and methods must be nonempty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    for method in methods:  # before any solve, not when the timing loop reaches it
+        _check_method(method)
     rows = []
     for n in n_values:
         dataset = simulate(config.truth, sweep_trajectory(int(n)), seed)

@@ -8,6 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,14 +17,13 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .experiments import METRIC_NAMES
+from .experiments import METRIC_NAMES, TimingRow
 from .linalg import pack_upper, unpack_upper
 from .types import CalibrationParams, SolveReport
 
 FORMAT_VERSION = 1
 
 SAMPLE_COLUMNS = ("yx", "yy", "yz")
-_TIMING_COLUMNS = ("n", "method", "median_seconds", "iterations", "seconds_per_iteration")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -231,26 +231,15 @@ def write_sensitivity_csv(path, result) -> None:
 
 
 def sensitivity_summary(result) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "seed": result.seed,
-        "runs": result.runs,
-        "alphas": list(result.alphas),
-        "nm_divergences": list(result.nm_divergences),
-        "ml_divergences": list(result.ml_divergences),
-        "nm_threshold": result.nm_threshold,
-        "ml_threshold": result.ml_threshold,
-    }
+    return {"format_version": FORMAT_VERSION, "tool_version": __version__,
+            **dataclasses.asdict(result)}
 
 
 def write_timing_csv(path, rows) -> None:
-    _write_csv(path, _TIMING_COLUMNS, [[getattr(row, c) for c in _TIMING_COLUMNS] for row in rows])
+    header = tuple(f.name for f in dataclasses.fields(TimingRow))
+    _write_csv(path, header, [dataclasses.astuple(row) for row in rows])
 
 
 def timing_summary(rows) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "rows": [{c: getattr(row, c) for c in _TIMING_COLUMNS} for row in rows],
-    }
+    return {"format_version": FORMAT_VERSION, "tool_version": __version__,
+            "rows": [dataclasses.asdict(row) for row in rows]}

@@ -7,8 +7,9 @@ estimate has dimension 4N+9 with the layout
 
     x = [six T entries, h, m_1 .. m_N, lambda_1 .. lambda_N].
 
-``initial_ml_state`` maps a shape/offset estimate (R, h) onto this state
-with T = R^-1, and a solve reports its estimate back as R = T^-1.
+``solve_ml`` starts from a shape/offset estimate (R, h), which
+``initial_ml_state`` maps onto this state with T = R^-1, and reports its
+estimate back as R = T^-1.
 
 The KKT Hessian is an arrowhead matrix: each (m_k, lambda_k) 4x4 block
 couples only to the 9-dimensional (T, h) head. Newton steps are therefore
@@ -129,15 +130,14 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     return np.concatenate([d_head, -(v @ d_m).T.ravel(), -d_lam])
 
 
-def initial_ml_state(params: CalibrationParams, data) -> MLState:
-    """Starting point for the maximum-likelihood solver.
+def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
+    """Starting point for the maximum-likelihood solver from validated (N, 3) ``samples``.
 
     The inverse shape matrix seeds t_matrix, the calibrated samples seed
     the field directions, and all Lagrange multipliers start at zero. A
     start so far off that the directions overflow is left to the solver,
     which reports it as divergence.
     """
-    samples = as_samples(data)
     with np.errstate(over="ignore", invalid="ignore"):
         field_dirs = (samples - params.offset) @ params.shape.T
     return MLState(
@@ -148,17 +148,20 @@ def initial_ml_state(params: CalibrationParams, data) -> MLState:
     )
 
 
-def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
-    """Newton iteration on the full KKT system from ``init``.
+def solve_ml(data, init: CalibrationParams, opts: SolveOptions | None = None) -> SolveReport:
+    """Newton iteration on the full KKT system from the estimate ``init``.
 
     Exits when the Lagrangian gradient norm drops to gradient_tolerance or
     max_iterations is reached. Raises SolverFailure on singular systems and
     DivergenceError on non-finite values, both carrying the partial report.
     """
-    opts = opts or SolveOptions()
     samples = as_samples(data)
-    if samples.shape[0] != init.n_samples:
-        raise ValueError("state and data sample counts disagree")
+    return _iterate(samples, initial_ml_state(init, samples), opts)
+
+
+def _iterate(samples: np.ndarray, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
+    """solve_ml's Newton iteration from the ML state ``init`` of ``samples``."""
+    opts = opts or SolveOptions()
     assembly = None
     violations = []
 
@@ -177,7 +180,7 @@ def solve_ml(data, init: MLState, opts: SolveOptions | None = None) -> SolveRepo
 
     def step(state):
         delta = _step_block(*assembly)
-        return delta, MLState.from_vector(state.to_vector() + delta, init.n_samples)
+        return delta, MLState.from_vector(state.to_vector() + delta, len(samples))
 
     def finish(state):
         t, warn = state.t_matrix, ()

@@ -127,7 +127,8 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         # Field direction is normalized at load; the model assumes unit norm.
-        # SensorTruth checks the array shapes, sigma >= 0 and the unit field.
+        # SensorTruth checks the array shapes, finiteness, sigma >= 0, the unit
+        # field and that soft_iron has a calibration.
         truth = SensorTruth(
             soft_iron=np.reshape(d["soft_iron"], (3, 3)),
             hard_iron=d["hard_iron"],

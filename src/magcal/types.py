@@ -73,10 +73,6 @@ class MLState:
         object.__setattr__(self, "field_dirs", dirs)
         object.__setattr__(self, "lagrange", lag)
 
-    @property
-    def n_samples(self) -> int:
-        return self.field_dirs.shape[0]
-
     def to_vector(self) -> np.ndarray:
         """Pack into the (4N+9)-vector [t entries, offset, dirs, multipliers]."""
         return np.concatenate(
@@ -126,6 +122,12 @@ class SensorTruth:
             raise ValueError("noise_sigma must be >= 0")
         if abs(np.linalg.norm(self.field) - 1.0) > 1e-12:
             raise ValueError("field must be a unit vector (normalize before use)")
+        try:
+            calibrates = np.isfinite(self.calibration().shape).all()
+        except np.linalg.LinAlgError:
+            calibrates = False
+        if not calibrates:
+            raise ValueError(f"soft_iron is singular or near-singular: {self.soft_iron.tolist()}")
 
     def calibration(self) -> CalibrationParams:
         """True shape/offset this model implies.

@@ -18,7 +18,7 @@ from magcal.experiments import run_timing
 from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
 from magcal.metrics import error_metrics
-from magcal.ml import initial_ml_state, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState
@@ -39,7 +39,7 @@ def test_1_noise_free_exact_recovery():
     nm_final = solve_nm(dataset, init).final_params
     assert max(error_metrics(nm_final, oracle).as_tuple()) <= 1e-6
 
-    ml_final = solve_ml(dataset, initial_ml_state(init, dataset)).final_params
+    ml_final = solve_ml(dataset, init).final_params
     assert max(error_metrics(ml_final, oracle).as_tuple()) <= 1e-6
 
     assert time.perf_counter() - start < 1.0
@@ -166,8 +166,7 @@ def test_7_unit_norm_constraints_at_convergence():
     ]
     for truth, trajectory, seed in scenarios:
         dataset = simulate(truth, trajectory, seed)
-        state = initial_ml_state(fit_initial(dataset)[0], dataset)
-        report = solve_ml(dataset, state)
+        report = solve_ml(dataset, fit_initial(dataset)[0])
         assert report.converged
         violations = np.abs(
             np.einsum("ij,ij->i", report.final_state.field_dirs,

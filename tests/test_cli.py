@@ -44,6 +44,19 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo", "sensitivity"])
+    @pytest.mark.parametrize("soft_iron", [[0.0] * 9, [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1e-300]],
+                             ids=["zero", "near_singular"])
+    def test_singular_soft_iron_exits_2_naming_it(self, tmp_path, capsys, command, soft_iron):
+        cfg = write_config(tmp_path / "cfg.json", soft_iron=soft_iron, n=100)
+        if command == "simulate":
+            out = ["--out", str(tmp_path / "x.csv")]
+        else:
+            out = ["--runs", "1", "--out-prefix", str(tmp_path / "x")]
+        assert main([command, "--config", cfg, *out]) == 2
+        assert "soft_iron" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*")) == []
+
     @pytest.mark.parametrize("tilt", ["nan", "inf"])
     def test_non_finite_tilt_exits_2_naming_tilt(self, tmp_path, capsys, tilt):
         out = tmp_path / "x.csv"

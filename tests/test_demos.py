@@ -1,4 +1,4 @@
-"""Smoke tests: the demo scripts run to completion.
+"""Smoke tests: the demo scripts and README's library quick start run to completion.
 
 Demo 04 (the 50-run sensitivity sweep, about 11 s) is left out; it reads
 only SensitivityResult, which the experiments tests cover.
@@ -6,6 +6,7 @@ only SensitivityResult, which the experiments tests cover.
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
+README = DEMOS.parent / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -36,3 +38,11 @@ def test_demo_runs(script, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    assert "solve_ml(data, init)" in code
+    exec(compile(code, f"{README}:quick start", "exec"), {})
+    assert "ErrorMetrics(scale_pct=" in capsys.readouterr().out

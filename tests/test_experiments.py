@@ -240,6 +240,11 @@ class TestTiming:
         with pytest.raises(ValueError):
             run_timing(small_config, [40], repeats=1, methods=("qr",))
 
+    def test_unknown_method_rejected_before_any_solve(self, small_config, monkeypatch):
+        monkeypatch.setattr(experiments, "solve", lambda *a: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="unknown method 'xx'"):
+            run_timing(small_config, [40], repeats=1, methods=("nm", "xx"))
+
     def test_nm_time_grows_about_linearly(self):
         # Doubling N from a base where per-sample work dominates the
         # N-independent assembly overhead: the ratio must sit between
@@ -275,7 +280,7 @@ class TestTiming:
         from magcal.simulate import default_truth, simulate, sweep_trajectory
 
         ds = simulate(default_truth(), sweep_trajectory(1000), seed=0)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds.samples)
         ml._step_block(*ml._assemble(state, ds.samples))  # warm-up
         start = time.perf_counter()
         ml._step_block(*ml._assemble(state, ds.samples))

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from magcal import fileio
 from magcal.initfit import fit_initial
 from magcal.linalg import pack_upper
-from magcal.ml import initial_ml_state, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
@@ -89,7 +89,7 @@ def solved():
         "dataset": ds,
         "min_eigenvalue": min_eigenvalue,
         "nm": solve_nm(ds, init),
-        "ml": solve_ml(ds, initial_ml_state(init, ds)),
+        "ml": solve_ml(ds, init),
     }
 
 
@@ -343,8 +343,27 @@ class TestResultWriters:
         path = tmp_path / "sens.csv"
         fileio.write_sensitivity_csv(path, result)
         assert len(path.read_text().strip().splitlines()) == 3
-        summary = fileio.sensitivity_summary(result)
+        # The summary holds the result's fields; its tuples are written as lists.
+        fileio.write_json(tmp_path / "sens.json", fileio.sensitivity_summary(result))
+        summary = fileio.read_json(tmp_path / "sens.json")
         assert summary["nm_divergences"] == [0]
+        assert summary["alphas"] == [0.0]
+        assert set(summary) == {"format_version", "tool_version", "alphas", "nm_divergences",
+                                "ml_divergences", "runs", "nm_threshold", "ml_threshold", "seed"}
+
+    def test_timing_files(self, tmp_path):
+        from magcal.experiments import TimingRow
+
+        rows = [TimingRow(300, "nm", 0.25, 4, 0.0625), TimingRow(300, "ml", 0.5, 3, 1 / 6)]
+        fileio.write_timing_csv(tmp_path / "tim.csv", rows)
+        assert (tmp_path / "tim.csv").read_bytes() == (
+            b"n,method,median_seconds,iterations,seconds_per_iteration\r\n"
+            b"300,nm,0.25,4,0.0625\r\n300,ml,0.5,3,0.16666666666666666\r\n"
+        )
+        assert fileio.timing_summary(rows)["rows"][1] == {
+            "n": 300, "method": "ml", "median_seconds": 0.5, "iterations": 3,
+            "seconds_per_iteration": 1 / 6,
+        }
 
     def test_digest_stable(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -141,12 +141,12 @@ class TestInitialMLState:
     def test_noise_free_unit_directions(self, default_scene):
         ds = _noise_free_default()
         params = fit_initial(ds)[0]
-        state = initial_ml_state(params, ds)
+        state = initial_ml_state(params, ds.samples)
         np.testing.assert_allclose(
             np.linalg.norm(state.field_dirs, axis=1), 1.0, atol=1e-6
         )
 
     def test_multipliers_start_at_zero(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=13)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds.samples)
         np.testing.assert_array_equal(state.lagrange, 0.0)

@@ -4,7 +4,7 @@ import pytest
 from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
 from magcal.metrics import apply_calibration, error_metrics
-from magcal.ml import initial_ml_state, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate
 from magcal.types import CalibrationParams
@@ -83,7 +83,7 @@ class TestErrorMetrics:
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=3)
         init = fit_initial(ds)[0]
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
-        ml_params = solve_ml(ds, initial_ml_state(init, ds)).final_params
+        ml_params = solve_ml(ds, init).final_params
         m = error_metrics(ml_params, truth)
         assert m.scale_pct < 0.5 and m.ortho_deg < 0.5
 

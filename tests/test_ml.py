@@ -51,7 +51,7 @@ def _head_kron(dirs):
 class TestObjective:
     def test_initial_state_has_machine_zero_misfit(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=0)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
+        state = initial_ml_state(fit_initial(ds)[0], ds.samples)
         misfit, _ = ml_objective(state, ds)
         assert misfit < 1e-16
 
@@ -68,8 +68,7 @@ class TestObjective:
 
     def test_converged_misfit_below_threshold(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=1)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
-        assert solve_ml(ds, state).final_objective < 0.004
+        assert solve_ml(ds, fit_initial(ds)[0]).final_objective < 0.004
 
 
 class TestKKTSystem:
@@ -181,8 +180,7 @@ class TestNewtonStep:
 class TestSolve:
     def test_converges_fast_with_feasible_constraints(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
-        report = solve_ml(ds, state)
+        report = solve_ml(ds, fit_initial(ds)[0])
         assert report.converged
         assert report.iterations <= 5
         assert report.constraint_violation_history[-1] <= 1e-8
@@ -190,26 +188,25 @@ class TestSolve:
 
     def test_kkt_stationarity_at_convergence(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=8)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
-        report = solve_ml(ds, state)
+        report = solve_ml(ds, fit_initial(ds)[0])
         grad, _ = _kkt(report.final_state, ds.samples)
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + report.final_objective)
 
     def test_truth_init_on_noise_free_data_converges_immediately(self, default_scene):
         ds = simulate(default_truth(sigma=0.0), default_scene["trajectory"], seed=0)
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
-        report = solve_ml(ds, initial_ml_state(truth, ds))
+        report = solve_ml(ds, truth)
         assert report.converged
         assert report.iterations == 0
         assert report.final_objective < 1e-16
 
     def test_dense_method_reaches_same_solution(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], sweep_trajectory(40), seed=9)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
-        block = solve_ml(ds, state)
+        init = fit_initial(ds)[0]
+        block = solve_ml(ds, init)
         # The same driver, with the dense oracle in place of the block step.
         monkeypatch.setattr(ml, "_step_block", step_dense)
-        dense = solve_ml(ds, state)
+        dense = solve_ml(ds, init)
         np.testing.assert_allclose(
             block.final_state.to_vector(), dense.final_state.to_vector(), atol=1e-8
         )
@@ -218,20 +215,35 @@ class TestSolve:
         ds = simulate(default_truth(sigma=0.0), default_scene["trajectory"], seed=0)
         init = fit_initial(ds)[0]
         nm_params = solve_nm(ds, init).final_params
-        ml_params = solve_ml(ds, initial_ml_state(init, ds)).final_params
+        ml_params = solve_ml(ds, init).final_params
         out_nm = apply_calibration(nm_params, ds.samples)
         out_ml = apply_calibration(ml_params, ds.samples)
         np.testing.assert_allclose(out_nm, out_ml, atol=1e-8)
 
     def test_estimate_matches_truth_under_noise(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=10)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
-        report = solve_ml(ds, state)
+        report = solve_ml(ds, fit_initial(ds)[0])
         truth = CalibrationParams(default_scene["r_true"], default_scene["h_true"])
         m = error_metrics(report.final_params, truth)
         assert m.scale_pct < 0.3
         assert m.ortho_deg < 0.3
         assert m.hard_iron_gauss < 0.002
+
+    def test_starts_from_the_ml_state_of_the_estimate(self, default_scene):
+        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=11)
+        init = fit_initial(ds)[0]
+        direct = ml._iterate(ds.samples, initial_ml_state(init, ds.samples))
+        report = solve_ml(ds, init)
+        assert report.objective_history == direct.objective_history
+        np.testing.assert_array_equal(report.final_state.to_vector(),
+                                      direct.final_state.to_vector())
+
+    def test_non_finite_sample_rejected_naming_row(self, monkeypatch):
+        samples = np.random.default_rng(3).normal(0, 1, (12, 3))
+        samples[4, 1] = np.nan
+        monkeypatch.setattr(ml, "_iterate", lambda *a: pytest.fail("iterated"))
+        with pytest.raises(ValueError, match="sample row 4 is not finite"):
+            solve_ml(samples, CalibrationParams(np.eye(3), np.zeros(3)))
 
     def test_final_params_invert_the_final_t_matrix(self):
         # The report's shape is R = T^-1; this start is already the exact solution.
@@ -241,7 +253,7 @@ class TestSolve:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         state = MLState(t_matrix=invert_upper(shape), offset=np.array([0.1, 0.2, 0.3]),
                         field_dirs=dirs, lagrange=np.zeros(12))
-        report = solve_ml(dirs @ state.t_matrix.T + state.offset, state)
+        report = ml._iterate(dirs @ state.t_matrix.T + state.offset, state)
         assert report.iterations == 0
         np.testing.assert_allclose(report.final_params.shape, shape, atol=1e-12)
         np.testing.assert_array_equal(report.final_params.offset, state.offset)
@@ -255,7 +267,7 @@ class TestSolve:
             t_matrix=np.eye(3), offset=np.zeros(3), field_dirs=dirs, lagrange=np.zeros(n)
         )
         with pytest.raises(SolverFailure):
-            solve_ml(rng.normal(0, 1, (n, 3)), state)
+            ml._iterate(rng.normal(0, 1, (n, 3)), state)
 
     def test_singular_schur_complement_raises(self):
         # Every field direction is e1: each (m_k, lambda_k) block is regular,
@@ -266,7 +278,7 @@ class TestSolve:
         state = MLState(t_matrix=np.eye(3), offset=np.zeros(3), field_dirs=dirs,
                         lagrange=np.full(n, 0.5))
         with pytest.raises(SolverFailure, match="singular Newton system") as exc_info:
-            solve_ml(dirs.copy(), state)
+            ml._iterate(dirs.copy(), state)
         assert not isinstance(exc_info.value, DivergenceError)
         assert exc_info.value.report.iterations == 0
 
@@ -278,7 +290,7 @@ class TestSolve:
         state = MLState(t_matrix=t, offset=np.zeros(3), field_dirs=rng.normal(0, 1, (n, 3)),
                         lagrange=np.zeros(n))
         with pytest.raises(DivergenceError) as exc_info:
-            solve_ml(rng.normal(0, 1, (n, 3)), state)
+            ml._iterate(rng.normal(0, 1, (n, 3)), state)
         report = exc_info.value.report
         assert report.iterations == 0
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
@@ -286,10 +298,9 @@ class TestSolve:
 
     def test_non_finite_step_raises_divergence(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
         monkeypatch.setattr(ml, "_step_block", lambda *a: np.full(4 * ds.n_samples + 9, np.inf))
         with pytest.raises(DivergenceError) as exc_info:
-            solve_ml(ds, state, SolveOptions(gradient_tolerance=1e-300))
+            solve_ml(ds, fit_initial(ds)[0], SolveOptions(gradient_tolerance=1e-300))
         assert exc_info.value.report.iterations == 1
 
     def test_overflowing_newton_system_raises_divergence(self):
@@ -304,7 +315,7 @@ class TestSolve:
             dirs = state.field_dirs * 10.0 ** rng.uniform(140, 155)
             state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
             try:
-                solve_ml(rng.normal(0, 1.0, (n, 3)), state, SolveOptions(max_iterations=5))
+                ml._iterate(rng.normal(0, 1.0, (n, 3)), state, SolveOptions(max_iterations=5))
             except DivergenceError:
                 diverged += 1
         assert diverged > 50
@@ -317,36 +328,29 @@ class TestSolve:
         state = MLState(t_matrix=np.diag([1.0, 0.0, 1.0]), offset=np.zeros(3),
                         field_dirs=dirs, lagrange=np.zeros(n))
         with pytest.raises(SolverFailure) as exc_info:
-            solve_ml(rng.normal(0, 1, (n, 3)), state)
+            ml._iterate(rng.normal(0, 1, (n, 3)), state)
         report = exc_info.value.report
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
         assert report.warnings
 
-    def test_size_mismatch_rejected_before_iterating(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        state = _random_state(rng, 5)
-        monkeypatch.setattr(ml, "_assemble", lambda *a: pytest.fail("assembled an iterate"))
-        with pytest.raises(ValueError, match="sample counts disagree"):
-            solve_ml(rng.normal(0, 1, (6, 3)), state)
-
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
         calls = []
         assemble = ml._assemble
         monkeypatch.setattr(ml, "_assemble", lambda *a: calls.append(1) or assemble(*a))
-        report = solve_ml(ds, state, SolveOptions(max_iterations=6, gradient_tolerance=1e-300))
+        report = solve_ml(ds, fit_initial(ds)[0],
+                          SolveOptions(max_iterations=6, gradient_tolerance=1e-300))
         assert len(calls) == len(report.objective_history) == 7
 
     @pytest.mark.parametrize("seed, tilt, max_k", [(7, 20.0, 8), (1005, 5.0, 50)])
     def test_truncated_runs_are_prefixes_scored_at_their_final_state(self, seed, tilt, max_k):
         # Seed 1005 at tilt 5 is a run that does not converge.
         ds = simulate(default_truth(), sweep_trajectory(300, tilt), seed=seed)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
+        init = fit_initial(ds)[0]
         capped = lambda k: SolveOptions(max_iterations=k, gradient_tolerance=1e-300)
-        full = solve_ml(ds, state, capped(max_k))
+        full = solve_ml(ds, init, capped(max_k))
         for k in range(1, max_k + 1):
-            report = solve_ml(ds, state, capped(k))
+            report = solve_ml(ds, init, capped(k))
             history = report.objective_history
             violations = report.constraint_violation_history
             assert history == full.objective_history[: k + 1]
@@ -357,8 +361,7 @@ class TestSolve:
 
     def test_max_iterations_respected(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        state = initial_ml_state(fit_initial(ds)[0], ds)
         opts = SolveOptions(max_iterations=1, gradient_tolerance=1e-300)
-        report = solve_ml(ds, state, opts)
+        report = solve_ml(ds, fit_initial(ds)[0], opts)
         assert report.iterations == 1
         assert not report.converged

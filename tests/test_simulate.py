@@ -136,6 +136,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimConfig.from_dict(d)
 
+    @pytest.mark.parametrize("soft_iron", [np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-300]),
+                                           np.diag([1.0, 1.0, 1e-310]), np.ones((3, 3))],
+                             ids=["zero", "tiny_pivot", "subnormal_pivot", "rank_one"])
+    def test_singular_soft_iron_rejected_naming_it(self, soft_iron):
+        d = default_config().to_dict()
+        d["soft_iron"] = soft_iron.ravel().tolist()
+        with pytest.raises(ValueError, match="soft_iron is singular"):
+            SimConfig.from_dict(d)
+
     def test_truth_invariants(self):
         truth = default_config().truth
         assert np.linalg.norm(truth.field) == pytest.approx(1.0, abs=1e-12)
