@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._newton import newton_solve, solve_newton_system
-from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper
+from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper, unpack_upper
 from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
@@ -39,6 +39,16 @@ _SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
 _HEAD_AT = np.concatenate([9 * _SAME_P + _SAME_Q, 9 * np.arange(6) + 6 + _ROWS,
                            54 + 9 * _ROWS + np.arange(6), [60, 70, 80]])
 _HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 + _COLS, [12] * 3])
+# Sample k couples to the head along eigenvector j through the 9x7 matrix
+# lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
+# lin[j, p, 3 + r_p] = -2 V[c_p, j] and lin[j, 6 + i, 6] = 2 (T V)[i, j]. These
+# are where each entry takes its value in [vec(2 T V), vec(-2 V), 0], row-major.
+_J = np.arange(3)[:, None]
+_LIN_FROM = np.full((3, 9, 7), 18)
+_LIN_FROM[:, np.arange(6), _COLS] = 3 * _ROWS + _J
+_LIN_FROM[:, np.arange(6), 3 + _ROWS] = 9 + 3 * _COLS + _J
+_LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
+_ZERO = np.zeros(1)
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
@@ -79,7 +89,9 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     that basis a block's inverse is [[diag(1/a) - w w'/s, w/s], [w'/s, -1/s]]
     with a = 2 ev + 2 lambda_k, w = 2 m_k / a and s = 2 m_k'w, and the Schur
     sum is a sum of weighted moments of y_k = [m_k, r_k, 1]. Rows where this
-    closed form cancels (A_k or the block near singular) invert their 4x4 block.
+    closed form cancels (A_k or the block near singular) are flagged and
+    invert their own 4x4 block instead; that fallback is built and applied
+    only when some row is flagged.
     """
     n = g_lam.shape[0]
     ttt = t.T @ t
@@ -90,38 +102,40 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     m_e = v.T @ dirs.T  # per-sample values in the eigenbasis are (3, N)
     a = 2.0 * (ev[:, None] + lam)
     bad = np.abs(a).min(axis=0) <= _FALLBACK_RTOL * np.abs(a).max(axis=0)
-    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad)
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad) if bad.any() else 1.0 / a
     w = 2.0 * m_e * inv_a
     s = 2.0 * (m_e * w).sum(axis=0)
     bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_e * w).sum(axis=0)
-    inv_a[:, bad] = w[:, bad] = 0.0
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
-    blocks = np.zeros((int(bad.sum()), 4, 4))
-    blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
-    blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
-    bad_inv = np.linalg.inv(blocks)
+    fallback = bad.any()
+    if fallback:
+        inv_a[:, bad] = w[:, bad] = 0.0
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
+        blocks = np.zeros((int(bad.sum()), 4, 4))
+        blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
+        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
+        bad_inv = np.linalg.inv(blocks)
+    else:
+        inv_s = 1.0 / s
 
     def solve_blocks(x, y):
         # Every block inverse applied to (x_k, y_k); x is (3, N) in the eigenbasis.
         c = (y - (w * x).sum(axis=0)) * inv_s
         out_m, out_lam = x * inv_a + w * c, -c
-        sol = bad_inv @ np.vstack([x[:, bad], y[bad]]).T[:, :, None]
-        out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
+        if fallback:
+            sol = bad_inv @ np.vstack([x[:, bad], y[bad]]).T[:, :, None]
+            out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
         return out_m, out_lam
 
-    # Sample k couples to the head along eigenvector j through lin[j] @ y_k.
-    lin = np.zeros((3, 9, 7))
-    lin[:, np.arange(6), _COLS] = 2.0 * tv[_ROWS].T
-    lin[:, np.arange(6), 3 + _ROWS] = -2.0 * v[_COLS].T
-    lin[:, 6:, 6] = 2.0 * tv.T
+    lin = np.concatenate([(2.0 * tv).ravel(), (-2.0 * v).ravel(), _ZERO])[_LIN_FROM]
     lin_flat = lin.transpose(1, 0, 2).reshape(9, 21)
     y = np.ones((7, n))
     y[:3], y[3:6] = dirs.T, r.T
     moments = ((inv_a[:, None, :] * y).reshape(21, n) @ y.T).reshape(3, 7, 7)
     z = lin_flat @ (w[:, None, :] * y).reshape(21, n)
-    g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
-    schur = (head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + (z * inv_s) @ z.T
-             - g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9))
+    schur = head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + (z * inv_s) @ z.T
+    if fallback:
+        g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
+        schur -= g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
 
     g_me = v.T @ g_m.T
     rhs = -g_head + lin_flat @ (solve_blocks(g_me, g_lam)[0] @ y.T).ravel()
@@ -135,13 +149,15 @@ def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
 
     The inverse shape matrix seeds t_matrix, the calibrated samples seed
     the field directions, and all Lagrange multipliers start at zero. A
-    start so far off that the directions overflow is left to the solver,
-    which reports it as divergence.
+    start so far off that the directions overflow, or whose shape has no
+    finite inverse (a zero diagonal or a non-finite entry; t_matrix is then
+    NaN), is left to the solver, which reports it as divergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         field_dirs = (samples - params.offset) @ params.shape.T
+    invertible = np.isfinite(params.shape).all() and np.diag(params.shape).all()
     return MLState(
-        t_matrix=invert_upper(params.shape),
+        t_matrix=invert_upper(params.shape) if invertible else np.triu(np.full((3, 3), np.nan)),
         offset=params.offset.copy(),
         field_dirs=field_dirs,
         lagrange=np.zeros(samples.shape[0]),
@@ -162,6 +178,7 @@ def solve_ml(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
 def _iterate(samples: np.ndarray, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
     """solve_ml's Newton iteration from the ML state ``init`` of ``samples``."""
     opts = opts or SolveOptions()
+    n = len(samples)
     assembly = None
     violations = []
 
@@ -180,7 +197,12 @@ def _iterate(samples: np.ndarray, init: MLState, opts: SolveOptions | None = Non
 
     def step(state):
         delta = _step_block(*assembly)
-        return delta, MLState.from_vector(state.to_vector() + delta, len(samples))
+        return delta, MLState(
+            t_matrix=unpack_upper(pack_upper(state.t_matrix) + delta[:6]),
+            offset=state.offset + delta[6:9],
+            field_dirs=state.field_dirs + delta[9 : 9 + 3 * n].reshape(n, 3),
+            lagrange=state.lagrange + delta[9 + 3 * n :],
+        )
 
     def finish(state):
         t, warn = state.t_matrix, ()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._newton import newton_solve, solve_newton_system
-from .linalg import UPPER_VEC_INDICES
+from .linalg import UPPER_VEC_INDICES, pack_upper, unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
 _FULL_INDICES = np.concatenate([UPPER_VEC_INDICES, [9, 10, 11]])
@@ -93,7 +93,8 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     def step(params):
         grad, hess = nm_gradient_hessian(params.shape, *residuals)
         delta = solve_newton_system(hess, grad)
-        return delta, CalibrationParams.from_vector(params.to_vector() - delta)
+        return delta, CalibrationParams(unpack_upper(pack_upper(params.shape) - delta[:6]),
+                                        params.offset - delta[6:])
 
     def converged(params, delta, history):
         return delta is not None and (

@@ -1,8 +1,8 @@
 """Shared data types: sensor model, datasets, parameters, solve reports.
 
 All numeric fields are plain numpy arrays; the dataclasses are frozen value
-objects and safe to share across threads. Vector packing methods define the
-parameter layouts the Newton solvers iterate on.
+objects and safe to share across threads. The Newton solvers step these
+fields directly; ``nm`` and ``ml`` document the flat layout of each step.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import pack_upper, qr_decompose, unpack_upper
+from .linalg import qr_decompose
 
 
 def _as_float_array(x, shape=None):
@@ -36,15 +36,6 @@ class CalibrationParams:
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_float_array(self.shape, (3, 3)))
         object.__setattr__(self, "offset", _as_float_array(self.offset, (3,)))
-
-    def to_vector(self) -> np.ndarray:
-        """Pack into the 9-vector [six free shape entries, offset]."""
-        return np.concatenate([pack_upper(self.shape), self.offset])
-
-    @classmethod
-    def from_vector(cls, x) -> "CalibrationParams":
-        x = _as_float_array(x, (9,))
-        return cls(shape=unpack_upper(x[:6]), offset=x[6:9].copy())
 
 
 @dataclass(frozen=True)
@@ -72,27 +63,6 @@ class MLState:
             raise ValueError("field_dirs and lagrange lengths disagree")
         object.__setattr__(self, "field_dirs", dirs)
         object.__setattr__(self, "lagrange", lag)
-
-    def to_vector(self) -> np.ndarray:
-        """Pack into the (4N+9)-vector [t entries, offset, dirs, multipliers]."""
-        return np.concatenate(
-            [
-                pack_upper(self.t_matrix),
-                self.offset,
-                self.field_dirs.ravel(),
-                self.lagrange,
-            ]
-        )
-
-    @classmethod
-    def from_vector(cls, x, n_samples: int) -> "MLState":
-        x = _as_float_array(x, (4 * n_samples + 9,))
-        return cls(
-            t_matrix=unpack_upper(x[:6]),
-            offset=x[6:9].copy(),
-            field_dirs=x[9 : 9 + 3 * n_samples].reshape(n_samples, 3).copy(),
-            lagrange=x[9 + 3 * n_samples :].copy(),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate ``golden.json``: the study outputs and solver outcomes the suite pins.
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py           # rewrite golden.json
+    PYTHONPATH=src python tests/make_golden.py --check   # compare, exit 1 on a change
 
 The file holds the default Monte-Carlo aggregates, the default sensitivity
 counts, and each nm and ml outcome on a grid of trajectory tilts and seeds at
@@ -12,6 +13,7 @@ to move an entry regenerates the file and lists each changed entry.
 
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import pathlib
@@ -120,6 +122,38 @@ def golden() -> dict:
     }
 
 
+def changed_entries(old, new, path="") -> list[str]:
+    """One line per leaf of two golden trees that differs, as 'path: old -> new'."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in sorted(old.keys() | new.keys())
+                for line in changed_entries(old.get(key), new.get(key), f"{path}/{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in changed_entries(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path or '/'}: {old!r} -> {new!r}"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="regenerate in memory and compare byte-for-byte with golden.json; "
+                             "print each changed entry and exit 1 on any difference")
+    args = parser.parse_args(argv)
+    text = json.dumps(golden(), indent=1, sort_keys=True) + "\n"
+    if not args.check:
+        GOLDEN_PATH.write_text(text)
+        print(f"wrote {GOLDEN_PATH}")
+        return 0
+    committed = GOLDEN_PATH.read_text()
+    if text == committed:
+        print(f"{GOLDEN_PATH.name} unchanged")
+        return 0
+    changes = changed_entries(json.loads(committed), json.loads(text))
+    for line in changes or ["(entries equal, formatting differs)"]:
+        print(line)
+    print(f"{GOLDEN_PATH.name} differs: {len(changes)} changed entries")
+    return 1
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(golden(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    raise SystemExit(main())

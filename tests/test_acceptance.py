@@ -23,6 +23,7 @@ from magcal.nm import solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState
 from nm_reference import nm_derivatives, nm_objective
+from packing import params_from_vector, state_from_vector, state_to_vector
 
 
 def test_1_noise_free_exact_recovery():
@@ -56,14 +57,14 @@ def test_2_analytic_derivatives_match_finite_differences():
              rng.uniform(0.5, 1.5, 1), rng.normal(0, 0.3, 1),
              rng.uniform(0.5, 1.5, 1), rng.normal(0, 1.0, 3)]
         )
-        params = CalibrationParams.from_vector(x)
+        params = params_from_vector(x)
         grad, hess = nm_derivatives(params, samples)
         grad_fd = fd_gradient(
-            lambda v: nm_objective(CalibrationParams.from_vector(v), samples), x
+            lambda v: nm_objective(params_from_vector(v), samples), x
         )
         assert np.max(np.abs(grad - grad_fd)) / (1 + np.max(np.abs(grad_fd))) <= 1e-6
         hess_fd = fd_jacobian(
-            lambda v: nm_derivatives(CalibrationParams.from_vector(v), samples)[0], x
+            lambda v: nm_derivatives(params_from_vector(v), samples)[0], x
         )
         assert np.max(np.abs(hess - hess_fd)) / (1 + np.max(np.abs(hess_fd))) <= 1e-4
 
@@ -82,8 +83,8 @@ def test_2_analytic_derivatives_match_finite_differences():
         )
         grad, _ = ml_kkt_system(*ml._assemble(state, samples))
         grad_fd = fd_gradient(
-            lambda v: ml_objective(MLState.from_vector(v, n), samples)[1],
-            state.to_vector(),
+            lambda v: ml_objective(state_from_vector(v, n), samples)[1],
+            state_to_vector(state),
         )
         assert np.max(np.abs(grad - grad_fd)) / (1 + np.max(np.abs(grad_fd))) <= 1e-6
 

@@ -308,6 +308,13 @@ class TestStudyCommands:
         assert summary["nm_divergences"] == [0]
         assert summary["ml_divergences"] == [0]
 
+    def test_zero_diagonal_starts_count_as_ml_divergences(self, tmp_path):
+        # alpha = 1 with a negative sign zeroes a shape diagonal entry, which has no T = R^-1.
+        prefix = str(tmp_path / "sens")
+        assert main(["sensitivity", "--alphas", "1.0", "--runs", "3",
+                     "--out-prefix", prefix]) == 0
+        assert fileio.read_json(prefix + "_summary.json")["ml_divergences"] == [3]
+
     def test_non_finite_alpha_exits_2_naming_alpha(self, tmp_path, capsys):
         prefix = tmp_path / "sens"
         assert main(["sensitivity", "--alphas", "0.01,nan", "--runs", "1",

@@ -1,5 +1,6 @@
 """Study outputs and solver outcomes pinned by ``golden.json`` (see ``make_golden.py``)."""
 
+import copy
 import json
 
 import numpy as np
@@ -47,6 +48,25 @@ def test_tilt_20_estimates_match_golden(grid):
             for part in (slice(0, 6), slice(6, 9)):
                 assert np.max(np.abs(est[part] - ref[part])) <= 1e-10 * np.max(np.abs(ref[part])), \
                     (method, seed)
+
+
+def test_check_mode_compares_bytes_and_lists_changed_entries(monkeypatch, capsys):
+    committed = make_golden.GOLDEN_PATH.read_bytes()
+    monkeypatch.setattr(make_golden, "golden", lambda: GOLDEN)
+    assert make_golden.main(["--check"]) == 0
+    changed = copy.deepcopy(GOLDEN)
+    changed["sensitivity"]["ml"][6] += 1
+    changed["grid"]["tilt 5"]["ml"]["outcomes"][7] = "converged in 9"
+    monkeypatch.setattr(make_golden, "golden", lambda: changed)
+    assert make_golden.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        f"/grid/tilt 5/ml/outcomes[7]: {GOLDEN['grid']['tilt 5']['ml']['outcomes'][7]!r} "
+        "-> 'converged in 9'",
+        f"/sensitivity/ml[6]: {GOLDEN['sensitivity']['ml'][6]} -> {changed['sensitivity']['ml'][6]}",
+        "golden.json differs: 2 changed entries",
+    ]
+    assert make_golden.GOLDEN_PATH.read_bytes() == committed
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -14,6 +14,7 @@ from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, SolveOptions
 from nm_reference import nm_derivatives, nm_objective
+from packing import params_from_vector, params_to_vector
 
 
 def _random_instance(rng, n=20):
@@ -21,7 +22,7 @@ def _random_instance(rng, n=20):
     x = np.concatenate([rng.uniform(0.5, 1.5, 1), rng.normal(0, 0.3, 2),
                         rng.uniform(0.5, 1.5, 1), rng.normal(0, 0.3, 1),
                         rng.uniform(0.5, 1.5, 1), rng.normal(0, 1.0, 3)])
-    return CalibrationParams.from_vector(x), samples
+    return params_from_vector(x), samples
 
 
 def _gradient_hessian_kron(params, samples):
@@ -69,8 +70,8 @@ class TestDerivatives:
         rng = np.random.default_rng(10)
         for _ in range(10):
             params, samples = _random_instance(rng)
-            x = params.to_vector()
-            fun = lambda v: nm_objective(CalibrationParams.from_vector(v), samples)
+            x = params_to_vector(params)
+            fun = lambda v: nm_objective(params_from_vector(v), samples)
             grad, _ = nm_derivatives(params, samples)
             grad_fd = fd_gradient(fun, x)
             scale = 1.0 + np.max(np.abs(grad_fd))
@@ -80,10 +81,8 @@ class TestDerivatives:
         rng = np.random.default_rng(11)
         for _ in range(10):
             params, samples = _random_instance(rng)
-            x = params.to_vector()
-            gfun = lambda v: nm_derivatives(
-                CalibrationParams.from_vector(v), samples
-            )[0]
+            x = params_to_vector(params)
+            gfun = lambda v: nm_derivatives(params_from_vector(v), samples)[0]
             _, hess = nm_derivatives(params, samples)
             hess_fd = fd_jacobian(gfun, x)
             scale = 1.0 + np.max(np.abs(hess_fd))
@@ -98,7 +97,7 @@ class TestDerivatives:
         ),
     )
     def test_assembly_equals_kronecker_reference(self, x, samples):
-        params = CalibrationParams.from_vector(x)
+        params = params_from_vector(x)
         grad, hess = nm_derivatives(params, samples)
         ref_grad, ref_hess = _gradient_hessian_kron(params, samples)
         np.testing.assert_array_equal(grad, ref_grad)
