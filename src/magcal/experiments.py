@@ -296,8 +296,10 @@ def run_timing(
 ) -> tuple:
     """Median wall-clock solve time per (N, method).
 
-    One warm-up solve precedes the timed repeats. An ml solve is timed from
-    the fit's estimate, so its time includes building the initial ML state.
+    At each N, one warm-up solve per method precedes the timed repeats, which
+    take the methods in turn (nm, ml, nm, ml, ...) so that every method is
+    timed in the same host state. An ml solve is timed from the fit's
+    estimate, so its time includes building the initial ML state.
     """
     if not n_values or not methods:
         raise ValueError("n_values and methods must be nonempty")
@@ -309,14 +311,15 @@ def run_timing(
     for n in n_values:
         dataset = simulate(config.truth, sweep_trajectory(int(n)), seed)
         init, _ = fit_initial(dataset)
-        for method in methods:
-            report = solve(method, dataset, init)  # warm-up
-            times = []
-            for _ in range(repeats):
+        reports = [solve(method, dataset, init) for method in methods]  # warm-up
+        times = [[] for _ in methods]
+        for _ in range(repeats):
+            for i, method in enumerate(methods):
                 start = time.perf_counter()
-                report = solve(method, dataset, init)
-                times.append(time.perf_counter() - start)
-            med = float(median(times))
+                reports[i] = solve(method, dataset, init)
+                times[i].append(time.perf_counter() - start)
+        for method, report, method_times in zip(methods, reports, times):
+            med = float(median(method_times))
             iters = max(report.iterations, 1)
             rows.append(
                 TimingRow(

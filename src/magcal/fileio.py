@@ -26,17 +26,28 @@ FORMAT_VERSION = 1
 SAMPLE_COLUMNS = ("yx", "yy", "yz")
 
 
+# _write_csv formats and writes this many rows at a time, so that the Python
+# objects it makes do not grow with the number of rows.
+_CSV_ROWS = 1024
+
+
 def _write_csv(path, header, rows) -> None:
     # Every field as str() (repr for floats) and CRLF line ends: the bytes
     # csv.writer writes for fields that need no quoting, as numbers and
-    # method names do not.
+    # method names do not. rows is a sequence of rows or a 2-D array, which
+    # becomes Python floats one block of rows at a time.
     line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(line * (len(rows) + 1) % tuple(itertools.chain(header, *rows)))
+        fh.write(line % tuple(header))
+        for lo in range(0, len(rows), _CSV_ROWS):
+            block = rows[lo : lo + _CSV_ROWS]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_samples_csv(path, samples) -> None:
-    _write_csv(path, SAMPLE_COLUMNS, np.asarray(samples, dtype=float).tolist())
+    _write_csv(path, SAMPLE_COLUMNS, np.asarray(samples, dtype=float))
 
 
 def _parse_body(lines, indices) -> np.ndarray:
@@ -116,8 +127,7 @@ def write_calibrated_csv(path, calibrated) -> None:
     """Calibrated samples plus a magnitude column."""
     calibrated = np.asarray(calibrated, dtype=float)
     magnitudes = np.linalg.norm(calibrated, axis=1)
-    rows = np.column_stack([calibrated, magnitudes]).tolist()
-    _write_csv(path, ("mx", "my", "mz", "magnitude"), rows)
+    _write_csv(path, ("mx", "my", "mz", "magnitude"), np.column_stack([calibrated, magnitudes]))
 
 
 def file_digest(path) -> str:

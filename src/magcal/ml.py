@@ -52,6 +52,9 @@ _ZERO = np.zeros(1)
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
+# _step_block eliminates the sample rows this many at a time, so that its
+# per-sample temporaries do not grow with N. A step at N <= _CHUNK is one block.
+_CHUNK = 2048
 
 
 def _assemble(state: MLState, samples: np.ndarray):
@@ -81,6 +84,48 @@ def _assemble(state: MLState, samples: np.ndarray):
     return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
+def _block_inverses(ev, v, dirs, r, lam):
+    """The closed-form block inverses of some sample rows, and their y_k.
+
+    Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
+    bad_inv holds the flagged rows' inverted 4x4 blocks, or is None if no row
+    is flagged.
+    """
+    m_e = v.T @ dirs.T  # per-sample values in the eigenbasis are (3, rows)
+    a = 2.0 * (ev[:, None] + lam)
+    abs_a = np.abs(a)
+    bad = abs_a.min(axis=0) <= _FALLBACK_RTOL * abs_a.max(axis=0)
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad) if bad.any() else 1.0 / a
+    w = 2.0 * m_e * inv_a
+    m_w = m_e * w
+    s = 2.0 * m_w.sum(axis=0)
+    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=0)
+    bad_inv = None
+    if bad.any():
+        inv_a[:, bad] = w[:, bad] = 0.0
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
+        blocks = np.zeros((int(bad.sum()), 4, 4))
+        blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
+        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
+        bad_inv = np.linalg.inv(blocks)
+    else:
+        inv_s = 1.0 / s
+    y = np.empty((7, lam.shape[0]))
+    y[:3], y[3:6], y[6] = dirs.T, r.T, 1.0
+    return inv_a, w, inv_s, bad, bad_inv, y
+
+
+def _solve_blocks(inverses, x, x_lam):
+    """Each row's block inverse applied to (x_k, x_lam_k); x is (3, rows) in the eigenbasis."""
+    inv_a, w, inv_s, bad, bad_inv, _ = inverses
+    c = (x_lam - (w * x).sum(axis=0)) * inv_s
+    out_m, out_lam = x * inv_a + w * c, -c
+    if bad_inv is not None:
+        sol = bad_inv @ np.vstack([x[:, bad], x_lam[bad]]).T[:, :, None]
+        out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
+    return out_m, out_lam
+
+
 def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     """Newton step by Schur elimination of each (m_k, lambda_k) block onto the head.
 
@@ -91,7 +136,12 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     sum is a sum of weighted moments of y_k = [m_k, r_k, 1]. Rows where this
     closed form cancels (A_k or the block near singular) are flagged and
     invert their own 4x4 block instead; that fallback is built and applied
-    only when some row is flagged.
+    only in a block of rows where some row is flagged.
+
+    The rows are taken _CHUNK at a time, so the temporaries are the size of
+    one block: a first pass adds each block's part of the Schur complement
+    and of its right-hand side, the 9x9 head system is solved once, and a
+    second pass back-substitutes each block into the step.
     """
     n = g_lam.shape[0]
     ttt = t.T @ t
@@ -99,49 +149,41 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
         return np.full(9 + 4 * n, np.nan)  # overflow is divergence, not a singular system
     ev, v = np.linalg.eigh(ttt)
     tv = t @ v
-    m_e = v.T @ dirs.T  # per-sample values in the eigenbasis are (3, N)
-    a = 2.0 * (ev[:, None] + lam)
-    bad = np.abs(a).min(axis=0) <= _FALLBACK_RTOL * np.abs(a).max(axis=0)
-    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad) if bad.any() else 1.0 / a
-    w = 2.0 * m_e * inv_a
-    s = 2.0 * (m_e * w).sum(axis=0)
-    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_e * w).sum(axis=0)
-    fallback = bad.any()
-    if fallback:
-        inv_a[:, bad] = w[:, bad] = 0.0
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
-        blocks = np.zeros((int(bad.sum()), 4, 4))
-        blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
-        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
-        bad_inv = np.linalg.inv(blocks)
-    else:
-        inv_s = 1.0 / s
-
-    def solve_blocks(x, y):
-        # Every block inverse applied to (x_k, y_k); x is (3, N) in the eigenbasis.
-        c = (y - (w * x).sum(axis=0)) * inv_s
-        out_m, out_lam = x * inv_a + w * c, -c
-        if fallback:
-            sol = bad_inv @ np.vstack([x[:, bad], y[bad]]).T[:, :, None]
-            out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
-        return out_m, out_lam
-
     lin = np.concatenate([(2.0 * tv).ravel(), (-2.0 * v).ravel(), _ZERO])[_LIN_FROM]
     lin_flat = lin.transpose(1, 0, 2).reshape(9, 21)
-    y = np.ones((7, n))
-    y[:3], y[3:6] = dirs.T, r.T
-    moments = ((inv_a[:, None, :] * y).reshape(21, n) @ y.T).reshape(3, 7, 7)
-    z = lin_flat @ (w[:, None, :] * y).reshape(21, n)
-    schur = head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + (z * inv_s) @ z.T
-    if fallback:
-        g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
-        schur -= g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
 
-    g_me = v.T @ g_m.T
-    rhs = -g_head + lin_flat @ (solve_blocks(g_me, g_lam)[0] @ y.T).ravel()
+    blocks, total, fallback = [], None, None
+    for lo in range(0, n, _CHUNK):
+        span = slice(lo, lo + _CHUNK)
+        inverses = _block_inverses(ev, v, dirs[span], r[span], lam[span])
+        inv_a, w, inv_s, bad, bad_inv, y = inverses
+        g_me = v.T @ g_m[span].T
+        z = lin_flat @ (w[:, None, :] * y).reshape(21, -1)
+        part = (((inv_a[:, None, :] * y).reshape(21, -1) @ y.T).reshape(3, 7, 7),
+                (z * inv_s) @ z.T, _solve_blocks(inverses, g_me, g_lam[span])[0] @ y.T)
+        # Each sum starts from its first block's part, so one block adds nothing.
+        total = part if total is None else [a + b for a, b in zip(total, part)]
+        if bad_inv is not None:
+            g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
+            part = g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
+            fallback = part if fallback is None else fallback + part
+        blocks.append((span, inverses, g_me))
+    moments, zz, g_y = total
+    schur = head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + zz
+    if fallback is not None:
+        schur -= fallback
+
+    rhs = -g_head + lin_flat @ g_y.ravel()
     d_head = solve_newton_system(schur, rhs)
-    d_m, d_lam = solve_blocks(g_me + (d_head @ lin) @ y, g_lam)
-    return np.concatenate([d_head, -(v @ d_m).T.ravel(), -d_lam])
+    d_lin = d_head @ lin
+    step = np.empty(9 + 4 * n)
+    step[:9] = d_head
+    d_dirs, d_lams = step[9 : 9 + 3 * n].reshape(n, 3), step[9 + 3 * n :]
+    for span, inverses, g_me in blocks:
+        d_m, d_lam = _solve_blocks(inverses, g_me + d_lin @ inverses[5], g_lam[span])
+        np.negative((v @ d_m).T, out=d_dirs[span])
+        np.negative(d_lam, out=d_lams[span])
+    return step
 
 
 def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,3 +72,21 @@ def sensitivity_50():
     import make_golden
 
     return _timed(make_golden.sensitivity_study)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn) calls fn() and returns the peak bytes allocated meanwhile, by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc, so the count repeats exactly
+    from run to run, unlike a timing.
+    """
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ class TestSolve:
         run_monte_carlo(small_config, runs=1, seed=1)
         run_sensitivity(small_config, [0.0], runs=1, seed=1)
         run_timing(small_config, [60], repeats=1)
-        assert calls == ["solve_nm", "solve_ml"] * 2 + ["solve_nm"] * 2 + ["solve_ml"] * 2
+        # run_timing warms up each method, then times them in turn.
+        assert calls == ["solve_nm", "solve_ml"] * 4
 
 
 class TestMonteCarlo:
@@ -244,6 +246,17 @@ class TestTiming:
         monkeypatch.setattr(experiments, "solve", lambda *a: pytest.fail("solved"))
         with pytest.raises(ValueError, match="unknown method 'xx'"):
             run_timing(small_config, [40], repeats=1, methods=("nm", "xx"))
+
+    def test_methods_are_timed_in_turn(self, small_config, monkeypatch):
+        # One warm-up per method, then the repeats round-robin, at each N.
+        calls = []
+        monkeypatch.setattr(experiments, "solve", lambda method, *a: calls.append(method)
+                            or SimpleNamespace(iterations={"nm": 2, "ml": 3}[method]))
+        rows = run_timing(small_config, [40, 60], repeats=3, methods=("nm", "ml"))
+        assert calls == ["nm", "ml"] * 8
+        assert [(r.n, r.method, r.iterations) for r in rows] == [
+            (40, "nm", 2), (40, "ml", 3), (60, "nm", 2), (60, "ml", 3)
+        ]
 
     def test_nm_time_grows_about_linearly(self):
         # Doubling N from a base where per-sample work dominates the

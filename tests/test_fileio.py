@@ -276,6 +276,28 @@ class TestCalibratedCsv:
             expected = np.column_stack([rows, np.linalg.norm(rows, axis=1)])
         assert path.read_bytes() == _csv_writer_bytes(("mx", "my", "mz", "magnitude"), expected)
 
+    def test_peak_memory_is_one_row_block(self, tmp_path, traced_peak):
+        # About 1.2 MB of magnitude and row arrays plus one block of formatted
+        # rows; the whole 30 000-row file as one string peaked at 10.8 MB.
+        calibrated = np.random.default_rng(4).normal(0, 1, (30_000, 3))
+        fileio.write_calibrated_csv(tmp_path / "warm.csv", calibrated[:10])
+        assert traced_peak(lambda: fileio.write_calibrated_csv(tmp_path / "cal.csv",
+                                                               calibrated)) < 4e6
+
+
+@pytest.mark.parametrize("n", [fileio._CSV_ROWS - 1, fileio._CSV_ROWS, fileio._CSV_ROWS + 1,
+                               2 * fileio._CSV_ROWS + 1])
+def test_writers_match_csv_writer_at_row_block_edges(tmp_path, n):
+    # The odd values sit in the last block of rows that _write_csv formats.
+    rows = np.vstack([np.random.default_rng(n).normal(0, 2, (n - len(_ODD_ROWS), 3)), _ODD_ROWS])
+    fileio.write_samples_csv(tmp_path / "x.csv", rows)
+    assert (tmp_path / "x.csv").read_bytes() == _csv_writer_bytes(fileio.SAMPLE_COLUMNS, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fileio.write_calibrated_csv(tmp_path / "cal.csv", rows)
+        expected = np.column_stack([rows, np.linalg.norm(rows, axis=1)])
+    assert (tmp_path / "cal.csv").read_bytes() == _csv_writer_bytes(
+        ("mx", "my", "mz", "magnitude"), expected)
+
 
 class TestReports:
     def test_nm_report_round_trip(self, solved):

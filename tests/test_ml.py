@@ -182,9 +182,39 @@ class TestNewtonStep:
         _assert_block_step_equals_dense(assembly)
         assert inverted == [(1, 4, 4)]
 
+    @pytest.mark.parametrize("n", [7, 8, 15, 300])
+    def test_step_over_row_blocks_equals_one_block_step(self, n, monkeypatch):
+        # With 7 rows a block, n = 7 is one block, 8 one past it, 15 one past two
+        # blocks, and 300 is 43 blocks; by default each n here is one block.
+        rng = np.random.default_rng(n)
+        state = _random_state(rng, n)
+        assembly = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))
+        whole = ml._step_block(*assembly)
+        monkeypatch.setattr(ml, "_CHUNK", 7)
+        blocked = ml._step_block(*assembly)
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+        _assert_block_step_equals_dense(assembly)
 
-def _shifted_assembly(n, seed, shifts):
-    """A random state whose first rows have lambda_k at -ev_j (1 + shift), and its assembly.
+    @pytest.mark.parametrize("rows, inversions", [([9], [(1, 4, 4)]), ([6, 7], [(1, 4, 4)] * 2)])
+    def test_fallback_rows_in_later_row_blocks(self, rows, inversions, monkeypatch):
+        # In blocks of 7 rows, row 9 is in the second block, and rows 6 and 7 sit
+        # either side of the first edge; each block inverts its own 4x4 blocks.
+        assembly, block_cond = _shifted_assembly(12, 3, [0.0] * len(rows), first=rows[0])
+        assert block_cond < 1e6
+        whole = ml._step_block(*assembly)
+        monkeypatch.setattr(ml, "_CHUNK", 7)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+        blocked = ml._step_block(*assembly)
+        assert inverted == inversions
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+        _assert_block_step_equals_dense(assembly)
+
+
+def _shifted_assembly(n, seed, shifts, first=0):
+    """A random state whose rows from ``first`` on have lambda_k at -ev_j (1 + shift),
+    and its assembly.
 
     Such rows make A_k (near) singular and take _step_block's 4x4 fallback.
     Also returns the largest condition number of the bordered 4x4 blocks.
@@ -193,7 +223,7 @@ def _shifted_assembly(n, seed, shifts):
     state = _random_state(rng, n)
     ev = np.linalg.eigvalsh(state.t_matrix.T @ state.t_matrix)
     lam = state.lagrange.copy()
-    for k, shift in enumerate(shifts):
+    for k, shift in enumerate(shifts, start=first):
         lam[k] = -ev[rng.integers(3)] * (1.0 + shift)
     state = MLState(state.t_matrix, state.offset, state.field_dirs, lam)
     blocks = np.zeros((n, 4, 4))
@@ -384,6 +414,16 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("4x4 fallback taken"))
         report = solve_ml(ds, fit_initial(ds)[0])
         assert report.converged and report.iterations > 0
+
+    def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
+        # The iterates, assembly and step are about 20 N-vectors of 8N bytes; the
+        # step's per-sample temporaries, one row block at a time, add about 20
+        # more. Eliminating all N rows at once peaked at 70.
+        n = 30_000
+        ds = simulate(default_scene["truth"], sweep_trajectory(n), seed=7)
+        init = fit_initial(ds)[0]
+        solve_ml(ds.samples[:300], init)  # numpy's first-call set-up is not the solve's
+        assert traced_peak(lambda: solve_ml(ds, init)) < 45 * 8 * n
 
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
