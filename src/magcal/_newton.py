@@ -1,4 +1,6 @@
-"""Newton iteration shared by the nm and ml estimators."""
+"""Newton iteration shared by the nm and ml estimators, over a stack of independent problems."""
+
+import math
 
 import numpy as np
 
@@ -6,50 +8,140 @@ from .errors import DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
 
+def tr(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def stacked_positions(at: np.ndarray, width: int):
+    """positions(b): the flat positions ``at`` within each of b stacked rows of ``width`` entries.
+
+    The index arrays are made once per b, so that a fancy index into a stack
+    costs what it costs on one row.
+    """
+    made = {}
+
+    def positions(b: int) -> np.ndarray:
+        if b not in made:
+            made[b] = at + width * np.arange(b).reshape((b,) + (1,) * at.ndim)
+        return made[b]
+
+    return positions
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each item's inner product over the last axis, rounded as a 1-D ``a @ b`` rounds it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def solve_newton_system(hess, rhs) -> np.ndarray:
-    """Solve the symmetric Newton system by numpy's LU with partial pivoting.
+    """Solve symmetric Newton systems, one or a stack, by numpy's LU with partial pivoting.
 
-    An exactly singular factor raises LinAlgError. A non-finite system gives a NaN step, which
-    newton_solve calls divergence; LAPACK would call it singular, or even return a finite step.
+    An exactly singular factor raises LinAlgError, for a stack as soon as one
+    system is singular. A non-finite system gives a NaN step, which newton_solve
+    calls divergence; LAPACK would call it singular, or even return a finite step.
     """
-    if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
-        return np.full(rhs.shape, np.nan)
-    return np.linalg.solve(hess, rhs)
+    if np.isfinite(hess).all() and np.isfinite(rhs).all():
+        return np.linalg.solve(hess, rhs[..., None])[..., 0]
+    finite = np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+    out = np.full(rhs.shape, np.nan)
+    if finite.any():
+        out[finite] = np.linalg.solve(hess[finite], rhs[finite][..., None])[..., 0]
+    return out
 
 
-def newton_solve(x, opts: SolveOptions, objective, step, converged, finish) -> SolveReport:
-    """Full Newton steps from ``x`` until ``converged`` or max_iterations.
+def take(arrays: tuple, keep) -> tuple:
+    """The items ``keep`` (indices or a mask) of every array in a stack."""
+    return tuple(a[keep] for a in arrays)
 
-    ``objective(x)`` is called once per iterate, before ``converged(x, ...)``
-    and ``step(x)`` see that iterate, and is recorded in the history.
-    ``step(x)`` returns ``(delta, next_x)``. ``converged(x, delta, history)``
-    is asked before every step and after the last one; ``delta`` is None
-    before the first. ``finish(x)`` gives the report's final-estimate fields.
-    A singular Newton system raises SolverFailure and a non-finite objective
-    or step DivergenceError, both carrying the partial report.
+
+def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finish) -> list:
+    """Full Newton steps on a stack of B problems until each converges or hits max_iterations.
+
+    ``x`` is a tuple of arrays whose leading axis runs over the problems: the
+    iterate and the data it is fitted to. ``objective(x)`` returns ``(records,
+    cache)``: a tuple of per-item arrays to record, the first being the
+    objective, and a tuple of per-item arrays that ``converged`` and ``step``
+    then reuse. ``converged(values, previous, delta, cache)`` is asked of
+    every iterate, with the objectives of this and the previous iterate as
+    lists of floats, and gives a flag per item; ``previous`` and ``delta`` are
+    None before the first step. ``step(x, cache)`` returns ``(delta, next_x)``,
+    one flat step per item. ``finish(item, records)`` gives the report's
+    fields from one item's arrays and its recorded histories.
+
+    Returns one entry per problem, in order: a SolveReport, or the SolverFailure
+    (singular Newton system) or DivergenceError (non-finite objective or step)
+    that ends it, carrying the partial report. Finished problems leave the
+    stack; one problem's failure does not stop the others. A step that raises
+    LinAlgError is redone one problem at a time, so that only the singular
+    ones fail. Every item's numbers are those of its lone solve, as long as
+    the callbacks compute each item as they would alone.
     """
-    history = []
+    results = [None] * len(x[0])
+    histories = [[] for _ in results]
+    active = list(range(len(results)))  # problem index of each stacked item
+    previous = delta = None
 
-    def record(x) -> bool:
-        history.append(objective(x))
-        return np.isfinite(history[-1])
-
-    def report(iterations, done):
-        return SolveReport(history, iterations, done, **finish(x))
+    def end(local, iterations, done=False, error=None, message="", cause=None):
+        """Report stacked item ``local``; ``error`` is the failure class that ends it, if any."""
+        j = active[local]
+        records = tuple(zip(*histories[j]))
+        report = SolveReport(records[0], iterations, done, **finish(take(x, local), records))
+        results[j] = report if error is None else error(message, report)
+        if cause is not None:
+            results[j].__cause__ = cause
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not record(x):
-            raise DivergenceError("initial objective is non-finite", report(0, False))
-        delta = None
         for iteration in range(opts.max_iterations + 1):
-            if converged(x, delta, history):
-                return report(iteration, True)
-            if iteration == opts.max_iterations:
-                break
+            records, cache = objective(x)
+            values = []
+            for j, row in zip(active, zip(*[r.tolist() for r in records])):
+                histories[j].append(row)
+                values.append(row[0])
+            finite = list(map(math.isfinite, values))
+            if delta is not None:
+                finite = [a and b for a, b in zip(finite, np.isfinite(delta).all(axis=1).tolist())]
+            done = [a and b for a, b in zip(finite, converged(values, previous, delta, cache))]
+            delta = None  # not held while the next step is formed
+            last = iteration == opts.max_iterations
+            if last or any(done) or not all(finite):
+                message = ("initial objective is non-finite" if iteration == 0
+                           else "objective became non-finite")
+                for local, (ok, stop) in enumerate(zip(finite, done)):
+                    if not ok:
+                        end(local, iteration, error=DivergenceError, message=message)
+                    elif stop or last:
+                        end(local, iteration, done=stop)
+                keep = [local for local, (ok, stop) in enumerate(zip(finite, done))
+                        if ok and not stop]
+                if last or not keep:
+                    break
+                x, cache = take(x, keep), take(cache, keep)
+                active, values = [active[i] for i in keep], [values[i] for i in keep]
             try:
-                delta, x = step(x)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure("singular Newton system", report(iteration, False)) from exc
-            if not record(x) or not np.all(np.isfinite(delta)):
-                raise DivergenceError("objective became non-finite", report(iteration + 1, False))
-    return report(opts.max_iterations, False)
+                delta, next_x = step(x, cache)
+            except np.linalg.LinAlgError:
+                parts, keep = [], []
+                for local in range(len(active)):
+                    try:
+                        parts.append(step(take(x, [local]), take(cache, [local])))
+                        keep.append(local)
+                    except np.linalg.LinAlgError as exc:
+                        end(local, iteration, error=SolverFailure,
+                            message="singular Newton system", cause=exc)
+                if not parts:
+                    break
+                delta = np.concatenate([d for d, _ in parts])
+                next_x = tuple(np.concatenate(a) for a in zip(*(nx for _, nx in parts)))
+                active, values = [active[i] for i in keep], [values[i] for i in keep]
+            cache = None
+            x, previous = next_x, values
+            del next_x
+    return results
+
+
+def only(results: list) -> SolveReport:
+    """The report of a one-problem newton_solve, or its failure raised."""
+    if isinstance(results[0], SolverFailure):
+        raise results[0]
+    return results[0]

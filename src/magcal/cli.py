@@ -169,8 +169,8 @@ def cmd_timing(args) -> int:
     fileio.write_json(args.out_prefix + "_timing.json", fileio.timing_summary(rows))
     for row in rows:
         print(
-            f"N={row.n} {row.method}: {row.median_seconds * 1e3:.2f} ms "
-            f"({row.iterations} iterations)"
+            f"N={row.n} {row.method}: {row.median_seconds * 1e3:.2f} ms median, "
+            f"{row.min_seconds * 1e3:.2f} ms min ({row.iterations} iterations)"
         )
     return 0
 

@@ -16,10 +16,10 @@ import numpy as np
 from .errors import CalibrationError, SolverFailure
 from .initfit import fit_initial
 from .metrics import error_metrics
-from .ml import solve_ml
-from .nm import solve_nm
+from .ml import _CHUNK, solve_ml, solve_ml_batch
+from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
-from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
+from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, as_samples
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
@@ -39,8 +39,15 @@ def solve(method: str, data, init: CalibrationParams,
     _check_method(method)
     # The solvers are looked up by module-global name at call time, so a
     # rebinding of ``solve_nm``/``solve_ml`` here (as perfbench's tracer does)
-    # applies to every study and CLI solve.
+    # applies to every CLI and timing solve.
     return (solve_nm if method == "nm" else solve_ml)(data, init, opts)
+
+
+def _solve_batch(method: str, samples, inits) -> list:
+    """``method``'s reports, or failures, on a stack of problems: (B, N, 3) samples, B estimates."""
+    # Looked up at call time like ``solve``'s solvers: a rebinding of
+    # ``solve_nm_batch``/``solve_ml_batch`` here applies to every study solve.
+    return (solve_nm_batch if method == "nm" else solve_ml_batch)(samples, inits)
 
 
 def _check_alpha(alpha) -> None:
@@ -120,44 +127,62 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
     )
 
 
-def _outcome(method, dataset, init, truth_params=None) -> MethodOutcome:
-    """One solve as a study row; error metrics need ``truth_params``."""
-    try:
-        report = solve(method, dataset, init)
-    except SolverFailure as exc:
-        return _failed_outcome(str(exc), exc.report)
+def _outcome(result, truth_params=None) -> MethodOutcome:
+    """One solve's report, or its failure, as a study row; error metrics need ``truth_params``."""
+    if isinstance(result, SolverFailure):
+        return _failed_outcome(str(result), result.report)
     return MethodOutcome(
         failed=False,
         error=None,
-        converged=report.converged,
-        iterations=report.iterations,
-        final_objective=report.final_objective,
-        metrics=None if truth_params is None else error_metrics(report.final_params, truth_params),
+        converged=result.converged,
+        iterations=result.iterations,
+        final_objective=result.final_objective,
+        metrics=None if truth_params is None else error_metrics(result.final_params, truth_params),
     )
 
 
-def _run(args) -> tuple:
-    """Simulate, fit, perturb unless ``alpha`` is None, and solve: one run's (nm, ml) outcomes.
+def _run(args) -> list:
+    """Simulate, fit and perturb each run of a batch, then solve them as one stack.
 
-    The first item is the study's scene, (truth, trajectory, noise-free
-    samples), the same for every run. A Monte-Carlo run (``alpha`` None)
-    draws its noise from ``run_seq`` and is scored against ``truth_params``.
-    A sensitivity run splits ``run_seq`` into noise and perturbation-sign
-    seeds and is not scored.
+    Returns the runs' (nm, ml) outcomes, in order. The first item of ``args``
+    is the study's scene, (truth, trajectory, noise-free samples), the same
+    for every run; the last lists the runs as (alpha, run_seq) pairs. A
+    Monte-Carlo run (``alpha`` None) draws its noise from ``run_seq`` and is
+    scored against ``truth_params``. A sensitivity run splits ``run_seq`` into
+    noise and perturbation-sign seeds and is not scored. The runs whose fit
+    succeeds are solved as one stack by each method, with the numbers of lone
+    solves.
     """
-    (truth, trajectory, noise_free), truth_params, alpha, run_seq = args
-    noise_seq = run_seq
-    if alpha is not None:
-        noise_seq, sign_seq = run_seq.spawn(2)
-    dataset = simulate(truth, trajectory, noise_seq, noise_free)
-    try:
-        init, _ = fit_initial(dataset)
-    except CalibrationError as exc:
-        bad = _failed_outcome(f"init-fit failed: {exc}")
-        return bad, bad
-    if alpha is not None:
-        init = perturb_initial(init, alpha, sign_seq)
-    return _outcome("nm", dataset, init, truth_params), _outcome("ml", dataset, init, truth_params)
+    (truth, trajectory, noise_free), truth_params, runs = args
+    outcomes, solved, samples, inits = [None] * len(runs), [], [], []
+    for i, (alpha, run_seq) in enumerate(runs):
+        noise_seq = run_seq
+        if alpha is not None:
+            noise_seq, sign_seq = run_seq.spawn(2)
+        dataset = simulate(truth, trajectory, noise_seq, noise_free)
+        try:
+            init, _ = fit_initial(dataset)
+        except CalibrationError as exc:
+            bad = _failed_outcome(f"init-fit failed: {exc}")
+            outcomes[i] = bad, bad
+            continue
+        if alpha is not None:
+            init = perturb_initial(init, alpha, sign_seq)
+        solved.append(i)
+        samples.append(as_samples(dataset))
+        inits.append(init)
+    if solved:
+        samples = np.stack(samples)
+        nm, ml = (_solve_batch(method, samples, inits) for method in ("nm", "ml"))
+        for i, nm_result, ml_result in zip(solved, nm, ml):
+            outcomes[i] = _outcome(nm_result, truth_params), _outcome(ml_result, truth_params)
+    return outcomes
+
+
+def _batches(scene, truth_params, runs: list) -> list:
+    """The ``_run`` jobs of a study: its runs in order, as many a job as fill _CHUNK sample rows."""
+    size = max(1, _CHUNK // len(scene[1]))
+    return [(scene, truth_params, runs[i : i + size]) for i in range(0, len(runs), size)]
 
 
 def _scene(config: SimConfig) -> tuple:
@@ -167,7 +192,10 @@ def _scene(config: SimConfig) -> tuple:
 
 
 def _map(fn, jobs, workers: int) -> list:
-    """``fn`` over ``jobs`` in order, in one pool of at most ``workers`` processes."""
+    """``fn`` over ``jobs`` in order, in one pool of at most ``workers`` processes.
+
+    The jobs are ``_run`` batches, and their lists of outcomes are joined in order.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # A fork-context pool starts all max_workers processes at the first submit.
@@ -177,8 +205,8 @@ def _map(fn, jobs, workers: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            return [out for outs in pool.map(fn, jobs) for out in outs]
+    return [out for job in jobs for out in fn(job)]
 
 
 def run_monte_carlo(
@@ -196,7 +224,8 @@ def run_monte_carlo(
         raise ValueError("runs must be >= 1")
     scene, truth_params = _scene(config), config.truth.calibration()
     children = np.random.SeedSequence(seed).spawn(runs)
-    results = _map(_run, [(scene, truth_params, None, child) for child in children], workers)
+    results = _map(_run, _batches(scene, truth_params, [(None, child) for child in children]),
+                   workers)
     rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
     return MonteCarloResult(runs=rows, seed=seed, config=config)
 
@@ -257,11 +286,8 @@ def run_sensitivity(
     alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
 
     # One pool for the whole sweep; outcomes come back in (alpha, run) order.
-    jobs = [
-        (scene, None, alpha, run_seq)
-        for alpha, child in zip(alphas, alpha_children)
-        for run_seq in child.spawn(runs)
-    ]
+    jobs = _batches(scene, None, [(alpha, run_seq) for alpha, child in zip(alphas, alpha_children)
+                                  for run_seq in child.spawn(runs)])
     diverged = np.array([[o.failed or not o.final_objective <= limit
                           for o, limit in zip(pair, thresholds)]
                          for pair in _map(_run, jobs, workers)])
@@ -283,6 +309,7 @@ class TimingRow:
     n: int
     method: str
     median_seconds: float
+    min_seconds: float
     iterations: int
     seconds_per_iteration: float
 
@@ -294,7 +321,7 @@ def run_timing(
     methods: tuple = ("nm", "ml"),
     seed: int = 0,
 ) -> tuple:
-    """Median wall-clock solve time per (N, method).
+    """Median and fastest wall-clock solve time per (N, method).
 
     At each N, one warm-up solve per method precedes the timed repeats, which
     take the methods in turn (nm, ml, nm, ml, ...) so that every method is
@@ -326,6 +353,7 @@ def run_timing(
                     n=int(n),
                     method=method,
                     median_seconds=med,
+                    min_seconds=min(method_times),
                     iterations=report.iterations,
                     seconds_per_iteration=med / iters,
                 )

@@ -24,18 +24,17 @@ UPPER_VEC_INDICES = 3 * _COLS + _ROWS
 
 
 def pack_upper(m: np.ndarray) -> np.ndarray:
-    """Six free entries of an upper-triangular matrix, row-major."""
-    m = np.asarray(m, dtype=float)
-    return m[_ROWS, _COLS].copy()
+    """Six free entries of an upper-triangular matrix, row-major; of each in a stack."""
+    return np.asarray(m, dtype=float)[..., _ROWS, _COLS]  # a fancy index copies
 
 
 def unpack_upper(entries) -> np.ndarray:
-    """Rebuild the 3x3 upper-triangular matrix from its six free entries."""
+    """Rebuild the 3x3 upper-triangular matrix from its six free entries; a stack from a stack."""
     entries = np.asarray(entries, dtype=float)
-    if entries.shape != (6,):
+    if entries.shape[-1:] != (6,):
         raise ValueError(f"expected 6 entries, got shape {entries.shape}")
-    out = np.zeros((3, 3))
-    out[_ROWS, _COLS] = entries
+    out = np.zeros(entries.shape[:-1] + (3, 3))
+    out[..., _ROWS, _COLS] = entries
     return out
 
 

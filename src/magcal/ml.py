@@ -25,20 +25,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._newton import newton_solve, solve_newton_system
+from ._newton import dot, newton_solve, only, solve_newton_system, stacked_positions, take, tr
 from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper, unpack_upper
 from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
+_D = np.arange(3)
+# The shape of a start or an exit whose matrix has no finite inverse.
+_NAN_UPPER = np.triu(np.full((3, 3), np.nan))
 _ROWS, _COLS = np.array(UPPER_POSITIONS).T
 # The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
 # the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
 # head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. These are its flat
-# positions, and where each takes its value in [vec(m'm), sum m, n].
+# positions, and where each takes its value in [vec(m'm), sum m]; the 2 n I
+# block is the slice _HEAD_N.
 _SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
-_HEAD_AT = np.concatenate([9 * _SAME_P + _SAME_Q, 9 * np.arange(6) + 6 + _ROWS,
-                           54 + 9 * _ROWS + np.arange(6), [60, 70, 80]])
-_HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 + _COLS, [12] * 3])
+_HEAD_AT = stacked_positions(np.concatenate([9 * _SAME_P + _SAME_Q, 9 * np.arange(6) + 6 + _ROWS,
+                                             54 + 9 * _ROWS + np.arange(6)]), 81)
+_HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 + _COLS])
+_HEAD_N = slice(60, 81, 10)
 # Sample k couples to the head along eigenvector j through the 9x7 matrix
 # lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
 # lin[j, p, 3 + r_p] = -2 V[c_p, j] and lin[j, 6 + i, 6] = 2 (T V)[i, j]. These
@@ -48,7 +53,6 @@ _LIN_FROM = np.full((3, 9, 7), 18)
 _LIN_FROM[:, np.arange(6), _COLS] = 3 * _ROWS + _J
 _LIN_FROM[:, np.arange(6), 3 + _ROWS] = 9 + 3 * _COLS + _J
 _LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
-_ZERO = np.zeros(1)
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
@@ -57,78 +61,81 @@ _FALLBACK_RTOL = 1e-4
 _CHUNK = 2048
 
 
-def _assemble(state: MLState, samples: np.ndarray):
-    """Gradient and head Hessian of the Lagrangian, plus what the step needs.
+def _assemble(t, offset, dirs, lam, samples):
+    """Gradient and head Hessian of the Lagrangian at a stack of states, plus what the step needs.
 
-    Returns (g_head, g_m, g_lam, head, t, dirs, resid, lam): the 9-vector
-    head gradient, per-sample gradients (N,3) and (N,), the 9x9 head
-    Hessian, and T with the per-sample directions, residuals and
-    multipliers from which _step_block forms the per-sample blocks.
+    Takes the stacked state (T, h, directions, multipliers) and the (B, N, 3)
+    samples. Returns (g_head, g_m, g_lam, head, t, dirs, resid, lam), each with
+    a leading batch axis: the 9-vector head gradient, per-sample gradients
+    (N,3) and (N,), the 9x9 head Hessian, and T with the per-sample
+    directions, residuals and multipliers from which _step_block forms the
+    per-sample blocks.
     """
-    t = state.t_matrix
-    dirs = state.field_dirs
-    lam = state.lagrange
-    n = dirs.shape[0]
-    r = samples - state.offset - dirs @ t.T
+    b, n = lam.shape
+    r = samples - offset[:, None, :] - dirs @ tr(t)
 
-    g_t = -2.0 * (r.T @ dirs).ravel(order="F")[UPPER_VEC_INDICES]
-    g_h = -2.0 * r.sum(axis=0)
-    g_head = np.concatenate([g_t, g_h])
-    g_m = -2.0 * r @ t + 2.0 * lam[:, None] * dirs
-    g_lam = np.einsum("ij,ij->i", dirs, dirs) - 1.0
+    g_t = -2.0 * tr(tr(r) @ dirs).reshape(b, 9).take(UPPER_VEC_INDICES, axis=1)
+    # einsum sums each column in row order, as r.sum(axis=1) does, in half the time.
+    g_h = -2.0 * np.einsum("bij->bj", r)
+    g_head = np.concatenate([g_t, g_h], axis=1)
+    g_m = -2.0 * r @ t + 2.0 * lam[:, :, None] * dirs
+    g_lam = np.einsum("bij,bij->bi", dirs, dirs) - 1.0
 
-    head = np.zeros((9, 9))
-    moments = np.concatenate([(dirs.T @ dirs).ravel(), dirs.sum(axis=0), [n]])
-    head.ravel()[_HEAD_AT] = 2.0 * moments[_HEAD_FROM]
+    head = np.zeros((b, 81))
+    moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs)], axis=1)
+    head.reshape(-1)[_HEAD_AT(b)] = 2.0 * moments.take(_HEAD_FROM, axis=1)
+    head[:, _HEAD_N] = 2.0 * n
 
-    return g_head, g_m, g_lam, head, t, dirs, r, lam
+    return g_head, g_m, g_lam, head.reshape(b, 9, 9), t, dirs, r, lam
 
 
 def _block_inverses(ev, v, dirs, r, lam):
     """The closed-form block inverses of some sample rows, and their y_k.
 
     Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
-    bad_inv holds the flagged rows' inverted 4x4 blocks, or is None if no row
-    is flagged.
+    bad_inv holds the flagged rows' inverted 4x4 blocks, item by item, or is
+    None if no row is flagged.
     """
-    m_e = v.T @ dirs.T  # per-sample values in the eigenbasis are (3, rows)
-    a = 2.0 * (ev[:, None] + lam)
+    m_e = tr(v) @ tr(dirs)  # per-sample values in the eigenbasis are (B, 3, rows)
+    a = 2.0 * (ev[:, :, None] + lam[:, None, :])
     abs_a = np.abs(a)
-    bad = abs_a.min(axis=0) <= _FALLBACK_RTOL * abs_a.max(axis=0)
-    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=~bad) if bad.any() else 1.0 / a
+    bad = abs_a.min(axis=1) <= _FALLBACK_RTOL * abs_a.max(axis=1)
+    inv_a = (np.divide(1.0, a, out=np.zeros_like(a), where=~bad[:, None, :]) if bad.any()
+             else 1.0 / a)
     w = 2.0 * m_e * inv_a
     m_w = m_e * w
-    s = 2.0 * m_w.sum(axis=0)
-    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=0)
+    s = 2.0 * m_w.sum(axis=1)
+    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=1)
     bad_inv = None
     if bad.any():
-        inv_a[:, bad] = w[:, bad] = 0.0
+        tr(inv_a)[bad] = tr(w)[bad] = 0.0
         inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
         blocks = np.zeros((int(bad.sum()), 4, 4))
-        blocks[:, :3, :3] = _EYE3 * a[:, bad].T[:, None, :]
-        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * m_e[:, bad].T
+        blocks[:, :3, :3] = _EYE3 * tr(a)[bad][:, None, :]
+        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * tr(m_e)[bad]
         bad_inv = np.linalg.inv(blocks)
     else:
         inv_s = 1.0 / s
-    y = np.empty((7, lam.shape[0]))
-    y[:3], y[3:6], y[6] = dirs.T, r.T, 1.0
+    y = np.empty((lam.shape[0], 7, lam.shape[1]))
+    y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
     return inv_a, w, inv_s, bad, bad_inv, y
 
 
 def _solve_blocks(inverses, x, x_lam):
-    """Each row's block inverse applied to (x_k, x_lam_k); x is (3, rows) in the eigenbasis."""
+    """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
     inv_a, w, inv_s, bad, bad_inv, _ = inverses
-    c = (x_lam - (w * x).sum(axis=0)) * inv_s
-    out_m, out_lam = x * inv_a + w * c, -c
+    c = (x_lam - (w * x).sum(axis=1)) * inv_s
+    out_m, out_lam = x * inv_a + w * c[:, None, :], -c
     if bad_inv is not None:
-        sol = bad_inv @ np.vstack([x[:, bad], x_lam[bad]]).T[:, :, None]
-        out_m[:, bad], out_lam[bad] = sol[:, :3, 0].T, sol[:, 3, 0]
+        sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
+        tr(out_m)[bad], out_lam[bad] = sol[:, :3, 0], sol[:, 3, 0]
     return out_m, out_lam
 
 
 def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
-    """Newton step by Schur elimination of each (m_k, lambda_k) block onto the head.
+    """Newton steps by Schur elimination of each (m_k, lambda_k) block onto the head.
 
+    Takes _assemble's stacked output and gives one (9 + 4N) step per item.
     Every block is [[A_k, 2 m_k], [2 m_k', 0]] with A_k = 2 T'T + 2 lambda_k I,
     so one eigendecomposition T'T = V diag(ev) V' diagonalises all A_k. In
     that basis a block's inverse is [[diag(1/a) - w w'/s, w/s], [w'/s, -1/s]]
@@ -141,49 +148,83 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     The rows are taken _CHUNK at a time, so the temporaries are the size of
     one block: a first pass adds each block's part of the Schur complement
     and of its right-hand side, the 9x9 head system is solved once, and a
-    second pass back-substitutes each block into the step.
+    second pass back-substitutes each block into the step. An item whose T'T
+    is not finite gets a NaN step.
     """
-    n = g_lam.shape[0]
-    ttt = t.T @ t
-    if not np.all(np.isfinite(ttt)):
-        return np.full(9 + 4 * n, np.nan)  # overflow is divergence, not a singular system
+    b, n = g_lam.shape
+    ttt = tr(t) @ t
+    finite = np.isfinite(ttt).all(axis=(1, 2))
+    if not finite.all():  # overflow is divergence, not a singular system
+        step = np.full((b, 9 + 4 * n), np.nan)
+        if finite.any():
+            step[finite] = _step_block(*(a[finite] for a in (g_head, g_m, g_lam, head, t, dirs,
+                                                              r, lam)))
+        return step
     ev, v = np.linalg.eigh(ttt)
     tv = t @ v
-    lin = np.concatenate([(2.0 * tv).ravel(), (-2.0 * v).ravel(), _ZERO])[_LIN_FROM]
-    lin_flat = lin.transpose(1, 0, 2).reshape(9, 21)
+    # take keeps each item's lin contiguous, as a BLAS product needs it to round as for B = 1.
+    lin = np.concatenate([(2.0 * tv).reshape(b, 9), (-2.0 * v).reshape(b, 9), np.zeros((b, 1))],
+                         axis=1).take(_LIN_FROM, axis=1)
+    lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
 
-    blocks, total, fallback = [], None, None
+    blocks, total, fallback = [], None, [None] * b
     for lo in range(0, n, _CHUNK):
         span = slice(lo, lo + _CHUNK)
-        inverses = _block_inverses(ev, v, dirs[span], r[span], lam[span])
+        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
         inv_a, w, inv_s, bad, bad_inv, y = inverses
-        g_me = v.T @ g_m[span].T
-        z = lin_flat @ (w[:, None, :] * y).reshape(21, -1)
-        part = (((inv_a[:, None, :] * y).reshape(21, -1) @ y.T).reshape(3, 7, 7),
-                (z * inv_s) @ z.T, _solve_blocks(inverses, g_me, g_lam[span])[0] @ y.T)
+        moments = ((inv_a[:, :, None, :] * y[:, None]).reshape(b, 21, -1)
+                   @ tr(y)).reshape(b, 3, 7, 7)
+        z = lin_flat @ (w[:, :, None, :] * y[:, None]).reshape(b, 21, -1)
+        zz = (z * inv_s[:, None, :]) @ tr(z)
+        del z  # not held while the next temporaries are formed
+        g_me = tr(v) @ tr(g_m[:, span])
+        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
         # Each sum starts from its first block's part, so one block adds nothing.
-        total = part if total is None else [a + b for a, b in zip(total, part)]
+        total = part if total is None else [p + q for p, q in zip(total, part)]
         if bad_inv is not None:
-            g_bad = (lin @ y[:, bad]).transpose(2, 0, 1)
-            part = g_bad.reshape(-1, 9).T @ (bad_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
-            fallback = part if fallback is None else fallback + part
+            ends = np.cumsum(bad.sum(axis=1))
+            for i in np.flatnonzero(bad.any(axis=1)):
+                g_bad = (lin[i] @ y[i][:, bad[i]]).transpose(2, 0, 1)
+                item_inv = bad_inv[ends[i] - len(g_bad) : ends[i]]
+                part = g_bad.reshape(-1, 9).T @ (item_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
+                fallback[i] = part if fallback[i] is None else fallback[i] + part
         blocks.append((span, inverses, g_me))
     moments, zz, g_y = total
-    schur = head - (lin @ moments @ lin.transpose(0, 2, 1)).sum(axis=0) + zz
-    if fallback is not None:
-        schur -= fallback
+    schur = head - (lin @ moments @ tr(lin)).sum(axis=1) + zz
+    for i, part in enumerate(fallback):
+        if part is not None:
+            schur[i] -= part
 
-    rhs = -g_head + lin_flat @ g_y.ravel()
+    rhs = -g_head + (lin_flat @ g_y.reshape(b, 21, 1))[:, :, 0]
     d_head = solve_newton_system(schur, rhs)
-    d_lin = d_head @ lin
-    step = np.empty(9 + 4 * n)
-    step[:9] = d_head
-    d_dirs, d_lams = step[9 : 9 + 3 * n].reshape(n, 3), step[9 + 3 * n :]
+    d_lin = (d_head[:, None, None, :] @ lin)[:, :, 0, :]
+    step = np.empty((b, 9 + 4 * n))
+    step[:, :9] = d_head
+    d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
     for span, inverses, g_me in blocks:
-        d_m, d_lam = _solve_blocks(inverses, g_me + d_lin @ inverses[5], g_lam[span])
-        np.negative((v @ d_m).T, out=d_dirs[span])
-        np.negative(d_lam, out=d_lams[span])
+        d_m, d_lam = _solve_blocks(inverses, g_me + d_lin @ inverses[5], g_lam[:, span])
+        np.negative(tr(v @ d_m), out=d_dirs[:, span])
+        np.negative(d_lam, out=d_lams[:, span])
     return step
+
+
+def _initial_states(inits, samples: np.ndarray) -> tuple:
+    """The stacked starting states of the estimates ``inits`` on validated (B, N, 3) ``samples``.
+
+    Returns the iterate of _iterate: (T, h, directions, multipliers, samples).
+    The inverse shape matrix seeds T, the calibrated samples seed the field
+    directions, and all Lagrange multipliers start at zero. A start so far off
+    that the directions overflow, or whose shape has no finite inverse (a zero
+    diagonal or a non-finite entry; T is then NaN), is left to the solver,
+    which reports it as divergence.
+    """
+    shapes = np.array([p.shape for p in inits])
+    offsets = np.array([p.offset for p in inits])
+    with np.errstate(over="ignore", invalid="ignore"):
+        field_dirs = (samples - offsets[:, None, :]) @ tr(shapes)
+    invertible = np.isfinite(shapes).all(axis=(1, 2)) & shapes[:, _D, _D].all(axis=1)
+    t = np.array([invert_upper(r) if ok else _NAN_UPPER for r, ok in zip(shapes, invertible)])
+    return t, offsets, field_dirs, np.zeros(samples.shape[:2]), samples
 
 
 def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
@@ -195,15 +236,7 @@ def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
     finite inverse (a zero diagonal or a non-finite entry; t_matrix is then
     NaN), is left to the solver, which reports it as divergence.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        field_dirs = (samples - params.offset) @ params.shape.T
-    invertible = np.isfinite(params.shape).all() and np.diag(params.shape).all()
-    return MLState(
-        t_matrix=invert_upper(params.shape) if invertible else np.triu(np.full((3, 3), np.nan)),
-        offset=params.offset.copy(),
-        field_dirs=field_dirs,
-        lagrange=np.zeros(samples.shape[0]),
-    )
+    return MLState(*take(_initial_states([params], samples[None]), 0)[:4])
 
 
 def solve_ml(data, init: CalibrationParams, opts: SolveOptions | None = None) -> SolveReport:
@@ -213,49 +246,53 @@ def solve_ml(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     max_iterations is reached. Raises SolverFailure on singular systems and
     DivergenceError on non-finite values, both carrying the partial report.
     """
-    samples = as_samples(data)
-    return _iterate(samples, initial_ml_state(init, samples), opts)
+    return only(solve_ml_batch(as_samples(data)[None], [init], opts))
 
 
-def _iterate(samples: np.ndarray, init: MLState, opts: SolveOptions | None = None) -> SolveReport:
-    """solve_ml's Newton iteration from the ML state ``init`` of ``samples``."""
+def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None) -> list:
+    """solve_ml on a stack of problems: validated (B, N, 3) ``samples`` and B initial estimates.
+
+    Returns, per problem in order, its SolveReport or the SolverFailure that
+    ended it. Each problem's numbers are those of its lone solve_ml.
+    """
+    return _iterate(_initial_states(inits, samples), opts)
+
+
+def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
+    """solve_ml_batch's Newton iteration from the stacked iterate ``x`` of _initial_states."""
     opts = opts or SolveOptions()
-    n = len(samples)
-    assembly = None
-    violations = []
 
-    def objective(state):
+    def objective(x):
         # Assembled once per iterate; converged and step then reuse it.
-        nonlocal assembly
-        assembly = _assemble(state, samples)
+        assembly = _assemble(*x)
         g_lam, r = assembly[2], assembly[6]
-        violations.append(float(np.max(np.abs(g_lam))))
-        return float(np.einsum("ij,ij->", r, r))
+        return (np.einsum("bij,bij->b", r, r), np.abs(g_lam).max(axis=1)), assembly
 
-    def converged(state, delta, history):
+    def converged(values, previous, delta, assembly):
         g_head, g_m, g_lam = assembly[:3]
-        grad_norm = np.sqrt(g_head @ g_head + np.einsum("ij,ij->", g_m, g_m) + g_lam @ g_lam)
-        return grad_norm <= opts.gradient_tolerance
+        grad_norm = np.sqrt(dot(g_head, g_head) + np.einsum("bij,bij->b", g_m, g_m)
+                            + dot(g_lam, g_lam))
+        return (grad_norm <= opts.gradient_tolerance).tolist()
 
-    def step(state):
+    def step(x, assembly):
+        t, offset, dirs, lam, samples = x
+        n = lam.shape[1]
         delta = _step_block(*assembly)
-        return delta, MLState(
-            t_matrix=unpack_upper(pack_upper(state.t_matrix) + delta[:6]),
-            offset=state.offset + delta[6:9],
-            field_dirs=state.field_dirs + delta[9 : 9 + 3 * n].reshape(n, 3),
-            lagrange=state.lagrange + delta[9 + 3 * n :],
-        )
+        return delta, (unpack_upper(pack_upper(t) + delta[:, :6]), offset + delta[:, 6:9],
+                       dirs + delta[:, 9 : 9 + 3 * n].reshape(-1, n, 3),
+                       lam + delta[:, 9 + 3 * n :], samples)
 
-    def finish(state):
-        t, warn = state.t_matrix, ()
+    def finish(item, records):
+        t, offset, dirs, lam, _ = item
+        warn = ()
         if np.any(np.diag(t) <= 0.0):
             warn = ("t_matrix diagonal not strictly positive at exit",)
         # R = T^-1. A failed solve can stop at a T with no inverse; its report gets a NaN shape.
-        shape = np.triu(np.full((3, 3), np.nan))
+        shape = _NAN_UPPER.copy()
         if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
             shape = invert_upper(t)
-        params = CalibrationParams(shape, state.offset.copy())
-        return dict(final_params=params, final_state=state,
-                    constraint_violation_history=violations, warnings=warn)
+        params = CalibrationParams(shape, offset.copy())
+        return dict(final_params=params, final_state=MLState(t, offset, dirs, lam),
+                    constraint_violation_history=records[1], warnings=warn)
 
-    return newton_solve(init, opts, objective, step, converged, finish)
+    return newton_solve(x, opts, objective, step, converged, finish)

@@ -15,9 +15,11 @@ iteration and R stays exactly triangular.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._newton import newton_solve, solve_newton_system
+from ._newton import dot, newton_solve, only, solve_newton_system, stacked_positions, tr
 from .linalg import UPPER_VEC_INDICES, pack_upper, unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
@@ -26,8 +28,8 @@ _D = np.arange(3)
 # Entry 3 i + a of vec(R) is R[a, i]. Flat positions of the Kronecker terms
 # of the Hessian: kron(u2, I)[3i+a, 3j+a] = u2[i, j] in the 9x9 h_rr, as
 # [a, i, j], and kron(I, sv)[3i+a, i] = sv[a] in the 9x3 h_rh, as [i, a].
-_U2_AT = np.arange(81).reshape(3, 3, 3, 3)[:, _D, :, _D]
-_SV_AT = np.arange(27).reshape(3, 3, 3)[_D, :, _D]
+_U2_AT = stacked_positions(np.arange(81).reshape(3, 3, 3, 3)[:, _D, :, _D], 81)
+_SV_AT = stacked_positions(np.arange(27).reshape(3, 3, 3)[_D, :, _D], 27)
 # Flat positions of the 9x9 Hessian over [six shape entries, offset] in the
 # concatenated blocks h_rr (9x9), h_rh (9x3) and h_hh (3x3).
 _RR_AT = 9 * UPPER_VEC_INDICES[:, None] + UPPER_VEC_INDICES
@@ -37,36 +39,40 @@ _HESS_AT = np.block([[_RR_AT, _RH_AT], [_RH_AT.T, 108 + 3 * _D[:, None] + _D]])
 
 def nm_gradient_hessian(shape: np.ndarray, u: np.ndarray, v: np.ndarray,
                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient (9,) and Hessian (9, 9) of the objective at (R, h).
+    """Analytic gradients (B, 9) and Hessians (B, 9, 9) of the objective at a stack of (R, h).
 
-    R is ``shape``; the rows of ``u`` and ``v`` are y_k - h and R u_k over the
-    N samples y_k, and ``s`` holds the norm residuals ||v_k||^2 - 1. Derivatives
-    are assembled over the column-stacked 9-vector vec(R): the Kronecker-product
-    terms of the Hessian are added in place onto the matrix products at
-    precomputed flat positions, and the 9x9 over the layout [six shape
-    entries, offset] is gathered from those blocks, leaving out the three
-    excluded lower-triangular coordinates.
+    Each item's R is ``shape[b]``; the rows of ``u[b]`` and ``v[b]`` are y_k - h
+    and R u_k over its N samples y_k, and ``s[b]`` holds the norm residuals
+    ||v_k||^2 - 1. Derivatives are assembled over the column-stacked 9-vector
+    vec(R): the Kronecker-product terms of the Hessian are added in place onto
+    the matrix products at precomputed flat positions, and the 9x9 over the
+    layout [six shape entries, offset] is gathered from those blocks, leaving
+    out the three excluded lower-triangular coordinates.
     """
-    rtr = shape.T @ shape
-    p = u @ rtr                           # rows R'R u_k
-    su = u.T @ s                          # sum s_k u_k
-    sv = v.T @ s                          # sum s_k R u_k
+    b = len(s)
+    ut, sc = tr(u), s[:, :, None]
+    rtr = tr(shape) @ shape
+    p = u @ rtr                            # rows R'R u_k
+    su = ut @ sc                           # sum s_k u_k, as a column
+    sv = (tr(v) @ sc)[:, :, 0]             # sum s_k R u_k
 
-    g_shape = 4.0 * (v * s[:, None]).T @ u        # d f / d R as a matrix
-    g_offset = -4.0 * rtr @ su
-    grad_full = np.concatenate([g_shape.ravel(order="F"), g_offset])
+    g_shape = 4.0 * tr(v * sc) @ u         # d f / d R as a matrix
+    g_offset = (-4.0 * rtr @ su)[:, :, 0]
+    grad_full = np.concatenate([tr(g_shape).reshape(b, 9), g_offset], axis=1)
 
-    w = (u[:, :, None] * v[:, None, :]).reshape(len(u), 9)  # rows u_k (x) R u_k
-    u2 = u.T @ (u * s[:, None])                             # sum s_k u_k u_k'
-    h_rr = 8.0 * w.T @ w
-    h_rr.ravel()[_U2_AT] += 4.0 * u2       # + 4 kron(u2, I)
-    k_rh = su[:, None, None] * shape      # kron(su, R) as [i, a, j]
-    k_rh.ravel()[_SV_AT] += sv            # + kron(I, sv)
-    h_rh = -8.0 * w.T @ p - 4.0 * k_rh.reshape(9, 3)
-    h_hh = 4.0 * s.sum() * rtr + 8.0 * p.T @ p
+    h_hh = (4.0 * s.sum(axis=1))[:, None, None] * rtr + 8.0 * tr(p) @ p
+    w = np.einsum("bki,bka->bkia", u, v).reshape(b, -1, 9)  # rows u_k (x) R u_k
+    u2 = ut @ (u * sc)                                      # sum s_k u_k u_k'
+    w8 = 8.0 * tr(w)
+    h_rr = w8 @ w
+    h_rr.reshape(-1)[_U2_AT(b)] += 4.0 * u2[:, None]        # + 4 kron(u2, I)
+    k_rh = su[:, :, :, None] * shape[:, None]               # kron(su, R) as [i, a, j]
+    k_rh.reshape(-1)[_SV_AT(b)] += sv[:, None]              # + kron(I, sv)
+    # -4 k_rh - w8 p rounds as -8 w'p - 4 k_rh: negation is exact.
+    h_rh = -4.0 * k_rh.reshape(b, 9, 3) - w8 @ p
 
-    blocks = np.concatenate([h_rr.ravel(), h_rh.ravel(), h_hh.ravel()])
-    return grad_full[_FULL_INDICES], blocks[_HESS_AT]
+    blocks = np.concatenate([h_rr.reshape(b, 81), h_rh.reshape(b, 27), h_hh.reshape(b, 9)], axis=1)
+    return grad_full.take(_FULL_INDICES, axis=1), blocks.take(_HESS_AT, axis=1)
 
 
 def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) -> SolveReport:
@@ -77,30 +83,38 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     Newton system and DivergenceError when the objective turns non-finite;
     both carry the partial report.
     """
+    return only(solve_nm_batch(as_samples(data)[None], [init], opts))
+
+
+def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None) -> list:
+    """solve_nm on a stack of problems: validated (B, N, 3) ``samples`` and B initial estimates.
+
+    Returns, per problem in order, its SolveReport or the SolverFailure that
+    ended it. Each problem's numbers are those of its lone solve_nm.
+    """
     opts = opts or SolveOptions()
-    samples = as_samples(data)
-    residuals = None
 
-    def objective(params):
-        # Evaluated once per iterate; step then reuses the residuals.
-        nonlocal residuals
-        u = samples - params.offset
-        v = u @ params.shape.T
-        s = np.einsum("ij,ij->i", v, v) - 1.0
-        residuals = u, v, s
-        return float(s @ s)
+    def objective(x):
+        shape, offset, data = x
+        u = data - offset[:, None, :]
+        v = u @ tr(shape)
+        s = np.einsum("bij,bij->bi", v, v) - 1.0
+        return (dot(s, s),), (u, v, s)  # step reuses the residuals
 
-    def step(params):
-        grad, hess = nm_gradient_hessian(params.shape, *residuals)
+    def step(x, residuals):
+        shape, offset, data = x
+        grad, hess = nm_gradient_hessian(shape, *residuals)
         delta = solve_newton_system(hess, grad)
-        return delta, CalibrationParams(unpack_upper(pack_upper(params.shape) - delta[:6]),
-                                        params.offset - delta[6:])
+        return delta, (unpack_upper(pack_upper(shape) - delta[:, :6]), offset - delta[:, 6:], data)
 
-    def converged(params, delta, history):
-        return delta is not None and (
-            abs(history[-1] - history[-2]) <= opts.objective_tolerance
-            or np.linalg.norm(delta) <= opts.step_tolerance
-        )
+    def converged(values, previous, delta, residuals):
+        if delta is None:
+            return [False] * len(values)
+        # The step norm is taken only where the objective has not stalled, as a 1-D dot.
+        return [abs(f - f0) <= opts.objective_tolerance
+                or math.sqrt(d @ d) <= opts.step_tolerance
+                for f, f0, d in zip(values, previous, delta)]
 
-    return newton_solve(init, opts, objective, step, converged,
-                        lambda params: {"final_params": params})
+    x = (np.array([p.shape for p in inits]), np.array([p.offset for p in inits]), samples)
+    return newton_solve(x, opts, objective, step, converged,
+                        lambda item, records: {"final_params": CalibrationParams(*item[:2])})

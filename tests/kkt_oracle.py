@@ -28,11 +28,12 @@ def ml_objective(state: MLState, data) -> tuple[float, float]:
     return misfit, misfit + float(state.lagrange @ constraint)
 
 
-def ml_kkt_system(g_head, g_m, g_lam, head, t, dirs, resid, lam):
+def ml_kkt_system(*assembly, item=0):
     """Full KKT gradient and dense symmetric Hessian, dimension 4N+9.
 
-    Takes the tuple returned by magcal.ml._assemble.
+    Takes the stacked tuple returned by magcal.ml._assemble, and the index of the item.
     """
+    g_head, g_m, g_lam, head, t, dirs, resid, lam = (a[item] for a in assembly)
     n = g_lam.shape[0]
     # d^2L / dT_rc dm_kl = 2 (m_kc T_rl - delta_cl r_kr), row index 3c + r of vec(T).
     h_tm = 2.0 * (
@@ -57,6 +58,9 @@ def ml_kkt_system(g_head, g_m, g_lam, head, t, dirs, resid, lam):
 
 
 def step_dense(*assembly):
-    """Newton step from the dense system; a drop-in for magcal.ml._step_block."""
-    grad, hess = ml_kkt_system(*assembly)
-    return scipy.linalg.solve(hess, -grad, assume_a="sym")
+    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block."""
+    steps = []
+    for item in range(len(assembly[0])):
+        grad, hess = ml_kkt_system(*assembly, item=item)
+        steps.append(scipy.linalg.solve(hess, -grad, assume_a="sym"))
+    return np.stack(steps)

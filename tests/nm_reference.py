@@ -18,7 +18,9 @@ def nm_objective(params, samples) -> float:
 
 
 def nm_derivatives(params, samples):
-    """nm_gradient_hessian at ``params`` on (N, 3) ``samples``."""
+    """nm_gradient_hessian at ``params`` on (N, 3) ``samples``: one gradient and Hessian."""
     u = samples - params.offset
     v = u @ params.shape.T
-    return nm_gradient_hessian(params.shape, u, v, np.einsum("ij,ij->i", v, v) - 1.0)
+    s = np.einsum("ij,ij->i", v, v) - 1.0
+    grad, hess = nm_gradient_hessian(params.shape[None], u[None], v[None], s[None])
+    return grad[0], hess[0]

@@ -5,6 +5,8 @@ and dense-oracle comparisons need one flat vector instead:
 
     nm: [six free shape entries (11, 12, 13, 22, 23, 33), offset]        9
     ml: [six free T entries, offset, field_dirs row by row, lagrange]  4N+9
+
+``stacked`` gives one ML state the leading batch axis of magcal.ml's kernels.
 """
 
 import numpy as np
@@ -33,3 +35,9 @@ def state_from_vector(x: np.ndarray, n_samples: int) -> MLState:
         field_dirs=x[9 : 9 + 3 * n_samples].reshape(n_samples, 3).copy(),
         lagrange=x[9 + 3 * n_samples :].copy(),
     )
+
+
+def stacked(state: MLState, samples) -> tuple:
+    """``state`` and its (N, 3) ``samples`` as the B = 1 iterate of magcal.ml._iterate."""
+    return tuple(np.asarray(a, float)[None] for a in (state.t_matrix, state.offset,
+                                                      state.field_dirs, state.lagrange, samples))

@@ -23,7 +23,7 @@ from magcal.nm import solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState
 from nm_reference import nm_derivatives, nm_objective
-from packing import params_from_vector, state_from_vector, state_to_vector
+from packing import params_from_vector, stacked, state_from_vector, state_to_vector
 
 
 def test_1_noise_free_exact_recovery():
@@ -81,7 +81,7 @@ def test_2_analytic_derivatives_match_finite_differences():
             field_dirs=rng.normal(0, 1.0, (n, 3)),
             lagrange=rng.normal(0, 0.5, n),
         )
-        grad, _ = ml_kkt_system(*ml._assemble(state, samples))
+        grad, _ = ml_kkt_system(*ml._assemble(*stacked(state, samples)))
         grad_fd = fd_gradient(
             lambda v: ml_objective(state_from_vector(v, n), samples)[1],
             state_to_vector(state),
@@ -149,7 +149,7 @@ def test_6_block_elimination_matches_dense():
             lagrange=rng.normal(0, 0.5, n),
         )
         samples = rng.normal(0, 1.0, (n, 3))
-        assembly = ml._assemble(state, samples)
+        assembly = ml._assemble(*stacked(state, samples))
         block = ml._step_block(*assembly)
         dense = step_dense(*assembly)
         scale = np.max(np.abs(dense))

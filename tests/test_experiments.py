@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from magcal import experiments, fileio, ml
+from magcal.errors import DegenerateDataError
 from magcal.experiments import (
     perturb_initial,
     run_monte_carlo,
@@ -79,10 +80,11 @@ class TestPerturbInitial:
 
 class TestSolve:
     def test_solvers_looked_up_at_call_time(self, small_config, monkeypatch):
-        # Rebinding experiments.solve_nm/solve_ml reaches every study solve,
-        # as perfbench's tracer relies on.
+        # Rebinding experiments.solve_nm_batch/solve_ml_batch reaches every study
+        # solve, and solve_nm/solve_ml every timing solve, as perfbench's tracer
+        # relies on.
         calls = []
-        for name in ("solve_nm", "solve_ml"):
+        for name in ("solve_nm", "solve_ml", "solve_nm_batch", "solve_ml_batch"):
             real = getattr(experiments, name)
 
             def counted(*args, _real=real, _name=name):
@@ -92,9 +94,12 @@ class TestSolve:
             monkeypatch.setattr(experiments, name, counted)
         run_monte_carlo(small_config, runs=1, seed=1)
         run_sensitivity(small_config, [0.0], runs=1, seed=1)
+        # Each study solves its one batch by each method.
+        assert calls == ["solve_nm_batch", "solve_ml_batch"] * 2
+        calls.clear()
         run_timing(small_config, [60], repeats=1)
         # run_timing warms up each method, then times them in turn.
-        assert calls == ["solve_nm", "solve_ml"] * 4
+        assert calls == ["solve_nm", "solve_ml"] * 2
 
 
 class TestMonteCarlo:
@@ -131,7 +136,7 @@ class TestMonteCarlo:
 
     def test_non_finite_ml_step_becomes_failed_row(self, small_config, monkeypatch):
         monkeypatch.setattr(ml, "_step_block", lambda g_head, g_m, *rest: np.full(
-            9 + 4 * len(g_m), np.inf))
+            (len(g_m), 9 + 4 * g_m.shape[1]), np.inf))
         result = run_monte_carlo(small_config, runs=1, seed=5)
         assert result.failure_count("ml") == 1
         assert result.failure_count("nm") == 0
@@ -160,14 +165,50 @@ class TestMonteCarlo:
 
         # _map imports the pool class only when it needs one.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        serial = run_monte_carlo(small_config, runs=2, seed=6)
-        pooled = run_monte_carlo(small_config, runs=2, seed=6, workers=5000)
+        # A batch holds 2048 // 120 = 17 runs of this scenario, so 18 runs make two
+        # batches, and one batch none.
+        serial = run_monte_carlo(small_config, runs=18, seed=6)
+        pooled = run_monte_carlo(small_config, runs=18, seed=6, workers=5000)
+        run_monte_carlo(small_config, runs=17, seed=6, workers=2)
         assert sizes == [2]
         assert [r.ml.metrics for r in pooled.runs] == [r.ml.metrics for r in serial.runs]
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 run_monte_carlo(small_config, runs=2, seed=6, workers=workers)
         assert sizes == [2]
+
+
+class TestBatches:
+    def test_runs_fill_chunk_rows_in_order(self):
+        runs = list(range(50))
+        jobs = experiments._batches(experiments._scene(default_config()), None, runs)
+        assert [len(job[2]) for job in jobs] == [6] * 8 + [2]  # 2048 // 300 = 6 runs a batch
+        assert [run for job in jobs for run in job[2]] == runs
+        big = experiments._batches(experiments._scene(default_config(n=3000)), None, runs[:3])
+        assert [len(job[2]) for job in big] == [1, 1, 1]
+
+    def test_failed_fit_leaves_the_other_runs_of_its_batch(self, small_config, monkeypatch):
+        clean = run_monte_carlo(small_config, runs=5, seed=4)
+        calls = []
+        fit = experiments.fit_initial
+
+        def flaky(dataset):
+            calls.append(1)
+            if len(calls) in (2, 4):
+                raise DegenerateDataError("test")
+            return fit(dataset)
+
+        monkeypatch.setattr(experiments, "fit_initial", flaky)
+        result = run_monte_carlo(small_config, runs=5, seed=4)
+        assert [r.nm.error for r in result.runs] == [None, "init-fit failed: test", None,
+                                                     "init-fit failed: test", None]
+        for i in (0, 2, 4):
+            assert result.runs[i] == clean.runs[i]
+
+    def test_parallel_matches_serial_over_several_batches(self, small_config):
+        serial = run_monte_carlo(small_config, runs=18, seed=6, workers=1)
+        parallel = run_monte_carlo(small_config, runs=18, seed=6, workers=2)
+        assert parallel.runs == serial.runs
 
 
 class TestSensitivity:
@@ -226,7 +267,7 @@ class TestTiming:
             (60, "nm"), (60, "ml"), (120, "nm"), (120, "ml")
         ]
         for row in rows:
-            assert row.median_seconds > 0
+            assert 0 < row.min_seconds <= row.median_seconds
             assert row.iterations >= 1
             assert row.seconds_per_iteration <= row.median_seconds
 
@@ -288,17 +329,18 @@ class TestTiming:
         import time
 
         from kkt_oracle import step_dense
+        from packing import stacked
         from magcal.initfit import fit_initial
         from magcal.ml import initial_ml_state
         from magcal.simulate import default_truth, simulate, sweep_trajectory
 
         ds = simulate(default_truth(), sweep_trajectory(1000), seed=0)
         state = initial_ml_state(fit_initial(ds)[0], ds.samples)
-        ml._step_block(*ml._assemble(state, ds.samples))  # warm-up
+        ml._step_block(*ml._assemble(*stacked(state, ds.samples)))  # warm-up
         start = time.perf_counter()
-        ml._step_block(*ml._assemble(state, ds.samples))
+        ml._step_block(*ml._assemble(*stacked(state, ds.samples)))
         block_s = time.perf_counter() - start
         start = time.perf_counter()
-        step_dense(*ml._assemble(state, ds.samples))
+        step_dense(*ml._assemble(*stacked(state, ds.samples)))
         dense_s = time.perf_counter() - start
         assert dense_s > 10.0 * block_s

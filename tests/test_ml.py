@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from fd import fd_gradient, fd_jacobian
 from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
+from magcal._newton import only
 from magcal.errors import DivergenceError, SolverFailure
 from magcal.initfit import fit_initial
 from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
@@ -16,7 +17,7 @@ from magcal.ml import initial_ml_state, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState, SolveOptions
-from packing import state_from_vector, state_to_vector
+from packing import stacked, state_from_vector, state_to_vector
 
 
 def _random_state(rng, n):
@@ -32,8 +33,17 @@ def _random_state(rng, n):
     )
 
 
+def _assemble(state, samples):
+    return ml._assemble(*stacked(state, samples))
+
+
+def _iterate(samples, state, opts=None):
+    """solve_ml's Newton iteration from the ML state ``state``."""
+    return only(ml._iterate(stacked(state, samples), opts))
+
+
 def _kkt(state, samples):
-    return ml_kkt_system(*ml._assemble(state, samples))
+    return ml_kkt_system(*_assemble(state, samples))
 
 
 def _head_kron(dirs):
@@ -135,7 +145,7 @@ class TestAssembly:
         n = dirs.shape[0]
         state = _random_state(rng, n)
         state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
-        head = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))[3]
+        head = _assemble(state, rng.normal(0, 1.0, (n, 3)))[3][0]
         np.testing.assert_array_equal(head, _head_kron(dirs))
 
 
@@ -144,7 +154,7 @@ class TestNewtonStep:
     def test_block_elimination_equals_dense(self, n):
         rng = np.random.default_rng(n)
         state = _random_state(rng, n)
-        assembly = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))
+        assembly = _assemble(state, rng.normal(0, 1.0, (n, 3)))
         block = ml._step_block(*assembly)
         dense = step_dense(*assembly)
         scale = np.max(np.abs(dense))
@@ -188,7 +198,7 @@ class TestNewtonStep:
         # blocks, and 300 is 43 blocks; by default each n here is one block.
         rng = np.random.default_rng(n)
         state = _random_state(rng, n)
-        assembly = ml._assemble(state, rng.normal(0, 1.0, (n, 3)))
+        assembly = _assemble(state, rng.normal(0, 1.0, (n, 3)))
         whole = ml._step_block(*assembly)
         monkeypatch.setattr(ml, "_CHUNK", 7)
         blocked = ml._step_block(*assembly)
@@ -212,6 +222,23 @@ class TestNewtonStep:
         _assert_block_step_equals_dense(assembly)
 
 
+    def test_stacked_step_equals_lone_steps(self, monkeypatch):
+        # Items 0 and 2 have rows on the 4x4 fallback and item 1 has none. The
+        # stack inverts all three rows' blocks at once, and each item's step is
+        # bit for bit its step alone.
+        lone = [_shifted_assembly(12, 3, [0.0, 0.0], first=2)[0],
+                _shifted_assembly(12, 4, [])[0],
+                _shifted_assembly(12, 5, [0.0], first=9)[0]]
+        stacked = tuple(np.concatenate(parts) for parts in zip(*lone))
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+        steps = ml._step_block(*stacked)
+        assert inverted == [(3, 4, 4)]
+        for i, assembly in enumerate(lone):
+            np.testing.assert_array_equal(steps[i], ml._step_block(*assembly)[0])
+
+
 def _shifted_assembly(n, seed, shifts, first=0):
     """A random state whose rows from ``first`` on have lambda_k at -ev_j (1 + shift),
     and its assembly.
@@ -230,7 +257,7 @@ def _shifted_assembly(n, seed, shifts, first=0):
     t = state.t_matrix
     blocks[:, :3, :3] = 2.0 * t.T @ t + 2.0 * lam[:, None, None] * np.eye(3)
     blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * state.field_dirs
-    return ml._assemble(state, rng.normal(0, 1.0, (n, 3))), np.linalg.cond(blocks).max()
+    return _assemble(state, rng.normal(0, 1.0, (n, 3))), np.linalg.cond(blocks).max()
 
 
 def _assert_block_step_equals_dense(assembly):
@@ -293,7 +320,7 @@ class TestSolve:
     def test_starts_from_the_ml_state_of_the_estimate(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=11)
         init = fit_initial(ds)[0]
-        direct = ml._iterate(ds.samples, initial_ml_state(init, ds.samples))
+        direct = _iterate(ds.samples, initial_ml_state(init, ds.samples))
         report = solve_ml(ds, init)
         assert report.objective_history == direct.objective_history
         np.testing.assert_array_equal(state_to_vector(report.final_state),
@@ -314,7 +341,7 @@ class TestSolve:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         state = MLState(t_matrix=invert_upper(shape), offset=np.array([0.1, 0.2, 0.3]),
                         field_dirs=dirs, lagrange=np.zeros(12))
-        report = ml._iterate(dirs @ state.t_matrix.T + state.offset, state)
+        report = _iterate(dirs @ state.t_matrix.T + state.offset, state)
         assert report.iterations == 0
         np.testing.assert_allclose(report.final_params.shape, shape, atol=1e-12)
         np.testing.assert_array_equal(report.final_params.offset, state.offset)
@@ -328,7 +355,7 @@ class TestSolve:
             t_matrix=np.eye(3), offset=np.zeros(3), field_dirs=dirs, lagrange=np.zeros(n)
         )
         with pytest.raises(SolverFailure):
-            ml._iterate(rng.normal(0, 1, (n, 3)), state)
+            _iterate(rng.normal(0, 1, (n, 3)), state)
 
     def test_singular_schur_complement_raises(self):
         # Every field direction is e1: each (m_k, lambda_k) block is regular,
@@ -339,7 +366,7 @@ class TestSolve:
         state = MLState(t_matrix=np.eye(3), offset=np.zeros(3), field_dirs=dirs,
                         lagrange=np.full(n, 0.5))
         with pytest.raises(SolverFailure, match="singular Newton system") as exc_info:
-            ml._iterate(dirs.copy(), state)
+            _iterate(dirs.copy(), state)
         assert not isinstance(exc_info.value, DivergenceError)
         assert exc_info.value.report.iterations == 0
 
@@ -351,7 +378,7 @@ class TestSolve:
         state = MLState(t_matrix=t, offset=np.zeros(3), field_dirs=rng.normal(0, 1, (n, 3)),
                         lagrange=np.zeros(n))
         with pytest.raises(DivergenceError) as exc_info:
-            ml._iterate(rng.normal(0, 1, (n, 3)), state)
+            _iterate(rng.normal(0, 1, (n, 3)), state)
         report = exc_info.value.report
         assert report.iterations == 0
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
@@ -373,7 +400,8 @@ class TestSolve:
 
     def test_non_finite_step_raises_divergence(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        monkeypatch.setattr(ml, "_step_block", lambda *a: np.full(4 * ds.n_samples + 9, np.inf))
+        monkeypatch.setattr(ml, "_step_block",
+                            lambda *a: np.full((1, 4 * ds.n_samples + 9), np.inf))
         with pytest.raises(DivergenceError) as exc_info:
             solve_ml(ds, fit_initial(ds)[0], SolveOptions(gradient_tolerance=1e-300))
         assert exc_info.value.report.iterations == 1
@@ -390,7 +418,7 @@ class TestSolve:
             dirs = state.field_dirs * 10.0 ** rng.uniform(140, 155)
             state = MLState(state.t_matrix, state.offset, dirs, state.lagrange)
             try:
-                ml._iterate(rng.normal(0, 1.0, (n, 3)), state, SolveOptions(max_iterations=5))
+                _iterate(rng.normal(0, 1.0, (n, 3)), state, SolveOptions(max_iterations=5))
             except DivergenceError:
                 diverged += 1
         assert diverged > 50
@@ -403,7 +431,7 @@ class TestSolve:
         state = MLState(t_matrix=np.diag([1.0, 0.0, 1.0]), offset=np.zeros(3),
                         field_dirs=dirs, lagrange=np.zeros(n))
         with pytest.raises(SolverFailure) as exc_info:
-            ml._iterate(rng.normal(0, 1, (n, 3)), state)
+            _iterate(rng.normal(0, 1, (n, 3)), state)
         report = exc_info.value.report
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
         assert report.warnings
@@ -418,12 +446,14 @@ class TestSolve:
     def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
         # The iterates, assembly and step are about 20 N-vectors of 8N bytes; the
         # step's per-sample temporaries, one row block at a time, add about 20
-        # more. Eliminating all N rows at once peaked at 70.
+        # more, and the solve holds neither its start nor the last step while it
+        # forms the next (38 here, 42 when it held both). Eliminating all N rows
+        # at once peaked at 70.
         n = 30_000
         ds = simulate(default_scene["truth"], sweep_trajectory(n), seed=7)
         init = fit_initial(ds)[0]
         solve_ml(ds.samples[:300], init)  # numpy's first-call set-up is not the solve's
-        assert traced_peak(lambda: solve_ml(ds, init)) < 45 * 8 * n
+        assert traced_peak(lambda: solve_ml(ds, init)) < 40 * 8 * n
 
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)

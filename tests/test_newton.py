@@ -1,4 +1,5 @@
-"""The Newton driver's 9x9 symmetric solve, and the warnings its solves let out."""
+"""The Newton driver: its 9x9 symmetric solve, its stacks of problems, and the warnings its
+solves let out."""
 
 import warnings
 
@@ -10,8 +11,14 @@ from hypothesis import strategies as st
 
 import test_ml
 import test_nm
-from magcal._newton import solve_newton_system
+from magcal import ml, nm
+from magcal._newton import solve_newton_system, take
 from magcal.cli import main
+from magcal.errors import DivergenceError, SolverFailure
+from magcal.initfit import fit_initial
+from magcal.simulate import default_truth, simulate, sweep_trajectory
+from magcal.types import CalibrationParams
+from packing import state_to_vector
 
 
 def _scipy_step(hess, rhs):
@@ -109,3 +116,98 @@ def test_failing_solves_and_planar_calibrate_emit_no_warnings(tmp_path):
         assert main(["simulate", "--seed", "2", "--tilt", "0", "--out", str(data)]) == 0
         main(["calibrate", "--input", str(data), "--method", "both", "--out", str(report)])
     assert report.exists()
+
+
+def _mixed_batch():
+    """A stack of N = 300 problems that end in every way a solve can, and their estimates.
+
+    Items 0-1 converge (tilt 20). Items 2-4 are the tilt-5 seeds 1005, 1007
+    and 1011, where ml reaches the 50-iteration cap. Item 5 starts from a shape
+    with a zero diagonal, which ml cannot invert: divergence at iteration 0.
+    Item 6 has every sample at the offset, so nm's Hessian and ml's 4x4 blocks
+    are singular. Item 7 is a tilt-20 run that ml starts with forced fallback rows.
+    """
+    samples, inits = [], []
+    for tilt, seed in [(20, 7), (20, 8), (5, 1005), (5, 1007), (5, 1011), (20, 9), (20, 10),
+                       (20, 11)]:
+        ds = simulate(default_truth(), sweep_trajectory(300, tilt), seed=seed)
+        samples.append(ds.samples)
+        inits.append(fit_initial(ds)[0])
+    shape = inits[5].shape.copy()
+    shape[1, 1] = 0.0
+    inits[5] = CalibrationParams(shape, inits[5].offset)
+    samples[6] = np.zeros((300, 3))
+    inits[6] = CalibrationParams(np.eye(3), np.zeros(3))
+    return np.stack(samples), inits
+
+
+def _ml_start(samples, inits):
+    """ml's stacked start, with item 7's first rows at lambda_k = -ev_j, which take the fallback."""
+    x = ml._initial_states(inits, samples)
+    t = x[0][7]
+    x[3][7, :3] = -np.linalg.eigvalsh(t.T @ t)
+    return x
+
+
+def _summary(result):
+    """What a solve reports, bit for bit: the outcome, its message, histories and estimate."""
+    failed = isinstance(result, SolverFailure)
+    report = result.report if failed else result
+    state = report.final_state
+    return (type(result).__name__, str(result) if failed else None, report.iterations,
+            report.converged, report.warnings,
+            np.asarray(report.objective_history).tobytes(),
+            np.asarray(report.constraint_violation_history).tobytes(),
+            report.final_params.shape.tobytes(), report.final_params.offset.tobytes(),
+            None if state is None else state_to_vector(state).tobytes())
+
+
+def _lone_nm(samples, init):
+    try:
+        return nm.solve_nm(samples, init)
+    except SolverFailure as exc:
+        return exc
+
+
+@pytest.mark.parametrize("method", ["nm", "ml"])
+def test_stacked_solves_equal_lone_solves_in_either_order(method, monkeypatch):
+    samples, inits = _mixed_batch()
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+    if method == "nm":
+        batch = nm.solve_nm_batch(samples, inits)
+        reverse = nm.solve_nm_batch(samples[::-1], inits[::-1])[::-1]
+        lone = [_lone_nm(s, init) for s, init in zip(samples, inits)]
+    else:
+        x = _ml_start(samples, inits)
+        batch = ml._iterate(x)
+        reverse = ml._iterate(take(x, slice(None, None, -1)))[::-1]
+        lone = [ml._iterate(take(x, [i]))[0] for i in range(len(inits))]
+    for i, (b, r, one) in enumerate(zip(batch, reverse, lone)):
+        assert _summary(b) == _summary(one) == _summary(r), f"item {i}"
+
+    kinds = [type(r).__name__ if isinstance(r, SolverFailure) else r.converged for r in batch]
+    assert kinds[:2] == [True, True]
+    assert isinstance(batch[6], SolverFailure) and not isinstance(batch[6], DivergenceError)
+    assert str(batch[6]) == "singular Newton system"
+    if method == "ml":
+        assert kinds[2:5] == [False] * 3
+        assert all(r.iterations == 50 for r in batch[2:5])
+        assert kinds[5] == "DivergenceError" and batch[5].report.iterations == 0
+        assert str(batch[5]) == "initial objective is non-finite"
+        assert inverted  # item 7's fallback rows invert their own 4x4 blocks
+    if method == "nm":
+        assert not inverted
+
+
+def test_stacked_ml_solves_equal_solve_ml():
+    samples, inits = _mixed_batch()
+    keep = [0, 2, 5, 6]
+    batch = ml.solve_ml_batch(samples[keep], [inits[i] for i in keep])
+    for b, i in zip(batch, keep):
+        try:
+            one = ml.solve_ml(samples[i], inits[i])
+        except SolverFailure as exc:
+            one = exc
+        assert _summary(b) == _summary(one)

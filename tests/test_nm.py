@@ -120,7 +120,7 @@ class TestSolve:
         opts = SolveOptions(max_iterations=3, objective_tolerance=1e-300, step_tolerance=1e-300)
         report = solve_nm(ds, fit_initial(ds)[0], opts)
         assert len(residuals) == report.iterations == 3
-        assert [s @ s for s in residuals] == list(report.objective_history[:3])
+        assert [s[0] @ s[0] for s in residuals] == list(report.objective_history[:3])
         reference = nm_objective(report.final_params, ds.samples)
         assert report.final_objective == pytest.approx(reference, rel=1e-12)
 
