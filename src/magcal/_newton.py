@@ -7,26 +7,12 @@ import numpy as np
 from .errors import DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
+CHUNK = 2048  # rows a block in the solvers' per-sample passes, so temporaries stay bounded
+
 
 def tr(a: np.ndarray) -> np.ndarray:
     """The transpose of each matrix in a stack."""
     return a.swapaxes(-1, -2)
-
-
-def stacked_positions(at: np.ndarray, width: int):
-    """positions(b): the flat positions ``at`` within each of b stacked rows of ``width`` entries.
-
-    The index arrays are made once per b, so that a fancy index into a stack
-    costs what it costs on one row.
-    """
-    made = {}
-
-    def positions(b: int) -> np.ndarray:
-        if b not in made:
-            made[b] = at + width * np.arange(b).reshape((b,) + (1,) * at.ndim)
-        return made[b]
-
-    return positions
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,6 +75,7 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
         report = SolveReport(records[0], iterations, done, **finish(take(x, local), records))
         results[j] = report if error is None else error(message, report)
         if cause is not None:
+            cause.__traceback__ = cause.__context__ = None  # a cycle through this frame and x
             results[j].__cause__ = cause
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,10 +13,11 @@ from statistics import median
 
 import numpy as np
 
+from ._newton import CHUNK
 from .errors import CalibrationError, SolverFailure
 from .initfit import fit_initial
 from .metrics import error_metrics
-from .ml import _CHUNK, solve_ml, solve_ml_batch
+from .ml import solve_ml, solve_ml_batch
 from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
 from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, as_samples
@@ -142,7 +143,7 @@ def _outcome(result, truth_params=None) -> MethodOutcome:
 
 
 def _run(args) -> list:
-    """Simulate, fit and perturb each run of a batch, then solve them as one stack.
+    """Simulate, fit and perturb each run of a job, then solve them in stacks.
 
     Returns the runs' (nm, ml) outcomes, in order. The first item of ``args``
     is the study's scene, (truth, trajectory, noise-free samples), the same
@@ -150,11 +151,12 @@ def _run(args) -> list:
     Monte-Carlo run (``alpha`` None) draws its noise from ``run_seq`` and is
     scored against ``truth_params``. A sensitivity run splits ``run_seq`` into
     noise and perturbation-sign seeds and is not scored. The runs whose fit
-    succeeds are solved as one stack by each method, with the numbers of lone
-    solves.
+    succeeds are solved, with the numbers of lone solves, by nm as one stack
+    and by ml in stacks of at most CHUNK rows; no stack's reports outlive it.
     """
     (truth, trajectory, noise_free), truth_params, runs = args
-    outcomes, solved, samples, inits = [None] * len(runs), [], [], []
+    outcomes, solved, inits = [None] * len(runs), [], []
+    samples = np.empty((len(runs),) + noise_free.shape)  # the solved runs' samples, in order
     for i, (alpha, run_seq) in enumerate(runs):
         noise_seq = run_seq
         if alpha is not None:
@@ -168,20 +170,28 @@ def _run(args) -> list:
             continue
         if alpha is not None:
             init = perturb_initial(init, alpha, sign_seq)
+        samples[len(solved)] = as_samples(dataset)
         solved.append(i)
-        samples.append(as_samples(dataset))
         inits.append(init)
-    if solved:
-        samples = np.stack(samples)
-        nm, ml = (_solve_batch(method, samples, inits) for method in ("nm", "ml"))
-        for i, nm_result, ml_result in zip(solved, nm, ml):
-            outcomes[i] = _outcome(nm_result, truth_params), _outcome(ml_result, truth_params)
+    samples, size = samples[: len(solved)], max(1, CHUNK // len(trajectory))
+    nm = [_outcome(r, truth_params) for r in _solve_batch("nm", samples, inits)] if solved else []
+    for lo in range(0, len(solved), size):
+        ml = _solve_batch("ml", samples[lo : lo + size], inits[lo : lo + size])
+        for i, nm_outcome, ml_result in zip(solved[lo:], nm[lo:], ml):
+            outcomes[i] = nm_outcome, _outcome(ml_result, truth_params)
+        del ml  # not held while the next stack solves
     return outcomes
 
 
-def _batches(scene, truth_params, runs: list) -> list:
-    """The ``_run`` jobs of a study: its runs in order, as many a job as fill _CHUNK sample rows."""
-    size = max(1, _CHUNK // len(scene[1]))
+def _batches(scene, truth_params, runs: list, workers: int) -> list:
+    """The ``_run`` jobs of a study: its runs in order, up to 4 CHUNK sample rows a job.
+
+    A job holds at least one run, and there are at least ``workers`` jobs when
+    there are that many runs.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    size = min(max(1, 4 * CHUNK // len(scene[1])), -(-len(runs) // workers))
     return [(scene, truth_params, runs[i : i + size]) for i in range(0, len(runs), size)]
 
 
@@ -194,10 +204,8 @@ def _scene(config: SimConfig) -> tuple:
 def _map(fn, jobs, workers: int) -> list:
     """``fn`` over ``jobs`` in order, in one pool of at most ``workers`` processes.
 
-    The jobs are ``_run`` batches, and their lists of outcomes are joined in order.
+    The jobs are ``_run`` jobs, and their lists of outcomes are joined in order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     # A fork-context pool starts all max_workers processes at the first submit.
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -224,8 +232,8 @@ def run_monte_carlo(
         raise ValueError("runs must be >= 1")
     scene, truth_params = _scene(config), config.truth.calibration()
     children = np.random.SeedSequence(seed).spawn(runs)
-    results = _map(_run, _batches(scene, truth_params, [(None, child) for child in children]),
-                   workers)
+    results = _map(_run, _batches(scene, truth_params, [(None, child) for child in children],
+                                  workers), workers)
     rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
     return MonteCarloResult(runs=rows, seed=seed, config=config)
 
@@ -287,7 +295,7 @@ def run_sensitivity(
 
     # One pool for the whole sweep; outcomes come back in (alpha, run) order.
     jobs = _batches(scene, None, [(alpha, run_seq) for alpha, child in zip(alphas, alpha_children)
-                                  for run_seq in child.spawn(runs)])
+                                  for run_seq in child.spawn(runs)], workers)
     diverged = np.array([[o.failed or not o.final_objective <= limit
                           for o, limit in zip(pair, thresholds)]
                          for pair in _map(_run, jobs, workers)])

@@ -13,35 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .linalg import cholesky_upper
+from .linalg import UPPER_POSITIONS, cholesky_upper
 from .types import CalibrationParams, as_samples
 
 MIN_SAMPLES = 10
+_ROWS, _COLS = np.array(UPPER_POSITIONS).T
+_QUADRATIC_FACTOR = np.where(_ROWS == _COLS, 1.0, 2.0)
 
 
 def _design_matrix(samples: np.ndarray) -> np.ndarray:
-    """Linear-system rows, one per sample: [quadratic monomials, y, 1].
+    """Linear-system rows, one per sample of (..., N, 3) ``samples``: [quadratic monomials, y, 1].
 
     The six quadratic columns follow the row-major upper-triangular order
     (11, 12, 13, 22, 23, 33); each off-diagonal column carries the factor 2
     for its merged symmetric counterpart, so the solved coefficients are
     the entries of A directly.
     """
-    y1, y2, y3 = samples[:, 0], samples[:, 1], samples[:, 2]
-    return np.column_stack(
-        [
-            y1 * y1,
-            2 * y1 * y2,
-            2 * y1 * y3,
-            y2 * y2,
-            2 * y2 * y3,
-            y3 * y3,
-            y1,
-            y2,
-            y3,
-            np.ones(len(samples)),
-        ]
-    )
+    quadratic = samples[..., _ROWS] * samples[..., _COLS] * _QUADRATIC_FACTOR
+    return np.concatenate([quadratic, samples, np.ones(samples.shape[:-1] + (1,))], axis=-1)
 
 
 def _sym_from_packed(z6: np.ndarray) -> np.ndarray:

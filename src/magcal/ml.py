@@ -8,7 +8,7 @@ estimate has dimension 4N+9 with the layout
     x = [six T entries, h, m_1 .. m_N, lambda_1 .. lambda_N].
 
 ``solve_ml`` starts from a shape/offset estimate (R, h), which
-``initial_ml_state`` maps onto this state with T = R^-1, and reports its
+``_initial_states`` maps onto this state with T = R^-1, and reports its
 estimate back as R = T^-1.
 
 The KKT Hessian is an arrowhead matrix: each (m_k, lambda_k) 4x4 block
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._newton import dot, newton_solve, only, solve_newton_system, stacked_positions, take, tr
+from ._newton import CHUNK as _CHUNK  # _step_block's rows a block: N <= _CHUNK is one block
+from ._newton import dot, newton_solve, only, solve_newton_system, tr
 from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper, unpack_upper
 from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
 
@@ -36,14 +37,13 @@ _NAN_UPPER = np.triu(np.full((3, 3), np.nan))
 _ROWS, _COLS = np.array(UPPER_POSITIONS).T
 # The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
 # the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
-# head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. These are its flat
-# positions, and where each takes its value in [vec(m'm), sum m]; the 2 n I
-# block is the slice _HEAD_N.
+# head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. This is where each entry
+# takes its half in [vec(m'm), sum m, n, 0].
 _SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
-_HEAD_AT = stacked_positions(np.concatenate([9 * _SAME_P + _SAME_Q, 9 * np.arange(6) + 6 + _ROWS,
-                                             54 + 9 * _ROWS + np.arange(6)]), 81)
-_HEAD_FROM = np.concatenate([3 * _COLS[_SAME_P] + _COLS[_SAME_Q], 9 + _COLS, 9 + _COLS])
-_HEAD_N = slice(60, 81, 10)
+_HEAD_FROM = np.full((9, 9), 13)
+_HEAD_FROM[_SAME_P, _SAME_Q] = 3 * _COLS[_SAME_P] + _COLS[_SAME_Q]
+_HEAD_FROM[np.arange(6), 6 + _ROWS] = _HEAD_FROM[6 + _ROWS, np.arange(6)] = 9 + _COLS
+_HEAD_FROM[6 + _D, 6 + _D] = 12
 # Sample k couples to the head along eigenvector j through the 9x7 matrix
 # lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
 # lin[j, p, 3 + r_p] = -2 V[c_p, j] and lin[j, 6 + i, 6] = 2 (T V)[i, j]. These
@@ -56,9 +56,6 @@ _LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
-# _step_block eliminates the sample rows this many at a time, so that its
-# per-sample temporaries do not grow with N. A step at N <= _CHUNK is one block.
-_CHUNK = 2048
 
 
 def _assemble(t, offset, dirs, lam, samples):
@@ -81,12 +78,11 @@ def _assemble(t, offset, dirs, lam, samples):
     g_m = -2.0 * r @ t + 2.0 * lam[:, :, None] * dirs
     g_lam = np.einsum("bij,bij->bi", dirs, dirs) - 1.0
 
-    head = np.zeros((b, 81))
-    moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs)], axis=1)
-    head.reshape(-1)[_HEAD_AT(b)] = 2.0 * moments.take(_HEAD_FROM, axis=1)
-    head[:, _HEAD_N] = 2.0 * n
+    moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs),
+                              np.full((b, 1), float(n)), np.zeros((b, 1))], axis=1)
+    head = 2.0 * moments.take(_HEAD_FROM, axis=1)
 
-    return g_head, g_m, g_lam, head.reshape(b, 9, 9), t, dirs, r, lam
+    return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
 def _block_inverses(ev, v, dirs, r, lam):
@@ -116,6 +112,7 @@ def _block_inverses(ev, v, dirs, r, lam):
         bad_inv = np.linalg.inv(blocks)
     else:
         inv_s = 1.0 / s
+    del abs_a, m_w, m_e, a  # not held while y is formed
     y = np.empty((lam.shape[0], 7, lam.shape[1]))
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
     return inv_a, w, inv_s, bad, bad_inv, y
@@ -125,7 +122,8 @@ def _solve_blocks(inverses, x, x_lam):
     """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
     inv_a, w, inv_s, bad, bad_inv, _ = inverses
     c = (x_lam - (w * x).sum(axis=1)) * inv_s
-    out_m, out_lam = x * inv_a + w * c[:, None, :], -c
+    out_m, out_lam = x * inv_a, -c
+    out_m += w * c[:, None, :]
     if bad_inv is not None:
         sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
         tr(out_m)[bad], out_lam[bad] = sol[:, :3, 0], sol[:, 3, 0]
@@ -172,11 +170,15 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
         span = slice(lo, lo + _CHUNK)
         inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
         inv_a, w, inv_s, bad, bad_inv, y = inverses
-        moments = ((inv_a[:, :, None, :] * y[:, None]).reshape(b, 21, -1)
-                   @ tr(y)).reshape(b, 3, 7, 7)
-        z = lin_flat @ (w[:, :, None, :] * y[:, None]).reshape(b, 21, -1)
-        zz = (z * inv_s[:, None, :]) @ tr(z)
+        rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
+        step_items = max(1, _CHUNK // (2 * rows))  # (items, 21, rows) products of <= _CHUNK/2 rows
+        for g in (slice(i, i + step_items) for i in range(0, b, step_items)):
+            np.matmul((inv_a[g, :, None, :] * y[g, None]).reshape(-1, 21, rows), tr(y[g]),
+                      out=moments[g])
+            z = lin_flat[g] @ (w[g, :, None, :] * y[g, None]).reshape(-1, 21, rows)
+            np.matmul(z * inv_s[g, None, :], tr(z), out=zz[g])
         del z  # not held while the next temporaries are formed
+        moments = moments.reshape(b, 3, 7, 7)
         g_me = tr(v) @ tr(g_m[:, span])
         part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
         # Each sum starts from its first block's part, so one block adds nothing.
@@ -202,7 +204,10 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
     for span, inverses, g_me in blocks:
-        d_m, d_lam = _solve_blocks(inverses, g_me + d_lin @ inverses[5], g_lam[:, span])
+        d_x = d_lin @ inverses[5]
+        d_x += g_me
+        d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span])
+        del d_x
         np.negative(tr(v @ d_m), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
     return step
@@ -225,18 +230,6 @@ def _initial_states(inits, samples: np.ndarray) -> tuple:
     invertible = np.isfinite(shapes).all(axis=(1, 2)) & shapes[:, _D, _D].all(axis=1)
     t = np.array([invert_upper(r) if ok else _NAN_UPPER for r, ok in zip(shapes, invertible)])
     return t, offsets, field_dirs, np.zeros(samples.shape[:2]), samples
-
-
-def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
-    """Starting point for the maximum-likelihood solver from validated (N, 3) ``samples``.
-
-    The inverse shape matrix seeds t_matrix, the calibrated samples seed
-    the field directions, and all Lagrange multipliers start at zero. A
-    start so far off that the directions overflow, or whose shape has no
-    finite inverse (a zero diagonal or a non-finite entry; t_matrix is then
-    NaN), is left to the solver, which reports it as divergence.
-    """
-    return MLState(*take(_initial_states([params], samples[None]), 0)[:4])
 
 
 def solve_ml(data, init: CalibrationParams, opts: SolveOptions | None = None) -> SolveReport:
@@ -292,7 +285,8 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
             shape = invert_upper(t)
         params = CalibrationParams(shape, offset.copy())
-        return dict(final_params=params, final_state=MLState(t, offset, dirs, lam),
+        state = MLState(*(a.copy() for a in (t, offset, dirs, lam)))  # views would hold the stack
+        return dict(final_params=params, final_state=state,
                     constraint_violation_history=records[1], warnings=warn)
 
     return newton_solve(x, opts, objective, step, converged, finish)

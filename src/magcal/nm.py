@@ -2,11 +2,16 @@
 
 Minimizes f(R, h) = sum_k (1 - ||R (y_k - h)||^2)^2 over the six free
 entries of the upper-triangular shape matrix R and the offset h, using
-analytic first and second derivatives (a few N-row matrix products per
-iteration) and full Newton steps. There is no damping or line search: from
-a good initial estimate the iteration converges in a handful of steps,
-while a poor one surfaces quickly as divergence (which the sensitivity
-experiments count) instead of being masked by globalization.
+analytic first and second derivatives and full Newton steps. There is no
+damping or line search: from a good initial estimate the iteration
+converges in a handful of steps, while a poor one surfaces quickly as
+divergence (which the sensitivity experiments count) instead of being
+masked by globalization.
+
+A residual s_k = ||R (y_k - h)||^2 - 1 is theta'd_k, with d_k the ellipsoid fit's
+design row of y_k about the sample mean c and theta = [A = R'R, -2 A h', h'A h' - 1],
+h' = h - c. The Gauss-Newton Hessian is then 2 J'GJ, with J = d theta / dx and the
+scatter matrix G of the d_k formed once, so an iteration makes one pass over the samples.
 
 Parameter layout: x = [shape entries 11,12,13,22,23,33, offset], so the
 three structurally-zero lower-triangular coordinates never enter the
@@ -19,60 +24,93 @@ import math
 
 import numpy as np
 
-from ._newton import dot, newton_solve, only, solve_newton_system, stacked_positions, tr
-from .linalg import UPPER_VEC_INDICES, pack_upper, unpack_upper
+from ._newton import CHUNK, dot, newton_solve, only, solve_newton_system, tr
+from .initfit import _design_matrix
+from .linalg import UPPER_POSITIONS, pack_upper, unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
-_FULL_INDICES = np.concatenate([UPPER_VEC_INDICES, [9, 10, 11]])
-_D = np.arange(3)
-# Entry 3 i + a of vec(R) is R[a, i]. Flat positions of the Kronecker terms
-# of the Hessian: kron(u2, I)[3i+a, 3j+a] = u2[i, j] in the 9x9 h_rr, as
-# [a, i, j], and kron(I, sv)[3i+a, i] = sv[a] in the 9x3 h_rh, as [i, a].
-_U2_AT = stacked_positions(np.arange(81).reshape(3, 3, 3, 3)[:, _D, :, _D], 81)
-_SV_AT = stacked_positions(np.arange(27).reshape(3, 3, 3)[_D, :, _D], 27)
-# Flat positions of the 9x9 Hessian over [six shape entries, offset] in the
-# concatenated blocks h_rr (9x9), h_rh (9x3) and h_hh (3x3).
-_RR_AT = 9 * UPPER_VEC_INDICES[:, None] + UPPER_VEC_INDICES
-_RH_AT = 81 + 3 * UPPER_VEC_INDICES[:, None] + _D
-_HESS_AT = np.block([[_RR_AT, _RH_AT], [_RH_AT.T, 108 + 3 * _D[:, None] + _D]])
+# Offsets in nm_gradient_hessian's per-item sources: R[r, i], (R X)[r, k] and (A X)[i, k]
+# with X = [h', m, u2], R[r, i] X[c, k] for k < 2, (R h')_r h'_c, A, u2, total A and a zero.
+_R, _RX, _AX, _OUT, _RHH, _A, _U2, _SA, _ZERO = np.cumsum([0, 9, 15, 15, 54, 9, 9, 9, 9])
 
 
-def nm_gradient_hessian(shape: np.ndarray, u: np.ndarray, v: np.ndarray,
-                        s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients (B, 9) and Hessians (B, 9, 9) of the objective at a stack of (R, h).
+def _gather_table() -> tuple[np.ndarray, np.ndarray]:
+    """Where nm_gradient_hessian's outputs take their terms in its per-item sources.
 
-    Each item's R is ``shape[b]``; the rows of ``u[b]`` and ``v[b]`` are y_k - h
-    and R u_k over its N samples y_k, and ``s[b]`` holds the norm residuals
-    ||v_k||^2 - 1. Derivatives are assembled over the column-stacked 9-vector
-    vec(R): the Kronecker-product terms of the Hessian are added in place onto
-    the matrix products at precomputed flat positions, and the 9x9 over the
-    layout [six shape entries, offset] is gathered from those blocks, leaving
-    out the three excluded lower-triangular coordinates.
+    The outputs are [gradient (9), J (10x9), sum_k 2 s_k Hess s_k (9x9)], and
+    output e is sum_t coef[t, e] src[at[t, e]]: one or two sources, times 1, 2
+    or 4 in magnitude, with the zero source where there is no second term.
     """
-    b = len(s)
-    ut, sc = tr(u), s[:, :, None]
-    rtr = tr(shape) @ shape
-    p = u @ rtr                            # rows R'R u_k
-    su = ut @ sc                           # sum s_k u_k, as a column
-    sv = (tr(v) @ sc)[:, :, 0]             # sum s_k R u_k
+    table, d = np.zeros((_ZERO + 1, 180)), np.arange(3)
+    for p, (r, c) in enumerate(UPPER_POSITIONS):
+        for m, (i, j) in enumerate(UPPER_POSITIONS):
+            table[_R + 3 * r + j, 9 + 9 * m + p] += i == c  # J: d A_ij / d R_rc
+            table[_R + 3 * r + i, 9 + 9 * m + p] += j == c
+            table[_U2 + 3 * c + j, 99 + 9 * p + m] += 4.0 * (i == r)  # 4 kron(I, u2)
+        for i in range(3):  # J: d (-2 A h')_i / d R_rc, and its twin in m, -4 kron(m, R) + ...
+            for e, k, w in ((63 + 9 * i + p, 0, -2.0), (105 + 9 * p + i, 1, -4.0),
+                            (153 + 9 * i + p, 1, -4.0)):
+                table[[_OUT + 18 * r + 6 * i + 2 * c + k, _RX + 5 * r + k], e] += w, w * (i == c)
+        # The gradient's 4 (R u2)[r, c] and J's d (h'A h') / d R_rc.
+        table[[_RX + 5 * r + 2 + c, _RHH + 3 * r + c], [p, 90 + p]] += 4.0, 2.0
+    for i in range(3):  # -4 (A m)_i, d (h'A h') / d h_i, d (-2 A h') / d h_i and 4 total A
+        table[[_AX + 5 * i + 1, _AX + 5 * i], [6 + i, 96 + i]] += -4.0, 2.0
+        table[_A + 3 * d + i, 69 + 9 * d + i] += -2.0
+        table[_SA + 3 * i + d, 159 + 9 * i + d] += 4.0
+    at = np.argsort(table == 0.0, axis=0, kind="stable")[:2]
+    coef = np.take_along_axis(table, at, axis=0)
+    return np.where(coef == 0.0, _ZERO, at), coef
 
-    g_shape = 4.0 * tr(v * sc) @ u         # d f / d R as a matrix
-    g_offset = (-4.0 * rtr @ su)[:, :, 0]
-    grad_full = np.concatenate([tr(g_shape).reshape(b, 9), g_offset], axis=1)
 
-    h_hh = (4.0 * s.sum(axis=1))[:, None, None] * rtr + 8.0 * tr(p) @ p
-    w = np.einsum("bki,bka->bkia", u, v).reshape(b, -1, 9)  # rows u_k (x) R u_k
-    u2 = ut @ (u * sc)                                      # sum s_k u_k u_k'
-    w8 = 8.0 * tr(w)
-    h_rr = w8 @ w
-    h_rr.reshape(-1)[_U2_AT(b)] += 4.0 * u2[:, None]        # + 4 kron(u2, I)
-    k_rh = su[:, :, :, None] * shape[:, None]               # kron(su, R) as [i, a, j]
-    k_rh.reshape(-1)[_SV_AT(b)] += sv[:, None]              # + kron(I, sv)
-    # -4 k_rh - w8 p rounds as -8 w'p - 4 k_rh: negation is exact.
-    h_rh = -4.0 * k_rh.reshape(b, 9, 3) - w8 @ p
+_GATHER_AT, _GATHER_COEF = _gather_table()
 
-    blocks = np.concatenate([h_rr.reshape(b, 81), h_rh.reshape(b, 27), h_hh.reshape(b, 9)], axis=1)
-    return grad_full.take(_FULL_INDICES, axis=1), blocks.take(_HESS_AT, axis=1)
+
+def _scatter(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's sample mean c (B, 3) and scatter matrix G (B, 10, 10) of its design rows about c.
+
+    Formed over blocks of at most CHUNK rows. Overflow makes G, and so the
+    Hessian, non-finite, which the driver counts as divergence.
+    """
+    (b, n), group = samples.shape[:2], max(1, CHUNK // samples.shape[1])  # items a block
+    center, gram = np.einsum("bij->bj", samples) / n, np.zeros((b, 10, 10))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, b, group):
+            items = slice(lo, lo + group)
+            for rows in range(0, n, CHUNK):
+                d = _design_matrix(samples[items, rows : rows + CHUNK] - center[items, None])
+                gram[items] += tr(d) @ d
+    return center, gram
+
+
+def _residual_pass(shape, offset, samples):
+    """A stack's objectives f and residual moments sum s u u', sum s u and sum s, with u = y - h."""
+    u = samples - offset[:, None, :]
+    v = u @ tr(shape)
+    s = np.einsum("bij,bij->bi", v, v) - 1.0
+    del v
+    su = u * s[:, :, None]
+    return dot(s, s), tr(su) @ u, np.einsum("bij->bj", su), np.einsum("bi->b", s)
+
+
+def nm_gradient_hessian(shape, offset, center, gram, u2, m, total):
+    """Gradients (B, 9) and Hessians (B, 9, 9) of the objective at a stack of (R, h).
+
+    Takes each item's R and h, _scatter's (c, G) and _residual_pass's moments.
+    The gradient is [4 R u2, -4 A m]. The Hessian is 2 J'GJ plus sum_k 2 s_k
+    Hess s_k, whose blocks are 4 kron(I, u2), -4 (kron(m, R) + kron(I, R m)) and
+    4 total A. All three are gathered from a few products of R, h', m and u2.
+    """
+    b, hp, a = len(total), offset - center, tr(shape) @ shape
+    x = np.concatenate([hp[:, :, None], m[:, :, None], u2], axis=2)
+    rx = shape @ x
+    src = np.concatenate([
+        shape.reshape(b, 9), rx.reshape(b, 15), (a @ x).reshape(b, 15),
+        (shape[:, :, :, None, None] * x[:, None, None, :, :2]).reshape(b, 54),
+        (rx[:, :, :1] * hp[:, None, :]).reshape(b, 9), a.reshape(b, 9), u2.reshape(b, 9),
+        (total[:, None, None] * a).reshape(b, 9), np.zeros((b, 1))], axis=1)
+    out = (src.take(_GATHER_AT, axis=1) * _GATHER_COEF).sum(axis=1)
+    jac = out[:, 9:99].reshape(b, 10, 9)
+    return out[:, :9], 2.0 * (tr(jac) @ (gram @ jac)) + out[:, 99:].reshape(b, 9, 9)
 
 
 def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) -> SolveReport:
@@ -92,22 +130,21 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
     Returns, per problem in order, its SolveReport or the SolverFailure that
     ended it. Each problem's numbers are those of its lone solve_nm.
     """
-    opts = opts or SolveOptions()
+    opts, group = opts or SolveOptions(), max(1, CHUNK // samples.shape[1])  # items a pass
 
     def objective(x):
-        shape, offset, data = x
-        u = data - offset[:, None, :]
-        v = u @ tr(shape)
-        s = np.einsum("bij,bij->bi", v, v) - 1.0
-        return (dot(s, s),), (u, v, s)  # step reuses the residuals
+        parts = [_residual_pass(*(a[lo : lo + group] for a in x[:3]))
+                 for lo in range(0, len(x[0]), group)]
+        f, *moments = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return (f,), tuple(moments)  # step reuses the moments
 
-    def step(x, residuals):
-        shape, offset, data = x
-        grad, hess = nm_gradient_hessian(shape, *residuals)
+    def step(x, moments):
+        shape, offset, *rest = x
+        grad, hess = nm_gradient_hessian(shape, offset, *rest[1:], *moments)
         delta = solve_newton_system(hess, grad)
-        return delta, (unpack_upper(pack_upper(shape) - delta[:, :6]), offset - delta[:, 6:], data)
+        return delta, (unpack_upper(pack_upper(shape) - delta[:, :6]), offset - delta[:, 6:], *rest)
 
-    def converged(values, previous, delta, residuals):
+    def converged(values, previous, delta, moments):
         if delta is None:
             return [False] * len(values)
         # The step norm is taken only where the objective has not stalled, as a 1-D dot.
@@ -115,6 +152,7 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
                 or math.sqrt(d @ d) <= opts.step_tolerance
                 for f, f0, d in zip(values, previous, delta)]
 
-    x = (np.array([p.shape for p in inits]), np.array([p.offset for p in inits]), samples)
+    x = (np.array([p.shape for p in inits]), np.array([p.offset for p in inits]), samples,
+         *_scatter(samples))
     return newton_solve(x, opts, objective, step, converged,
                         lambda item, records: {"final_params": CalibrationParams(*item[:2])})

@@ -122,15 +122,34 @@ def golden() -> dict:
     }
 
 
-def changed_entries(old, new, path="") -> list[str]:
-    """One line per leaf of two golden trees that differs, as 'path: old -> new'."""
+def changed_leaves(old, new, path="") -> list[tuple]:
+    """(path, old, new) for each leaf of two golden trees that differs."""
     if isinstance(old, dict) and isinstance(new, dict):
-        return [line for key in sorted(old.keys() | new.keys())
-                for line in changed_entries(old.get(key), new.get(key), f"{path}/{key}")]
+        return [leaf for key in sorted(old.keys() | new.keys())
+                for leaf in changed_leaves(old.get(key), new.get(key), f"{path}/{key}")]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [line for i, (a, b) in enumerate(zip(old, new))
-                for line in changed_entries(a, b, f"{path}[{i}]")]
-    return [] if old == new else [f"{path or '/'}: {old!r} -> {new!r}"]
+        return [leaf for i, (a, b) in enumerate(zip(old, new))
+                for leaf in changed_leaves(a, b, f"{path}[{i}]")]
+    return [] if old == new else [(path or "/", old, new)]
+
+
+def changed_entries(old, new) -> list[str]:
+    """One line per leaf of two golden trees that differs, as 'path: old -> new'."""
+    return [f"{path}: {a!r} -> {b!r}" for path, a, b in changed_leaves(old, new)]
+
+
+def change_summary(old, new) -> str:
+    """How many outcome or count entries and numeric entries differ, and the largest numeric change.
+
+    A numeric entry is a float on both sides (an estimate or an aggregate); every
+    other changed leaf is an outcome, a count or a change of structure.
+    """
+    leaves = changed_leaves(old, new)
+    deltas = [(abs(b - a), path) for path, a, b in leaves
+              if isinstance(a, float) and isinstance(b, float)]
+    largest = "largest |change| {:.3g} at {}".format(*max(deltas)) if deltas else "none numeric"
+    return (f"{len(leaves) - len(deltas)} outcome or count entries and {len(deltas)} numeric "
+            f"entries changed; {largest}")
 
 
 def main(argv=None) -> int:
@@ -148,9 +167,11 @@ def main(argv=None) -> int:
     if text == committed:
         print(f"{GOLDEN_PATH.name} unchanged")
         return 0
-    changes = changed_entries(json.loads(committed), json.loads(text))
+    old, new = json.loads(committed), json.loads(text)
+    changes = changed_entries(old, new)
     for line in changes or ["(entries equal, formatting differs)"]:
         print(line)
+    print(change_summary(old, new))
     print(f"{GOLDEN_PATH.name} differs: {len(changes)} changed entries")
     return 1
 

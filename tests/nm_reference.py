@@ -7,7 +7,7 @@ solve_nm.
 
 import numpy as np
 
-from magcal.nm import nm_gradient_hessian
+from magcal.nm import _residual_pass, _scatter, nm_gradient_hessian
 
 
 def nm_objective(params, samples) -> float:
@@ -19,8 +19,7 @@ def nm_objective(params, samples) -> float:
 
 def nm_derivatives(params, samples):
     """nm_gradient_hessian at ``params`` on (N, 3) ``samples``: one gradient and Hessian."""
-    u = samples - params.offset
-    v = u @ params.shape.T
-    s = np.einsum("ij,ij->i", v, v) - 1.0
-    grad, hess = nm_gradient_hessian(params.shape[None], u[None], v[None], s[None])
+    shape, offset, samples = params.shape[None], params.offset[None], samples[None]
+    moments = _residual_pass(shape, offset, samples)[1:]
+    grad, hess = nm_gradient_hessian(shape, offset, *_scatter(samples), *moments)
     return grad[0], hess[0]

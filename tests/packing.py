@@ -6,11 +6,13 @@ and dense-oracle comparisons need one flat vector instead:
     nm: [six free shape entries (11, 12, 13, 22, 23, 33), offset]        9
     ml: [six free T entries, offset, field_dirs row by row, lagrange]  4N+9
 
-``stacked`` gives one ML state the leading batch axis of magcal.ml's kernels.
+``stacked`` gives one ML state the leading batch axis of magcal.ml's kernels,
+and ``initial_ml_state`` is the start that solve_ml builds, as one ML state.
 """
 
 import numpy as np
 
+from magcal import ml
 from magcal.linalg import pack_upper, unpack_upper
 from magcal.types import CalibrationParams, MLState
 
@@ -41,3 +43,12 @@ def stacked(state: MLState, samples) -> tuple:
     """``state`` and its (N, 3) ``samples`` as the B = 1 iterate of magcal.ml._iterate."""
     return tuple(np.asarray(a, float)[None] for a in (state.t_matrix, state.offset,
                                                       state.field_dirs, state.lagrange, samples))
+
+
+def initial_ml_state(params: CalibrationParams, samples: np.ndarray) -> MLState:
+    """solve_ml's start from the estimate ``params`` on validated (N, 3) ``samples``.
+
+    T = R^-1, the calibrated samples as field directions and zero multipliers;
+    T is NaN when R has no finite inverse.
+    """
+    return MLState(*(a[0] for a in ml._initial_states([params], samples[None])[:4]))

@@ -165,27 +165,45 @@ class TestMonteCarlo:
 
         # _map imports the pool class only when it needs one.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        # A batch holds 2048 // 120 = 17 runs of this scenario, so 18 runs make two
-        # batches, and one batch none.
+        # A job holds 8192 // 120 = 68 runs of this scenario, so 18 runs make one
+        # job and start no pool. More workers split them into as many jobs as
+        # there are workers, and no more jobs than runs.
         serial = run_monte_carlo(small_config, runs=18, seed=6)
         pooled = run_monte_carlo(small_config, runs=18, seed=6, workers=5000)
-        run_monte_carlo(small_config, runs=17, seed=6, workers=2)
-        assert sizes == [2]
+        run_monte_carlo(small_config, runs=3, seed=6, workers=2)
+        assert sizes == [18, 2]
         assert [r.ml.metrics for r in pooled.runs] == [r.ml.metrics for r in serial.runs]
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 run_monte_carlo(small_config, runs=2, seed=6, workers=workers)
-        assert sizes == [2]
+        assert sizes == [18, 2]
 
 
 class TestBatches:
     def test_runs_fill_chunk_rows_in_order(self):
         runs = list(range(50))
-        jobs = experiments._batches(experiments._scene(default_config()), None, runs)
-        assert [len(job[2]) for job in jobs] == [6] * 8 + [2]  # 2048 // 300 = 6 runs a batch
+        scene = experiments._scene(default_config())
+        jobs = experiments._batches(scene, None, runs, workers=1)
+        assert [len(job[2]) for job in jobs] == [27, 23]  # 8192 // 300 = 27 runs a job
         assert [run for job in jobs for run in job[2]] == runs
-        big = experiments._batches(experiments._scene(default_config(n=3000)), None, runs[:3])
+        # Two workers get at least two jobs.
+        assert [len(job[2]) for job in experiments._batches(scene, None, runs[:21], 2)] == [11, 10]
+        assert [len(job[2]) for job in experiments._batches(scene, None, runs, 2)] == [25, 25]
+        big = experiments._batches(experiments._scene(default_config(n=9000)), None, runs[:3], 1)
         assert [len(job[2]) for job in big] == [1, 1, 1]
+
+    def test_sensitivity_job_is_one_nm_stack_and_chunk_sized_ml_stacks(self, monkeypatch):
+        stacks = []
+        for name in ("solve_nm_batch", "solve_ml_batch"):
+            real = getattr(experiments, name)
+
+            def counted(samples, inits, _real=real, _name=name):
+                stacks.append((_name, len(samples)))
+                return _real(samples, inits)
+
+            monkeypatch.setattr(experiments, name, counted)
+        run_sensitivity(default_config(), [0.01 * k for k in range(1, 8)], runs=3)
+        assert stacks == [("solve_nm_batch", 21)] + [("solve_ml_batch", k) for k in (6, 6, 6, 3)]
 
     def test_failed_fit_leaves_the_other_runs_of_its_batch(self, small_config, monkeypatch):
         clean = run_monte_carlo(small_config, runs=5, seed=4)
@@ -329,9 +347,8 @@ class TestTiming:
         import time
 
         from kkt_oracle import step_dense
-        from packing import stacked
+        from packing import initial_ml_state, stacked
         from magcal.initfit import fit_initial
-        from magcal.ml import initial_ml_state
         from magcal.simulate import default_truth, simulate, sweep_trajectory
 
         ds = simulate(default_truth(), sweep_trajectory(1000), seed=0)

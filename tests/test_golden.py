@@ -57,14 +57,23 @@ def test_check_mode_compares_bytes_and_lists_changed_entries(monkeypatch, capsys
     changed = copy.deepcopy(GOLDEN)
     changed["sensitivity"]["ml"][6] += 1
     changed["grid"]["tilt 5"]["ml"]["outcomes"][7] = "converged in 9"
+    estimates = changed["grid"]["tilt 20"]["nm"]["estimates"]
+    estimates[3][6] += 2.0 ** -40
+    estimates[4][0] += 2.0 ** -45
     monkeypatch.setattr(make_golden, "golden", lambda: changed)
     assert make_golden.main(["--check"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == [
+    old_estimates = GOLDEN["grid"]["tilt 20"]["nm"]["estimates"]
+    assert lines[-6:] == [
+        f"/grid/tilt 20/nm/estimates[3][6]: {old_estimates[3][6]!r} -> {estimates[3][6]!r}",
+        f"/grid/tilt 20/nm/estimates[4][0]: {old_estimates[4][0]!r} -> {estimates[4][0]!r}",
         f"/grid/tilt 5/ml/outcomes[7]: {GOLDEN['grid']['tilt 5']['ml']['outcomes'][7]!r} "
         "-> 'converged in 9'",
         f"/sensitivity/ml[6]: {GOLDEN['sensitivity']['ml'][6]} -> {changed['sensitivity']['ml'][6]}",
-        "golden.json differs: 2 changed entries",
+        "2 outcome or count entries and 2 numeric entries changed; "
+        f"largest |change| {abs(estimates[3][6] - old_estimates[3][6]):.3g} "
+        "at /grid/tilt 20/nm/estimates[3][6]",
+        "golden.json differs: 4 changed entries",
     ]
     assert make_golden.GOLDEN_PATH.read_bytes() == committed
 

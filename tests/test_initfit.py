@@ -4,9 +4,9 @@ import pytest
 from magcal.errors import DegenerateDataError, InsufficientDataError
 from magcal.initfit import _design_matrix, fit_initial
 from magcal.linalg import pack_upper
-from magcal.ml import initial_ml_state
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
+from packing import initial_ml_state
 
 
 def _noise_free_default():

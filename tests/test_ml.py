@@ -13,11 +13,11 @@ from magcal.initfit import fit_initial
 from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
 from magcal.linalg import invert_upper
 from magcal.metrics import apply_calibration, error_metrics
-from magcal.ml import initial_ml_state, solve_ml
+from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, MLState, SolveOptions
-from packing import stacked, state_from_vector, state_to_vector
+from packing import initial_ml_state, stacked, state_from_vector, state_to_vector
 
 
 def _random_state(rng, n):
