@@ -20,7 +20,6 @@ from .errors import (
 from .experiments import (
     MonteCarloResult,
     SensitivityResult,
-    perturb_initial,
     run_monte_carlo,
     run_sensitivity,
     run_timing,
@@ -67,7 +66,6 @@ __all__ = [
     "default_truth",
     "error_metrics",
     "fit_initial",
-    "perturb_initial",
     "run_monte_carlo",
     "run_sensitivity",
     "run_timing",

@@ -68,15 +68,12 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
     active = list(range(len(results)))  # problem index of each stacked item
     previous = delta = None
 
-    def end(local, iterations, done=False, error=None, message="", cause=None):
+    def end(local, iterations, done=False, error=None, message=""):
         """Report stacked item ``local``; ``error`` is the failure class that ends it, if any."""
         j = active[local]
         records = tuple(zip(*histories[j]))
         report = SolveReport(records[0], iterations, done, **finish(take(x, local), records))
         results[j] = report if error is None else error(message, report)
-        if cause is not None:
-            cause.__traceback__ = cause.__context__ = None  # a cycle through this frame and x
-            results[j].__cause__ = cause
 
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(opts.max_iterations + 1):
@@ -113,9 +110,8 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
                     try:
                         parts.append(step(take(x, [local]), take(cache, [local])))
                         keep.append(local)
-                    except np.linalg.LinAlgError as exc:
-                        end(local, iteration, error=SolverFailure,
-                            message="singular Newton system", cause=exc)
+                    except np.linalg.LinAlgError:
+                        end(local, iteration, error=SolverFailure, message="singular Newton system")
                 if not parts:
                     break
                 delta = np.concatenate([d for d, _ in parts])

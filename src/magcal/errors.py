@@ -10,7 +10,7 @@ class InsufficientDataError(CalibrationError):
 
 
 class DegenerateDataError(CalibrationError):
-    """The data does not excite enough attitudes to determine an ellipsoid."""
+    """The data does not excite enough attitudes to determine an ellipsoid, or overflows its fit."""
 
 
 class SolverFailure(CalibrationError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._newton import CHUNK, tr
 from .errors import DegenerateDataError, InsufficientDataError
 from .linalg import UPPER_POSITIONS, cholesky_upper
 from .types import CalibrationParams, as_samples
@@ -31,6 +32,24 @@ def _design_matrix(samples: np.ndarray) -> np.ndarray:
     """
     quadratic = samples[..., _ROWS] * samples[..., _COLS] * _QUADRATIC_FACTOR
     return np.concatenate([quadratic, samples, np.ones(samples.shape[:-1] + (1,))], axis=-1)
+
+
+def _scatter(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's sample mean c (B, 3) and scatter matrix G (B, 10, 10) of its design rows about c.
+
+    The one place the design rows are formed, for the fit and for nm. Formed
+    over blocks of at most CHUNK rows. Overflow makes G non-finite: the fit
+    then raises DegenerateDataError, and nm's Hessian diverges.
+    """
+    (b, n), group = samples.shape[:2], max(1, CHUNK // samples.shape[1])  # items a block
+    center, gram = np.einsum("bij->bj", samples) / n, np.zeros((b, 10, 10))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, b, group):
+            items = slice(lo, lo + group)
+            for rows in range(0, n, CHUNK):
+                d = _design_matrix(samples[items, rows : rows + CHUNK] - center[items, None])
+                gram[items] += tr(d) @ d
+    return center, gram
 
 
 def _sym_from_packed(z6: np.ndarray) -> np.ndarray:
@@ -57,22 +76,22 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     """Least-squares quadric fit of the raw samples, as a shape/offset estimate.
 
     Returns the estimate and the smallest eigenvalue of the 10x10 normal
-    matrix, which is zero for noise-free data and diagnostic only. Samples
-    are pre-centered on their mean before building the design matrix (an
+    matrix, which is zero for noise-free data and diagnostic only. That
+    matrix is _scatter's G, of the design rows about the sample mean (an
     exact reparameterization that improves conditioning).
 
     Raises InsufficientDataError below 10 samples and DegenerateDataError
-    when the fitted quadric cannot be sign-fixed and scaled to an ellipsoid
-    (typically: not enough distinct attitudes).
+    when G overflows or the fitted quadric cannot be sign-fixed and scaled
+    to an ellipsoid (typically: not enough distinct attitudes).
     """
     samples = as_samples(data)
     n = samples.shape[0]
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"ellipsoid fit needs >= {MIN_SAMPLES} samples, got {n}")
 
-    center = samples.mean(axis=0)
-    design = _design_matrix(samples - center)
-    gram = design.T @ design
+    (center,), (gram,) = _scatter(samples[None])
+    if not np.isfinite(gram).all():
+        raise DegenerateDataError("the quadric's scatter matrix overflows; rescale the data")
     eigvals, eigvecs = np.linalg.eigh(gram)
     z = eigvecs[:, 0]
     min_eigenvalue = float(eigvals[0])

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ._newton import CHUNK, dot, newton_solve, only, solve_newton_system, tr
-from .initfit import _design_matrix
+from .initfit import _scatter
 from .linalg import UPPER_POSITIONS, pack_upper, unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
@@ -63,23 +63,6 @@ def _gather_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GATHER_AT, _GATHER_COEF = _gather_table()
-
-
-def _scatter(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's sample mean c (B, 3) and scatter matrix G (B, 10, 10) of its design rows about c.
-
-    Formed over blocks of at most CHUNK rows. Overflow makes G, and so the
-    Hessian, non-finite, which the driver counts as divergence.
-    """
-    (b, n), group = samples.shape[:2], max(1, CHUNK // samples.shape[1])  # items a block
-    center, gram = np.einsum("bij->bj", samples) / n, np.zeros((b, 10, 10))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, b, group):
-            items = slice(lo, lo + group)
-            for rows in range(0, n, CHUNK):
-                d = _design_matrix(samples[items, rows : rows + CHUNK] - center[items, None])
-                gram[items] += tr(d) @ d
-    return center, gram
 
 
 def _residual_pass(shape, offset, samples):

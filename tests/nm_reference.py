@@ -7,7 +7,8 @@ solve_nm.
 
 import numpy as np
 
-from magcal.nm import _residual_pass, _scatter, nm_gradient_hessian
+from magcal.initfit import _scatter
+from magcal.nm import _residual_pass, nm_gradient_hessian
 
 
 def nm_objective(params, samples) -> float:

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "default_truth",
     "error_metrics",
     "fit_initial",
-    "perturb_initial",
     "run_monte_carlo",
     "run_sensitivity",
     "run_timing",
@@ -45,6 +44,7 @@ INTERNAL_NAMES = [
     "nm_gradient_hessian",
     "nm_objective",
     "params_from_ml",
+    "perturb_initial",
 ]
 
 

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from magcal import fileio
+from magcal import experiments, fileio
 from magcal.cli import main
-from magcal.simulate import default_config
+from magcal.errors import DivergenceError
+from magcal.initfit import fit_initial
+from magcal.ml import solve_ml
+from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
+from magcal.types import CalibrationParams
 
 
 def write_config(path, **overrides):
@@ -146,6 +150,35 @@ class TestCalibrateCommand:
                 del doc[method]["input_digest"]
             docs.append(doc)
         assert docs[1] == docs[0]
+
+    def test_overflowing_data_exits_3_saying_to_rescale(self, tmp_path, capsys):
+        data, report = tmp_path / "huge.csv", tmp_path / "r.json"
+        fileio.write_samples_csv(
+            data, simulate(default_truth(), sweep_trajectory(300), 7).samples * 1e77)
+        assert main(["calibrate", "--input", str(data), "--out", str(report)]) == 3
+        assert "rescale the data" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_failed_ml_solve_exits_4_reporting_it(self, tmp_path, capsys, monkeypatch):
+        # A start with a zero shape diagonal is one that a real solve_ml fails on.
+        data, report = tmp_path / "data.csv", tmp_path / "r.json"
+        main(["simulate", "--out", str(data), "--seed", "124"])
+        samples = fileio.read_samples_csv(data)
+        init = fit_initial(samples)[0]
+        with pytest.raises(DivergenceError) as failure:
+            solve_ml(samples, CalibrationParams(init.shape * [[1], [0], [1]], init.offset))
+
+        def failing_solve_ml(*args):
+            raise failure.value
+
+        monkeypatch.setattr(experiments, "solve_ml", failing_solve_ml)
+        assert main(["calibrate", "--input", str(data), "--method", "both",
+                     "--out", str(report)]) == 4
+        assert "ml solver failed: initial objective is non-finite" in capsys.readouterr().err
+        doc = fileio.read_json(report)
+        assert doc["nm"]["converged"] is True
+        assert doc["ml"]["converged"] is False
+        assert "comparison" not in doc
 
     def test_too_few_rows_exits_3(self, tmp_path):
         data = tmp_path / "tiny.csv"

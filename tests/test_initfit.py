@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magcal.errors import DegenerateDataError, InsufficientDataError
-from magcal.initfit import _design_matrix, fit_initial
+from magcal.initfit import _design_matrix, _scatter, fit_initial
 from magcal.linalg import pack_upper
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
@@ -42,6 +42,18 @@ class TestDesignRow:
         z = _pack_quadric(*_quadric(CalibrationParams(r_true, h_true)))
         ds = _noise_free_default()
         np.testing.assert_array_less(np.abs(_design_matrix(ds.samples[::37]) @ z), 1e-10)
+
+
+class TestScatter:
+    def test_blocked_stack_equals_whole_design_gram(self):
+        # 5 000 rows take three blocks, so the blocks' sums round differently.
+        rng = np.random.default_rng(4)
+        samples = rng.normal(0, 1, (2, 5_000, 3)) + [[[0.0, 0.0, 0.0]], [[30.0, -5.0, 2.0]]]
+        center, gram = _scatter(samples)
+        for item, c, g in zip(samples, center, gram):
+            np.testing.assert_allclose(c, item.mean(axis=0), rtol=1e-14, atol=1e-14)
+            design = _design_matrix(item - c)
+            np.testing.assert_allclose(g, design.T @ design, rtol=0, atol=1e-14 * np.abs(g).max())
 
 
 class TestFitEllipsoid:
@@ -118,6 +130,20 @@ class TestFitEllipsoid:
         )
         with pytest.raises(DegenerateDataError):
             fit_initial(circle)
+
+    def test_overflowing_data_is_degenerate(self):
+        # Near 1e77 the quartic entries of the scatter matrix overflow.
+        samples = simulate(default_truth(), sweep_trajectory(300), 7).samples * 1e77
+        with pytest.raises(DegenerateDataError, match="scatter matrix overflows; rescale"):
+            fit_initial(samples)
+
+    def test_temporaries_do_not_grow_with_n(self, traced_peak):
+        # The design rows are formed a block at a time (2.1 arrays of N floats here;
+        # 21.0 when the fit formed all N x 10 of them at once).
+        n = 30_000
+        samples = simulate(default_truth(), sweep_trajectory(n), seed=7).samples
+        fit_initial(samples[:300])  # numpy's first-call set-up is not the fit's
+        assert traced_peak(lambda: fit_initial(samples)) < 4 * 8 * n
 
 
 class TestInitialParams:

@@ -100,6 +100,17 @@ def test_non_finite_system_gives_nan_step(where):
     assert np.all(np.isnan(step))
 
 
+@pytest.mark.parametrize("bad", [0, 1])
+def test_stack_mixing_finite_and_non_finite_systems(bad):
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(2, 9, 9))
+    hess, rhs = m @ m.swapaxes(1, 2) + 9.0 * np.eye(9), rng.normal(size=(2, 9))
+    hess[bad, 2, 7] = hess[bad, 7, 2] = np.inf
+    step = solve_newton_system(hess, rhs)
+    np.testing.assert_array_equal(step[1 - bad], np.linalg.solve(hess[1 - bad], rhs[1 - bad]))
+    assert np.all(np.isnan(step[bad]))
+
+
 def test_failing_solves_and_planar_calibrate_emit_no_warnings(tmp_path):
     # The singular and overflowing Newton systems of the nm and ml tests, and a
     # tilt-0 calibrate, with every warning raised as an error.
@@ -191,6 +202,7 @@ def test_stacked_solves_equal_lone_solves_in_either_order(method, monkeypatch):
     assert kinds[:2] == [True, True]
     assert isinstance(batch[6], SolverFailure) and not isinstance(batch[6], DivergenceError)
     assert str(batch[6]) == "singular Newton system"
+    assert batch[6].__cause__ is None  # LAPACK's error would hold the driver's frame
     if method == "ml":
         assert kinds[2:5] == [False] * 3
         assert all(r.iterations == 50 for r in batch[2:5])
@@ -211,3 +223,21 @@ def test_stacked_ml_solves_equal_solve_ml():
         except SolverFailure as exc:
             one = exc
         assert _summary(b) == _summary(one)
+
+
+def test_overflowing_t_in_a_ml_stack_diverges_alone():
+    # Item 1's T'T overflows while its misfit stays finite: its step is NaN, and the
+    # step of item 0 is that of its lone solve.
+    samples, inits = [], []
+    for seed in (7, 8):
+        ds = simulate(default_truth(), sweep_trajectory(300), seed=seed)
+        samples.append(ds.samples)
+        inits.append(fit_initial(ds)[0])
+    x = ml._initial_states(inits, np.stack(samples))
+    x[0][1] = 1e200 * np.eye(3)
+    x[2][1] *= 1e-200
+    batch = ml._iterate(x)
+    assert _summary(batch[0]) == _summary(ml._iterate(take(x, [0]))[0])
+    assert isinstance(batch[1], DivergenceError)
+    assert str(batch[1]) == "objective became non-finite"
+    assert batch[1].report.iterations == 1

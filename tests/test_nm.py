@@ -48,6 +48,13 @@ def _gradient_hessian_kron(params, samples):
     return grad_full[keep], hess_full[np.ix_(keep, keep)]
 
 
+def _assert_assembly_equals_kronecker_reference(params, samples):
+    grad, hess = nm_derivatives(params, samples)
+    ref_grad, ref_hess = _gradient_hessian_kron(params, samples)
+    for got, ref in ((grad, ref_grad), (hess, ref_hess)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
 class TestObjective:
     def test_zero_at_truth_on_noise_free_data(self, default_scene):
         ds = simulate(default_truth(sigma=0.0), default_scene["trajectory"], seed=0)
@@ -100,11 +107,18 @@ class TestDerivatives:
         # The scatter-matrix assembly sums the same terms in another order; over
         # 3 000 random instances the gradients were within 2.9e-15 of the
         # reference and the Hessians within 1.2e-15, relative to 1 + max|ref|.
-        params = params_from_vector(x)
-        grad, hess = nm_derivatives(params, samples)
-        ref_grad, ref_hess = _gradient_hessian_kron(params, samples)
-        for got, ref in ((grad, ref_grad), (hess, ref_hess)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+        _assert_assembly_equals_kronecker_reference(params_from_vector(x), samples)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "nm forms R (sum s u u') and A (sum s u) after summing, and R u cancels about tenfold "
+        "here: in exact arithmetic its gradient is 3.3e-8 off (|g| ~ 2.6e5), the reference 4.9e-9"))
+    def test_assembly_equals_kronecker_reference_where_r_u_cancels(self):
+        # A rare example of the property above, found by hypothesis: the gradient is
+        # 1.42e-13 (1 + max|ref|) off the reference, against the 1e-13 bound.
+        x = [6.1541764581291645, 0.0, 6.369999620908228, -0.75, -1.485147924836518, 0.0,
+             0.0, 1.5, 7.5]
+        _assert_assembly_equals_kronecker_reference(params_from_vector(np.array(x)),
+                                                    np.full((300, 3), 4.0))
 
     def test_gradient_vanishes_at_converged_minimum(self, default_scene):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=2)
