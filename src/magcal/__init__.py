@@ -39,7 +39,6 @@ from .types import (
     CalibrationParams,
     Dataset,
     ErrorMetrics,
-    MLState,
     SensorTruth,
     SolveOptions,
     SolveReport,
@@ -53,7 +52,6 @@ __all__ = [
     "DivergenceError",
     "ErrorMetrics",
     "InsufficientDataError",
-    "MLState",
     "MonteCarloResult",
     "SensitivityResult",
     "SensorTruth",

@@ -18,7 +18,7 @@ from .errors import DegenerateDataError, InsufficientDataError, SolverFailure
 from .initfit import fit_initial
 from .metrics import apply_calibration, error_metrics
 from .simulate import SimConfig, default_config, simulate, sweep_trajectory
-from .types import SolveOptions
+from .types import SolveOptions, SolveReport
 
 
 def _load_config(path) -> SimConfig:
@@ -47,11 +47,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _comparison(nm_doc: dict, ml_doc: dict) -> dict:
-    nm_shape = np.asarray(nm_doc["shape_upper"])
-    ml_shape = np.asarray(ml_doc["shape_upper"])
-    nm_offset = np.asarray(nm_doc["offset"])
-    ml_offset = np.asarray(ml_doc["offset"])
+def _comparison(nm: SolveReport, ml: SolveReport) -> dict:
+    nm_shape, ml_shape = nm.final_params.shape, ml.final_params.shape
+    nm_offset, ml_offset = nm.final_params.offset, ml.final_params.offset
     shape_diff = float(np.max(np.abs(nm_shape - ml_shape)))
     offset_diff = float(np.max(np.abs(nm_offset - ml_offset)))
     shape_scale = max(float(np.max(np.abs(nm_shape))), 1e-12)
@@ -61,8 +59,10 @@ def _comparison(nm_doc: dict, ml_doc: dict) -> dict:
         "shape_max_abs_diff": shape_diff,
         "offset_max_abs_diff": offset_diff,
         "agree": agree,
-        # The quadratic estimator stays reliable under weak excitation, so
-        # it is the one to trust whenever the two disagree.
+        # A fixed policy until ROADMAP item 5 bases it on standard errors. The
+        # paper claims ml is the more stable under weak excitation; this code
+        # does not meet that claim (test_golden's strict xfail: ml ends
+        # unconverged more often than nm at low tilt).
         "preferred": "either" if agree else "ml",
     }
 
@@ -74,7 +74,7 @@ def cmd_calibrate(args) -> int:
                            for f in dataclasses.fields(SolveOptions)})
     init, min_eigenvalue = fit_initial(samples)
     failed = False
-    docs = {}
+    reports = {}
     methods = ("nm", "ml") if args.method == "both" else (args.method,)
     for method in methods:
         try:
@@ -87,12 +87,13 @@ def cmd_calibrate(args) -> int:
             report = exc.report
         # An unconverged estimate is not one to recommend or apply.
         failed = failed or not report.converged
-        docs[method] = fileio.report_dict(report, min_eigenvalue, digest)
+        reports[method] = report
 
+    docs = {m: fileio.report_dict(r, min_eigenvalue, digest) for m, r in reports.items()}
     if args.method == "both":
         document = {"format_version": fileio.FORMAT_VERSION, **docs}
         if not failed:
-            document["comparison"] = _comparison(docs["nm"], docs["ml"])
+            document["comparison"] = _comparison(reports["nm"], reports["ml"])
     else:
         document = docs[args.method]
     fileio.write_json(args.out, document)

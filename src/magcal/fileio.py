@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import reprlib
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .experiments import METRIC_NAMES, TimingRow
 from .linalg import pack_upper, unpack_upper
-from .types import CalibrationParams, SolveReport
+from .types import CalibrationParams, SolveReport, json_numbers
 
 FORMAT_VERSION = 1
 
@@ -179,13 +180,18 @@ def truth_report_dict(params: CalibrationParams, input_digest=None) -> dict:
 
 def params_from_report(report: dict) -> CalibrationParams:
     return CalibrationParams(
-        shape=unpack_upper(report["shape_upper"]),
-        offset=np.asarray(report["offset"], dtype=float),
+        shape=unpack_upper(json_numbers(report, "shape_upper", 6, "report")),
+        offset=json_numbers(report, "offset", 3, "report"),
     )
 
 
 def select_report(document: dict, method: str | None = None) -> dict:
-    """Pick a single-method report out of a flat or combined document."""
+    """Pick a single-method report out of a flat or combined document.
+
+    Raises ValueError when the document, or the report picked from it, is not a JSON object.
+    """
+    if not isinstance(document, dict):
+        raise ValueError(f"report document must be a JSON object, got {reprlib.repr(document)}")
     if "shape_upper" in document:
         if method is not None and document.get("method") != method:
             raise ValueError(
@@ -203,7 +209,11 @@ def select_report(document: dict, method: str | None = None) -> dict:
         method = available[0]
     if method not in document:
         raise ValueError(f"document has no {method!r} report")
-    return document[method]
+    report = document[method]
+    if not isinstance(report, dict):
+        raise ValueError(f"the document's {method!r} report must be a JSON object, "
+                         f"got {reprlib.repr(report)}")
+    return report
 
 
 def write_monte_carlo_csv(path, result) -> None:

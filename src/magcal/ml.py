@@ -23,12 +23,14 @@ standard initialization) and is no use as a test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ._newton import CHUNK as _CHUNK  # _step_block's rows a block: N <= _CHUNK is one block
 from ._newton import dot, newton_solve, only, solve_newton_system, tr
 from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper, unpack_upper
-from .types import CalibrationParams, MLState, SolveOptions, SolveReport, as_samples
+from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
 _D = np.arange(3)
@@ -56,6 +58,16 @@ _LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
+
+
+@dataclass(frozen=True)
+class MLState:
+    """Where an ml solve ended, as its report's final_state: T = R^-1, h, m_k (N, 3), lambda_k."""
+
+    t_matrix: np.ndarray
+    offset: np.ndarray
+    field_dirs: np.ndarray
+    lagrange: np.ndarray
 
 
 def _assemble(t, offset, dirs, lam, samples):
@@ -284,9 +296,8 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         shape = _NAN_UPPER.copy()
         if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
             shape = invert_upper(t)
-        params = CalibrationParams(shape, offset.copy())
         state = MLState(*(a.copy() for a in (t, offset, dirs, lam)))  # views would hold the stack
-        return dict(final_params=params, final_state=state,
+        return dict(final_params=CalibrationParams(shape, offset.copy()), final_state=state,
                     constraint_violation_history=records[1], warnings=warn)
 
     return newton_solve(x, opts, objective, step, converged, finish)

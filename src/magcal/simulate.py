@@ -9,12 +9,14 @@ sigma = 0.003 Gauss, and 300 samples along a rich sweep trajectory.
 
 from __future__ import annotations
 
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import attitude_from_euler
-from .types import Dataset, SensorTruth
+from .types import Dataset, SensorTruth, json_numbers
 
 DEFAULT_SOFT_IRON = np.array(
     [
@@ -38,6 +40,16 @@ def _unit(v) -> np.ndarray:
     if not 0.0 < n < np.inf:
         raise ValueError(f"field must be finite and nonzero, got {v}")
     return v / n
+
+
+def _scenario_number(d: dict, name: str, integral: bool = False):
+    """A scenario's scalar field: a JSON number, and an integral one where ``integral``."""
+    value = d[name]
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or integral and not isinstance(value, numbers.Integral) and not value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"scenario field {name!r} must be {kind}, got {reprlib.repr(value)}")
+    return int(value) if integral else float(value)
 
 
 def default_truth(sigma: float = DEFAULT_SIGMA) -> SensorTruth:
@@ -127,15 +139,18 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         # Field direction is normalized at load; the model assumes unit norm.
-        # SensorTruth checks the array shapes, finiteness, sigma >= 0, the unit
-        # field and that soft_iron has a calibration.
+        # SensorTruth checks finiteness, sigma >= 0, the unit field and that
+        # soft_iron has a calibration.
+        if not isinstance(d, dict):
+            raise ValueError(f"scenario must be a JSON object, got {reprlib.repr(d)}")
         truth = SensorTruth(
-            soft_iron=np.reshape(d["soft_iron"], (3, 3)),
-            hard_iron=d["hard_iron"],
-            noise_sigma=d["sigma"],
-            field=_unit(d["field"]),
+            soft_iron=json_numbers(d, "soft_iron", 9, "scenario").reshape(3, 3),
+            hard_iron=json_numbers(d, "hard_iron", 3, "scenario"),
+            noise_sigma=_scenario_number(d, "sigma"),
+            field=_unit(json_numbers(d, "field", 3, "scenario")),
         )
-        return cls(truth, n=int(d["n"]), seed=int(d["seed"]))
+        return cls(truth, n=_scenario_number(d, "n", integral=True),
+                   seed=_scenario_number(d, "seed", integral=True))
 
 
 def default_config(

@@ -7,11 +7,16 @@ fields directly; ``nm`` and ``ml`` document the flat layout of each step.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import qr_decompose
+
+if TYPE_CHECKING:
+    from .ml import MLState
 
 
 def _as_float_array(x, shape=None):
@@ -19,6 +24,22 @@ def _as_float_array(x, shape=None):
     if shape is not None and out.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {out.shape}")
     return out
+
+
+def json_numbers(doc: dict, name: str, size: int, what: str) -> np.ndarray:
+    """The ``size`` numbers of a JSON document's field ``name`` as a float array.
+
+    Raises ValueError naming the field of the ``what`` document when they are
+    not numbers (a string, a boolean, a null or an object) or not ``size`` of them.
+    """
+    value = doc[name]
+    try:
+        out = np.asarray(value)
+    except ValueError:  # a ragged list
+        out = None
+    if out is None or out.dtype.kind not in "iuf" or out.size != size:
+        raise ValueError(f"{what} field {name!r} must be {size} numbers, got {reprlib.repr(value)}")
+    return out.astype(float)
 
 
 @dataclass(frozen=True)
@@ -36,33 +57,6 @@ class CalibrationParams:
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_float_array(self.shape, (3, 3)))
         object.__setattr__(self, "offset", _as_float_array(self.offset, (3,)))
-
-
-@dataclass(frozen=True)
-class MLState:
-    """Full state of the constrained maximum-likelihood estimation.
-
-    ``t_matrix`` is the inverse shape matrix (upper triangular), ``offset``
-    the hard-iron estimate, ``field_dirs`` one unit field-direction estimate
-    per sample, ``lagrange`` the multiplier of each unit-norm constraint.
-    """
-
-    t_matrix: np.ndarray
-    offset: np.ndarray
-    field_dirs: np.ndarray
-    lagrange: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_matrix", _as_float_array(self.t_matrix, (3, 3)))
-        object.__setattr__(self, "offset", _as_float_array(self.offset, (3,)))
-        dirs = _as_float_array(self.field_dirs)
-        lag = _as_float_array(self.lagrange)
-        if dirs.ndim != 2 or dirs.shape[1] != 3:
-            raise ValueError(f"field_dirs must be (N, 3), got {dirs.shape}")
-        if lag.shape != (dirs.shape[0],):
-            raise ValueError("field_dirs and lagrange lengths disagree")
-        object.__setattr__(self, "field_dirs", dirs)
-        object.__setattr__(self, "lagrange", lag)
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,8 @@ class SolveReport:
 
     ``objective_history`` tracks the nm objective or the ml data misfit (sum
     of squared residuals). Both estimators set ``final_params``; only ml sets
-    ``final_state`` and ``constraint_violation_history``, the worst unit-norm
-    violation max_k |  ||m_k||^2 - 1 |, aligned per iteration.
+    ``final_state`` (an ``ml.MLState``) and ``constraint_violation_history``,
+    the worst unit-norm violation max_k |  ||m_k||^2 - 1 |, aligned per iteration.
     """
 
     objective_history: tuple

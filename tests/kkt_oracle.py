@@ -10,7 +10,8 @@ import numpy as np
 import scipy.linalg
 
 from magcal.linalg import UPPER_VEC_INDICES
-from magcal.types import MLState, as_samples
+from magcal.ml import MLState
+from magcal.types import as_samples
 
 _EYE3 = np.eye(3)
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from magcal import ml
 from magcal.linalg import pack_upper, unpack_upper
-from magcal.types import CalibrationParams, MLState
+from magcal.ml import MLState
+from magcal.types import CalibrationParams
 
 
 def params_to_vector(params: CalibrationParams) -> np.ndarray:

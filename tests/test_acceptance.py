@@ -18,10 +18,10 @@ from magcal.experiments import run_timing
 from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
 from magcal.metrics import error_metrics
-from magcal.ml import solve_ml
+from magcal.ml import MLState, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
-from magcal.types import CalibrationParams, MLState
+from magcal.types import CalibrationParams
 from nm_reference import nm_derivatives, nm_objective
 from packing import params_from_vector, stacked, state_from_vector, state_to_vector
 

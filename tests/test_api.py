@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "DivergenceError",
     "ErrorMetrics",
     "InsufficientDataError",
-    "MLState",
     "MonteCarloResult",
     "SensitivityResult",
     "SensorTruth",
@@ -37,6 +36,7 @@ PUBLIC_NAMES = [
 
 INTERNAL_NAMES = [
     "EllipsoidCoeffs",
+    "MLState",
     "fit_ellipsoid",
     "initial_ml_state",
     "initial_params",
@@ -55,7 +55,7 @@ def test_public_surface_is_pinned():
 
 
 def test_solver_internals_stay_in_their_modules():
-    # Reached through fit_initial, solve_ml and SolveReport.final_params instead.
+    # Reached through fit_initial, solve_ml and a SolveReport's final_params and final_state.
     for name in INTERNAL_NAMES:
         assert not hasattr(magcal, name)
 

@@ -307,6 +307,37 @@ class TestMetricsCommand:
         assert main(["metrics", "--estimate", str(bad), "--truth", str(bad)]) == 2
 
 
+_SCENARIO = default_config().to_dict()
+_MALFORMED = {
+    "scenario_3": ("simulate", 3, "scenario must be a JSON object, got 3"),
+    "scenario_list": ("simulate", [1, 2], "scenario must be a JSON object, got [1, 2]"),
+    "n_null": ("simulate", {**_SCENARIO, "n": None}, "scenario field 'n' must be an integer"),
+    "sigma_null": ("simulate", {**_SCENARIO, "sigma": None},
+                   "scenario field 'sigma' must be a number"),
+    "seed_list": ("simulate", {**_SCENARIO, "seed": [1]},
+                  "scenario field 'seed' must be an integer"),
+    "n_fraction": ("simulate", {**_SCENARIO, "n": 2.7}, "scenario field 'n' must be an integer"),
+    **{f"{command}_{name}": (command, document, message)
+       for command in ("apply", "metrics")
+       for name, document, message in (
+           ("report_3", 3, "report document must be a JSON object, got 3"),
+           ("report_list", [1, 2], "report document must be a JSON object, got [1, 2]"),
+           ("nm_5", {"nm": 5}, "the document's 'nm' report must be a JSON object, got 5"))},
+}
+
+
+@pytest.mark.parametrize("command, document, message", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_json_exits_2_naming_it(tmp_path, capsys, command, document, message):
+    doc, out = str(tmp_path / "doc.json"), str(tmp_path / "out.csv")
+    fileio.write_json(doc, document)
+    argv = {"simulate": ["--config", doc, "--out", out],
+            "apply": ["--report", doc, "--input", out, "--out", out],
+            "metrics": ["--estimate", doc, "--truth", doc]}[command]
+    assert main([command, *argv]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
 class TestStudyCommands:
     def test_montecarlo_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -337,6 +337,13 @@ class TestReports:
         with pytest.raises(ValueError):
             fileio.select_report({"format_version": 1})
 
+    @pytest.mark.parametrize("key, value, size", [("shape_upper", {}, 6), ("offset", {}, 3),
+                                                  ("offset", [1.0, 2.0], 3)])
+    def test_report_fields_of_wrong_type_rejected_naming_them(self, solved, key, value, size):
+        doc = {**fileio.report_dict(solved["nm"]), key: value}
+        with pytest.raises(ValueError, match=f"report field '{key}' must be {size} numbers"):
+            fileio.params_from_report(doc)
+
     def test_json_round_trip(self, solved, tmp_path):
         doc = fileio.report_dict(solved["ml"], 1.25e-7, "sha256:xyz")
         path = tmp_path / "report.json"

@@ -13,10 +13,10 @@ from magcal.initfit import fit_initial
 from magcal.linalg import UPPER_VEC_INDICES, unpack_upper
 from magcal.linalg import invert_upper
 from magcal.metrics import apply_calibration, error_metrics
-from magcal.ml import solve_ml
+from magcal.ml import MLState, solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
-from magcal.types import CalibrationParams, MLState, SolveOptions
+from magcal.types import CalibrationParams, SolveOptions
 from packing import initial_ml_state, stacked, state_from_vector, state_to_vector
 
 
@@ -325,6 +325,20 @@ class TestSolve:
         assert report.objective_history == direct.objective_history
         np.testing.assert_array_equal(state_to_vector(report.final_state),
                                       state_to_vector(direct.final_state))
+
+    def test_final_states_of_a_stack_own_their_arrays(self, default_scene):
+        # A study keeps its reports; views into the finished stack would keep the stack alive.
+        samples = np.stack([simulate(default_scene["truth"], default_scene["trajectory"], seed=s)
+                            .samples for s in (12, 13, 14, 15)])
+        inits = [fit_initial(s)[0] for s in samples[:3]] + [CalibrationParams(np.diag([1, 0, 1]),
+                                                                              np.zeros(3))]
+        results = ml.solve_ml_batch(samples, inits)
+        assert [r.converged for r in results[:3]] == [True] * 3
+        assert isinstance(results[3], DivergenceError)
+        for r in results[:3] + [results[3].report]:
+            state = r.final_state
+            for a in (state.t_matrix, state.offset, state.field_dirs, state.lagrange):
+                assert a.base is None
 
     def test_non_finite_sample_rejected_naming_row(self, monkeypatch):
         samples = np.random.default_rng(3).normal(0, 1, (12, 3))

@@ -136,6 +136,32 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("soft_iron", [[1.0, 2.0], [3.0]], "'soft_iron' must be 9 numbers"),
+            ("hard_iron", {}, "'hard_iron' must be 3 numbers"),
+            ("hard_iron", [True, False, True], "'hard_iron' must be 3 numbers"),
+            ("field", "abc", "'field' must be 3 numbers"),
+            ("sigma", "0.003", "'sigma' must be a number"),
+            ("n", True, "'n' must be an integer"),
+            ("seed", np.inf, "'seed' must be an integer"),
+        ],
+        ids=["soft_iron_ragged", "hard_iron_object", "hard_iron_booleans", "field_string",
+             "sigma_string", "n_boolean", "seed_inf"],
+    )
+    def test_wrong_type_rejected_naming_field(self, key, value, message):
+        d = default_config().to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"scenario field {message}"):
+            SimConfig.from_dict(d)
+
+    def test_integral_float_n_and_seed_accepted(self):
+        d = {**default_config().to_dict(), "n": 300.0, "seed": 7.0}
+        loaded = SimConfig.from_dict(d)
+        assert (loaded.n, loaded.seed) == (300, 7)
+        assert type(loaded.n) is type(loaded.seed) is int
+
     @pytest.mark.parametrize("soft_iron", [np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-300]),
                                            np.diag([1.0, 1.0, 1e-310]), np.ones((3, 3))],
                              ids=["zero", "tiny_pivot", "subnormal_pivot", "rank_one"])
