@@ -103,7 +103,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_apply(args) -> int:
     report = fileio.select_report(fileio.read_json(args.report), args.method)
-    if not report.get("converged", True):
+    converged = report.get("converged", True)  # absent from a hand-written report
+    if not isinstance(converged, bool):
+        raise ValueError(f"report field 'converged' must be true or false, got {converged!r}")
+    if not converged:
         raise SolverFailure(f"the {report.get('method')} report did not converge; not applying it")
     params = fileio.params_from_report(report)
     samples = fileio.read_samples_csv(args.input)

@@ -20,7 +20,7 @@ from .metrics import error_metrics
 from .ml import solve_ml, solve_ml_batch
 from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
-from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, as_samples
+from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, check_seed
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
@@ -42,13 +42,6 @@ def solve(method: str, data, init: CalibrationParams,
     # rebinding of ``solve_nm``/``solve_ml`` here (as perfbench's tracer does)
     # applies to every CLI and timing solve.
     return (solve_nm if method == "nm" else solve_ml)(data, init, opts)
-
-
-def _solve_batch(method: str, samples, inits) -> list:
-    """``method``'s reports, or failures, on a stack of problems: (B, N, 3) samples, B estimates."""
-    # Looked up at call time like ``solve``'s solvers: a rebinding of
-    # ``solve_nm_batch``/``solve_ml_batch`` here applies to every study solve.
-    return (solve_nm_batch if method == "nm" else solve_ml_batch)(samples, inits)
 
 
 def _check_alpha(alpha) -> None:
@@ -170,13 +163,15 @@ def _run(args) -> list:
             continue
         if alpha is not None:
             init = perturb_initial(init, alpha, sign_seq)
-        samples[len(solved)] = as_samples(dataset)
+        samples[len(solved)] = dataset.samples
         solved.append(i)
         inits.append(init)
     samples, size = samples[: len(solved)], max(1, CHUNK // len(trajectory))
-    nm = [_outcome(r, truth_params) for r in _solve_batch("nm", samples, inits)] if solved else []
+    # Called by module-global name, never bound at import, like ``solve``'s solvers: a
+    # rebinding of ``solve_nm_batch``/``solve_ml_batch`` here applies to every study solve.
+    nm = [_outcome(r, truth_params) for r in solve_nm_batch(samples, inits)] if solved else []
     for lo in range(0, len(solved), size):
-        ml = _solve_batch("ml", samples[lo : lo + size], inits[lo : lo + size])
+        ml = solve_ml_batch(samples[lo : lo + size], inits[lo : lo + size])
         for i, nm_outcome, ml_result in zip(solved[lo:], nm[lo:], ml):
             outcomes[i] = nm_outcome, _outcome(ml_result, truth_params)
         del ml  # not held while the next stack solves
@@ -231,7 +226,7 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     scene, truth_params = _scene(config), config.truth.calibration()
-    children = np.random.SeedSequence(seed).spawn(runs)
+    children = np.random.SeedSequence(check_seed(seed)).spawn(runs)
     results = _map(_run, _batches(scene, truth_params, [(None, child) for child in children],
                                   workers), workers)
     rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
@@ -291,7 +286,7 @@ def run_sensitivity(
         _check_alpha(alpha)
     thresholds = _thresholds(config)
     scene = _scene(config)
-    alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
+    alpha_children = np.random.SeedSequence(check_seed(seed)).spawn(len(alphas))
 
     # One pool for the whole sweep; outcomes come back in (alpha, run) order.
     jobs = _batches(scene, None, [(alpha, run_seq) for alpha, child in zip(alphas, alpha_children)
@@ -340,6 +335,7 @@ def run_timing(
         raise ValueError("n_values and methods must be nonempty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    check_seed(seed)
     for method in methods:  # before any solve, not when the timing loop reaches it
         _check_method(method)
     rows = []

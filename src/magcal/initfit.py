@@ -14,7 +14,7 @@ import numpy as np
 
 from ._newton import CHUNK, tr
 from .errors import DegenerateDataError, InsufficientDataError
-from .linalg import UPPER_POSITIONS, cholesky_upper
+from .linalg import UPPER_POSITIONS, unpack_upper
 from .types import CalibrationParams, as_samples
 
 MIN_SAMPLES = 10
@@ -50,11 +50,6 @@ def _scatter(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 d = _design_matrix(samples[items, rows : rows + CHUNK] - center[items, None])
                 gram[items] += tr(d) @ d
     return center, gram
-
-
-def _sym_from_packed(z6: np.ndarray) -> np.ndarray:
-    a11, a12, a13, a22, a23, a33 = z6
-    return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
 
 def _definiteness(a: np.ndarray) -> int:
@@ -96,7 +91,8 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     z = eigvecs[:, 0]
     min_eigenvalue = float(eigvals[0])
 
-    a = _sym_from_packed(z[:6])
+    a = unpack_upper(z[:6])
+    a += np.triu(a, 1).T
     sign = _definiteness(a)
     if sign == 0:
         raise DegenerateDataError(
@@ -116,7 +112,7 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     b = alpha * b
 
     try:
-        shape = cholesky_upper(a)
+        shape = np.linalg.cholesky(a).T.copy()  # upper, R'R = A
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError("quadric matrix is not positive definite") from exc
     # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.

@@ -1,9 +1,8 @@
 """Fixed-size 3x3 matrix helpers shared by the calibration estimators.
 
 Everything here is specific to dimension 3: the Euler-angle attitude matrix,
-sign-normalized QR, the upper Cholesky factor, the scale/non-orthogonality
-split of a triangular shape matrix, and packing of the six free entries of
-an upper-triangular matrix. No general N x N support is intended.
+sign-normalized QR, and the inverse and six-entry packing of an upper-triangular
+matrix. No general N x N support is intended.
 """
 
 from __future__ import annotations
@@ -72,45 +71,20 @@ def qr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, signs[:, None] * r
 
 
-def cholesky_upper(a: np.ndarray) -> np.ndarray:
-    """Upper-triangular factor R with R.T @ R == a, positive diagonal.
-
-    Raises LinAlgError when ``a`` is not positive definite.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.linalg.cholesky(a).T.copy()
-
-
 def invert_upper(r: np.ndarray) -> np.ndarray:
     """Inverse of an upper-triangular matrix by back-substitution; exactly upper-triangular.
 
-    Only the upper triangle of ``r`` is read. Raises ValueError on non-finite
-    entries and LinAlgError on a zero diagonal entry. The arithmetic is on
-    Python floats, so entries that overflow become inf or NaN without a warning.
+    The arithmetic reads only the upper triangle of ``r``, on Python floats, so
+    entries that overflow become inf or NaN without a warning. A matrix with a
+    non-finite entry, or a zero on the diagonal, gives an upper triangle of NaN.
     """
     r = np.asarray(r, dtype=float)
-    if not np.isfinite(r).all():
-        raise ValueError("array must not contain infs or NaNs")
     (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
-    if r00 == 0.0 or r11 == 0.0 or r22 == 0.0:
-        raise np.linalg.LinAlgError("singular upper-triangular matrix: zero diagonal entry")
+    if not np.isfinite(r).all() or r00 == 0.0 or r11 == 0.0 or r22 == 0.0:
+        return np.triu(np.full((3, 3), np.nan))
     t12 = -r12 / r22 / r11
     return np.array([
         [1.0 / r00, -r01 / r11 / r00, -(r01 * t12 + r02 / r22) / r00],
         [0.0, 1.0 / r11, t12],
         [0.0, 0.0, 1.0 / r22],
     ])
-
-
-def decompose_scale_ortho(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor an upper-triangular matrix as (unit-diagonal) @ diag(scales).
-
-    Returns ``(m_matrix, scales)``: ``m_matrix`` is upper triangular with unit
-    diagonal (inter-axis coupling), ``scales`` the diagonal scale factors, and
-    ``m_matrix * scales`` reproduces ``r``.
-    """
-    r = np.asarray(r, dtype=float)
-    scales = np.diag(r).copy()
-    if np.any(scales == 0.0):
-        raise ValueError("cannot decompose: zero diagonal entry")
-    return r / scales, scales

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import decompose_scale_ortho
 from .types import CalibrationParams, ErrorMetrics
 
-# Strictly-upper entry positions used for the orthogonality error.
-_STRICT_ROWS = np.array([0, 0, 1])
-_STRICT_COLS = np.array([1, 2, 2])
+_STRICT_UPPER = np.triu_indices(3, 1)  # (0, 1), (0, 2), (1, 2): the orthogonality error's entries
 
 
 def apply_calibration(params: CalibrationParams, y) -> np.ndarray:
@@ -31,12 +28,12 @@ def error_metrics(estimate: CalibrationParams, truth: CalibrationParams) -> Erro
     error the norm of the coupling mismatch expressed in degrees, and the
     hard-iron error a third of the offset distance in Gauss.
     """
-    est_m, est_scales = decompose_scale_ortho(estimate.shape)
-    ref_m, ref_scales = decompose_scale_ortho(truth.shape)
-    scale_rel = est_scales / ref_scales - 1.0
-    ortho_diff = (est_m - ref_m)[_STRICT_ROWS, _STRICT_COLS]
+    est_scales, ref_scales = np.diag(estimate.shape), np.diag(truth.shape)
+    if not (est_scales.all() and ref_scales.all()):
+        raise ValueError("cannot split a shape matrix with a zero diagonal entry into scales")
+    coupling = estimate.shape / est_scales - truth.shape / ref_scales  # of unit-diagonal matrices
     return ErrorMetrics(
-        scale_pct=float(np.linalg.norm(scale_rel) / 3.0 * 100.0),
-        ortho_deg=float(180.0 / (3.0 * np.pi) * np.linalg.norm(ortho_diff)),
+        scale_pct=float(np.linalg.norm(est_scales / ref_scales - 1.0) / 3.0 * 100.0),
+        ortho_deg=float(180.0 / (3.0 * np.pi) * np.linalg.norm(coupling[_STRICT_UPPER])),
         hard_iron_gauss=float(np.linalg.norm(estimate.offset - truth.offset) / 3.0),
     )

@@ -33,9 +33,6 @@ from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
-_D = np.arange(3)
-# The shape of a start or an exit whose matrix has no finite inverse.
-_NAN_UPPER = np.triu(np.full((3, 3), np.nan))
 _ROWS, _COLS = np.array(UPPER_POSITIONS).T
 # The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
 # the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
@@ -45,7 +42,7 @@ _SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
 _HEAD_FROM = np.full((9, 9), 13)
 _HEAD_FROM[_SAME_P, _SAME_Q] = 3 * _COLS[_SAME_P] + _COLS[_SAME_Q]
 _HEAD_FROM[np.arange(6), 6 + _ROWS] = _HEAD_FROM[6 + _ROWS, np.arange(6)] = 9 + _COLS
-_HEAD_FROM[6 + _D, 6 + _D] = 12
+_HEAD_FROM[6 + np.arange(3), 6 + np.arange(3)] = 12
 # Sample k couples to the head along eigenvector j through the 9x7 matrix
 # lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
 # lin[j, p, 3 + r_p] = -2 V[c_p, j] and lin[j, 6 + i, 6] = 2 (T V)[i, j]. These
@@ -239,8 +236,7 @@ def _initial_states(inits, samples: np.ndarray) -> tuple:
     offsets = np.array([p.offset for p in inits])
     with np.errstate(over="ignore", invalid="ignore"):
         field_dirs = (samples - offsets[:, None, :]) @ tr(shapes)
-    invertible = np.isfinite(shapes).all(axis=(1, 2)) & shapes[:, _D, _D].all(axis=1)
-    t = np.array([invert_upper(r) if ok else _NAN_UPPER for r, ok in zip(shapes, invertible)])
+    t = np.array([invert_upper(r) for r in shapes])
     return t, offsets, field_dirs, np.zeros(samples.shape[:2]), samples
 
 
@@ -293,11 +289,8 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         if np.any(np.diag(t) <= 0.0):
             warn = ("t_matrix diagonal not strictly positive at exit",)
         # R = T^-1. A failed solve can stop at a T with no inverse; its report gets a NaN shape.
-        shape = _NAN_UPPER.copy()
-        if np.all(np.isfinite(t)) and np.all(np.diag(t) != 0.0):
-            shape = invert_upper(t)
         state = MLState(*(a.copy() for a in (t, offset, dirs, lam)))  # views would hold the stack
-        return dict(final_params=CalibrationParams(shape, offset.copy()), final_state=state,
-                    constraint_violation_history=records[1], warnings=warn)
+        return dict(final_params=CalibrationParams(invert_upper(t), offset.copy()),
+                    final_state=state, constraint_violation_history=records[1], warnings=warn)
 
     return newton_solve(x, opts, objective, step, converged, finish)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import attitude_from_euler
-from .types import Dataset, SensorTruth, json_numbers
+from .types import Dataset, SensorTruth, check_seed, json_numbers
 
 DEFAULT_SOFT_IRON = np.array(
     [
@@ -123,6 +123,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("config requires n >= 1")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         truth = self.truth

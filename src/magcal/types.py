@@ -42,6 +42,12 @@ def json_numbers(doc: dict, name: str, size: int, what: str) -> np.ndarray:
     return out.astype(float)
 
 
+def check_seed(seed) -> int:
+    if seed < 0:  # numpy's own message names nothing
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class CalibrationParams:
     """Triangular shape matrix (Gauss^-1) plus hard-iron offset (Gauss).
@@ -153,7 +159,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of an nm or ml solve; history index 0 is the initial value.
+    """Outcome of an nm or ml solve; a history is a tuple of floats, index 0 the initial value.
 
     ``objective_history`` tracks the nm objective or the ml data misfit (sum
     of squared residuals). Both estimators set ``final_params``; only ml sets
@@ -168,10 +174,6 @@ class SolveReport:
     final_state: MLState | None = None
     constraint_violation_history: tuple = ()
     warnings: tuple = ()
-
-    def __post_init__(self):
-        for name in ("objective_history", "constraint_violation_history"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     @property
     def final_objective(self) -> float:

@@ -261,6 +261,37 @@ class TestApplyCommand:
         mags = np.loadtxt(nm_out, delimiter=",", skiprows=1)[:, 3]
         np.testing.assert_allclose(mags, 1.0, atol=0.05)
 
+    @pytest.mark.parametrize("command", ["apply", "metrics"])
+    @pytest.mark.parametrize("document, message", [
+        ({"method": "nm", "shape_upper": [1, 0, 0, 1, 0, 1], "offset": [0, 0, 0]},
+         "report holds method 'nm', not 'ml'"),
+        ({"nm": {"shape_upper": [1, 0, 0, 1, 0, 1], "offset": [0, 0, 0]}},
+         "document has no 'ml' report"),
+    ], ids=["flat_nm", "combined_without_ml"])
+    def test_missing_method_exits_2_naming_it(self, tmp_path, capsys, command, document,
+                                              message):
+        data, report, out = tmp_path / "data.csv", tmp_path / "r.json", tmp_path / "out"
+        fileio.write_samples_csv(data, np.ones((3, 3)))
+        fileio.write_json(report, document)
+        argv = {"apply": ["--report", str(report), "--input", str(data), "--out", str(out)],
+                "metrics": ["--estimate", str(report), "--truth", str(report),
+                            "--out", str(out)]}[command]
+        assert main([command, *argv, "--method", "ml"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("converged", ["false", "no", 0, None],
+                             ids=["string_false", "string_no", "zero", "null"])
+    def test_non_boolean_converged_exits_2_naming_it(self, tmp_path, capsys, converged):
+        data, report, out = tmp_path / "data.csv", tmp_path / "r.json", tmp_path / "cal.csv"
+        fileio.write_samples_csv(data, np.ones((3, 3)))
+        fileio.write_json(report, {"method": "nm", "shape_upper": [1, 0, 0, 1, 0, 1],
+                                   "offset": [0, 0, 0], "converged": converged})
+        assert main(["apply", "--report", str(report), "--input", str(data),
+                     "--out", str(out)]) == 2
+        assert "report field 'converged' must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_files_exit_2(self, tmp_path):
         report = tmp_path / "r.json"
         fileio.write_json(report, {"format_version": 1})
@@ -411,3 +442,25 @@ class TestStudyCommands:
                      "--repeats", "1", "--out-prefix", prefix]) == 0
         rows = fileio.read_json(prefix + "_timing.json")["rows"]
         assert {r["method"] for r in rows} == {"nm", "ml"}
+
+
+_NEGATIVE_SEED = {
+    f"{command}_{source}": [command, *({"config": ["--config", "CONFIG"],
+                                        "flag": ["--seed", "-5"]}[source]), *rest]
+    for command, rest in (("simulate", ["--out", "OUT.csv"]),
+                          ("montecarlo", ["--runs", "1", "--out-prefix", "OUT"]),
+                          ("sensitivity", ["--runs", "1", "--out-prefix", "OUT"]),
+                          ("timing", ["--n-values", "60", "--repeats", "1", "--out-prefix", "OUT"]))
+    for source in ("config", "flag")
+}
+
+
+@pytest.mark.parametrize("argv", _NEGATIVE_SEED.values(), ids=_NEGATIVE_SEED)
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, argv):
+    # A config seed enters through SimConfig, a --seed flag through the command's own path.
+    config = write_config(tmp_path / "cfg.json", seed=-1, n=100)
+    out = str(tmp_path / "out")
+    argv = [config if a == "CONFIG" else a.replace("OUT", out) for a in argv]
+    assert main(argv) == 2
+    assert "error: seed must be a non-negative integer, got -" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []

@@ -145,6 +145,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(small_config, runs=0, seed=1)
 
+    def test_every_fit_failing_gives_nan_aggregates(self):
+        # Below the fit's 10 samples every run fails before a solve.
+        result = run_monte_carlo(default_config(n=9), runs=2, seed=1)
+        for method in ("nm", "ml"):
+            assert result.failure_count(method) == 2
+            aggregate = result.aggregate(method)
+            assert set(aggregate) == set(experiments.METRIC_NAMES)
+            assert all(np.isnan(v) for stats in aggregate.values() for v in stats.values())
+
     def test_pool_capped_at_job_count_and_workers_validated(self, small_config, monkeypatch):
         sizes = []
 
@@ -269,6 +278,10 @@ class TestSensitivity:
         assert result.nm_divergences == (2,)
         assert result.ml_divergences == (2,)
 
+    def test_run_count_validated(self, small_config):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            run_sensitivity(small_config, [0.01], runs=0)
+
     def test_empty_alphas_rejected(self, small_config):
         with pytest.raises(ValueError, match="alphas"):
             run_sensitivity(small_config, [], runs=1)
@@ -292,6 +305,10 @@ class TestTiming:
     def test_empty_n_values_rejected(self, small_config):
         with pytest.raises(ValueError):
             run_timing(small_config, [], repeats=1)
+
+    def test_repeat_count_validated(self, small_config):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            run_timing(small_config, [60], repeats=0)
 
     def test_empty_methods_rejected(self, small_config):
         with pytest.raises(ValueError, match="methods"):
@@ -361,3 +378,15 @@ class TestTiming:
         step_dense(*ml._assemble(*stacked(state, ds.samples)))
         dense_s = time.perf_counter() - start
         assert dense_s > 10.0 * block_s
+
+
+@pytest.mark.parametrize("study", [
+    lambda config, seed: run_monte_carlo(config, runs=1, seed=seed),
+    lambda config, seed: run_sensitivity(config, [0.01], runs=1, seed=seed),
+    lambda config, seed: run_timing(config, [60], repeats=1, seed=seed),
+], ids=["montecarlo", "sensitivity", "timing"])
+def test_negative_seed_rejected_naming_it_before_any_run(small_config, monkeypatch, study):
+    monkeypatch.setattr(experiments, "_run", lambda job: pytest.fail("ran a job"))
+    monkeypatch.setattr(experiments, "simulate", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        study(small_config, -3)

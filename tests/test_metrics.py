@@ -87,3 +87,11 @@ class TestErrorMetrics:
         m = error_metrics(ml_params, truth)
         assert m.scale_pct < 0.5 and m.ortho_deg < 0.5
 
+    @pytest.mark.parametrize("zero_in", ["estimate", "truth"])
+    def test_zero_scale_diagonal_raises(self, zero_in):
+        # A study that met one must stop, not warn and then aggregate inf.
+        good = _params([1.1, 0.2, -0.1, 0.9, 0.3, 1.2], [0.5, 1.7, 2.6])
+        bad = _params([1.1, 0.2, -0.1, 0.0, 0.3, 1.2], [0.5, 1.7, 2.6])
+        args = (bad, good) if zero_in == "estimate" else (good, bad)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            error_metrics(*args)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ class TestSimulate:
         assert np.all(np.abs(off) < 0.05 * sigma**2)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (5, 2), (3,)])
+def test_noise_free_samples_need_an_n_by_3_trajectory(shape):
+    with pytest.raises(ValueError, match="trajectory must be"):
+        noise_free_samples(default_truth(), np.zeros(shape))
+
+
 class TestSimConfig:
     def test_round_trip(self):
         cfg = default_config()
@@ -155,6 +163,14 @@ class TestSimConfig:
         d[key] = value
         with pytest.raises(ValueError, match=f"scenario field {message}"):
             SimConfig.from_dict(d)
+
+    def test_negative_seed_rejected_naming_it(self):
+        # numpy's own message for a negative seed names nothing.
+        for make in (lambda: default_config(seed=-1),
+                     lambda: SimConfig.from_dict({**default_config().to_dict(), "seed": -1}),
+                     lambda: dataclasses.replace(default_config(), seed=-1)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+                make()
 
     def test_integral_float_n_and_seed_accepted(self):
         d = {**default_config().to_dict(), "n": 300.0, "seed": 7.0}
