@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,9 @@
 Noise-free samples satisfy y'Ay + b'y + c = 0 with A = R'R, b = -2Ah and
 c = h'Ah - 1, which is linear in the ten unknowns (A, b, c) up to scale.
 The fit takes the eigenvector of the 10x10 normal matrix belonging to its
-smallest eigenvalue, fixes its sign so A is positive definite, and rescales
-so that h'Ah - c = 1. The initial shape matrix is then the upper Cholesky
-factor of A and the offset is -A^{-1} b / 2.
+smallest eigenvalue, fixes its sign so that A_11 > 0, and rescales so that
+h'Ah - c = 1. The initial shape matrix is then the upper Cholesky factor of
+A, which exists only for an ellipsoid, and the offset is -A^{-1} b / 2.
 """
 
 from __future__ import annotations
@@ -52,21 +52,6 @@ def _scatter(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, gram
 
 
-def _definiteness(a: np.ndarray) -> int:
-    """+1 if positive definite, -1 if negative definite, 0 otherwise.
-
-    Uses the three leading principal minors.
-    """
-    m1 = a[0, 0]
-    m2 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    m3 = np.linalg.det(a)
-    if m1 > 0.0 and m2 > 0.0 and m3 > 0.0:
-        return 1
-    if m1 < 0.0 and m2 > 0.0 and m3 < 0.0:
-        return -1
-    return 0
-
-
 def fit_initial(data) -> tuple[CalibrationParams, float]:
     """Least-squares quadric fit of the raw samples, as a shape/offset estimate.
 
@@ -76,8 +61,8 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     exact reparameterization that improves conditioning).
 
     Raises InsufficientDataError below 10 samples and DegenerateDataError
-    when G overflows or the fitted quadric cannot be sign-fixed and scaled
-    to an ellipsoid (typically: not enough distinct attitudes).
+    when G overflows or the scaled quadric matrix has no finite Cholesky factor:
+    the quadric is not an ellipsoid (typically: not enough distinct attitudes).
     """
     samples = as_samples(data)
     n = samples.shape[0]
@@ -93,28 +78,22 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
 
     a = unpack_upper(z[:6])
     a += np.triu(a, 1).T
-    sign = _definiteness(a)
-    if sign == 0:
+    if a[0, 0] < 0.0:  # eigh's sign is arbitrary; a definite A shares the sign of A_11
+        z, a = -z, -a
+    b, c = z[6:9], z[9]
+    # The Cholesky factor alone decides: a singular A fails the scale's solve, an
+    # indefinite one the factorization, and a zero or overflowing scale gives inf or NaN.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            alpha = 4.0 / (b @ np.linalg.solve(a, b) - 4.0 * c)
+            a, b = alpha * a, alpha * b
+            shape = np.linalg.cholesky(a).T.copy()  # upper, R'R = A
+        except np.linalg.LinAlgError:
+            shape = None
+    if shape is None or not np.isfinite(shape).all():
         raise DegenerateDataError(
             "fitted quadric is not an ellipsoid; attitude coverage is insufficient"
         )
-    if sign < 0:
-        z = -z
-        a = -a
-    b = z[6:9]
-    c = z[9]
-
-    denom = b @ np.linalg.solve(a, b) - 4.0 * c
-    if denom <= 0.0:
-        raise DegenerateDataError("ellipsoid scaling failed; degenerate excitation")
-    alpha = 4.0 / denom
-    a = alpha * a
-    b = alpha * b
-
-    try:
-        shape = np.linalg.cholesky(a).T.copy()  # upper, R'R = A
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError("quadric matrix is not positive definite") from exc
     # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
     offset = -0.5 * np.linalg.solve(a, b - 2.0 * a @ center)
     return CalibrationParams(shape=shape, offset=offset), min_eigenvalue

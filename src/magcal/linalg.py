@@ -1,8 +1,8 @@
 """Fixed-size 3x3 matrix helpers shared by the calibration estimators.
 
-Everything here is specific to dimension 3: the Euler-angle attitude matrix,
-sign-normalized QR, and the inverse and six-entry packing of an upper-triangular
-matrix. No general N x N support is intended.
+Everything here is specific to dimension 3: the Euler-angle attitude matrix, and
+the inverse and six-entry packing of an upper-triangular matrix. No general N x N
+support is intended.
 """
 
 from __future__ import annotations
@@ -54,21 +54,6 @@ def attitude_from_euler(phi_deg, theta_deg, psi_deg) -> np.ndarray:
         -ct * sp, cp * sf + cf * st * sp, cf * cp - sf * st * sp,
     ]
     return np.stack(entries, axis=-1).reshape(phi.shape + (3, 3))
-
-
-def qr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization normalized so R has a strictly positive diagonal.
-
-    Sign flips are absorbed pairwise into columns of q and rows of r, so
-    q @ r still reproduces the input. Raises LinAlgError for singular input.
-    """
-    m = np.asarray(m, dtype=float)
-    q, r = np.linalg.qr(m)
-    diag = np.diag(r)
-    if np.min(np.abs(diag)) <= 1e-13 * max(1.0, np.max(np.abs(r))):
-        raise np.linalg.LinAlgError("QR decomposition of a (near-)singular matrix")
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs, signs[:, None] * r
 
 
 def invert_upper(r: np.ndarray) -> np.ndarray:

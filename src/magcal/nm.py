@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._newton import CHUNK, dot, newton_solve, only, solve_newton_system, tr
+from ._newton import dot, newton_solve, only, solve_newton_system, tr
 from .initfit import _scatter
 from .linalg import UPPER_POSITIONS, pack_upper, unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
@@ -111,14 +111,14 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
     """solve_nm on a stack of problems: validated (B, N, 3) ``samples`` and B initial estimates.
 
     Returns, per problem in order, its SolveReport or the SolverFailure that
-    ended it. Each problem's numbers are those of its lone solve_nm.
+    ended it. Each problem's numbers are those of its lone solve_nm. An iteration's
+    residual pass spans the whole stack, so the caller bounds its size: a study's
+    stack holds at most 4 CHUNK sample rows, or one run.
     """
-    opts, group = opts or SolveOptions(), max(1, CHUNK // samples.shape[1])  # items a pass
+    opts = opts or SolveOptions()
 
     def objective(x):
-        parts = [_residual_pass(*(a[lo : lo + group] for a in x[:3]))
-                 for lo in range(0, len(x[0]), group)]
-        f, *moments = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        f, *moments = _residual_pass(*x[:3])
         return (f,), tuple(moments)  # step reuses the moments
 
     def step(x, moments):

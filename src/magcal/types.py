@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import qr_decompose
-
 if TYPE_CHECKING:
     from .ml import MLState
 
@@ -93,8 +91,9 @@ class SensorTruth:
         if abs(np.linalg.norm(self.field) - 1.0) > 1e-12:
             raise ValueError("field must be a unit vector (normalize before use)")
         try:
-            calibrates = np.isfinite(self.calibration().shape).all()
-        except np.linalg.LinAlgError:
+            r = np.abs(self.calibration().shape)
+            calibrates = np.isfinite(r).all() and np.diag(r).min() > 1e-13 * max(1.0, r.max())
+        except np.linalg.LinAlgError:  # exactly singular
             calibrates = False
         if not calibrates:
             raise ValueError(f"soft_iron is singular or near-singular: {self.soft_iron.tolist()}")
@@ -106,8 +105,9 @@ class SensorTruth:
         matrix (positive-diagonal QR), so shape @ (y - hard_iron) is a unit
         vector for noise-free data.
         """
-        _, r = qr_decompose(np.linalg.inv(self.soft_iron))
-        return CalibrationParams(shape=r, offset=self.hard_iron.copy())
+        r = np.linalg.qr(np.linalg.inv(self.soft_iron))[1]
+        signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        return CalibrationParams(shape=signs[:, None] * r, offset=self.hard_iron.copy())
 
 
 @dataclass(frozen=True)

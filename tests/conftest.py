@@ -26,7 +26,7 @@ def pytest_terminal_summary(terminalreporter):
 def oracle_true_params(soft_iron, hard_iron):
     """Reference shape/offset: positive-diagonal QR of inv(S), done by hand.
 
-    Kept independent of the library's qr_decompose so recovery tests have
+    Kept independent of ``SensorTruth.calibration`` so recovery tests have
     an external yardstick.
     """
     q, r = np.linalg.qr(np.linalg.inv(np.asarray(soft_iron, float)))

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Print the sha256 of sixteen CLI outputs, so that two checkouts compare with one ``diff``.
+"""Print the sha256 of twenty CLI outputs, so that two checkouts compare with one ``diff``.
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
 Runs through ``cli.main`` in a temporary directory, with one BLAS thread:
 ``simulate --seed 7`` (CSV and truth sidecar) with that dataset's
 ``calibrate --method both`` report, ``apply --method ml`` CSV and ``metrics``
-JSON; ``simulate --seed 9124 --tilt 5`` (CSV and sidecar) with its report; and
-the default ``montecarlo`` and ``sensitivity`` outputs with ``--workers 1`` and
-``--workers 2``. Prints ``sha256  name`` per output, in name order. The two
-worker counts must give the same study digests.
+JSON; ``simulate --seed 9124 --tilt 5`` (CSV and sidecar) with its report;
+``simulate --config`` of ``default_config(n=30000)`` (CSV and sidecar) with its
+``calibrate --method both`` report and ``apply --method ml`` CSV, which reach the
+row blocks of ml, of the scatter matrix and of the CSV writers; and the default
+``montecarlo`` and ``sensitivity`` outputs with ``--workers 1`` and ``--workers 2``.
+Prints ``sha256  name`` per output, in name order. The two worker counts must give
+the same study digests.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import tempfile
@@ -28,6 +32,10 @@ COMMANDS = (
      "--out", "s7_metrics.json"],
     ["simulate", "--seed", "9124", "--tilt", "5", "--out", "t5.csv"],
     ["calibrate", "--input", "t5.csv", "--method", "both", "--out", "t5_report.json"],
+    ["simulate", "--config", "n30k.json", "--out", "n30k.csv"],
+    ["calibrate", "--input", "n30k.csv", "--method", "both", "--out", "n30k_report.json"],
+    ["apply", "--report", "n30k_report.json", "--method", "ml", "--input", "n30k.csv",
+     "--out", "n30k_ml.csv"],
     *([study, "--workers", workers, "--out-prefix", f"{study}_w{workers}"]
       for study in ("montecarlo", "sensitivity") for workers in ("1", "2")),
 )
@@ -37,14 +45,18 @@ def digests() -> list:
     """(sha256, name) of every file the commands write, in name order."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: products round as on one thread
     from magcal.cli import main
+    from magcal.simulate import default_config
 
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            config = pathlib.Path("n30k.json")
+            config.write_text(json.dumps(default_config(n=30000).to_dict()))
             for argv in COMMANDS:
                 with contextlib.redirect_stdout(io.StringIO()):
                     main(argv)
+            config.unlink()  # an input, not an output
             return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
                     for path in sorted(pathlib.Path(tmp).iterdir())]
         finally:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from magcal import experiments, fileio
+from magcal import cli, experiments, fileio
 from magcal.cli import main
 from magcal.errors import DivergenceError
 from magcal.initfit import fit_initial
@@ -463,4 +463,27 @@ def test_negative_seed_exits_2_naming_it(tmp_path, capsys, argv):
     argv = [config if a == "CONFIG" else a.replace("OUT", out) for a in argv]
     assert main(argv) == 2
     assert "error: seed must be a non-negative integer, got -" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+_TOO_LARGE = {
+    "simulate": ["simulate", "--config", "CONFIG", "--out", "OUT.csv"],
+    "montecarlo": ["montecarlo", "--config", "CONFIG", "--runs", "1", "--out-prefix", "OUT"],
+    "timing": ["timing", "--n-values", "1000000000000", "--repeats", "1", "--out-prefix", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", _TOO_LARGE.values(), ids=_TOO_LARGE)
+def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # n = 1e12 asks numpy for 7.28 TiB; sweep_trajectory fails here as numpy would, at once.
+    def too_large(n, *args):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({n}, 3)")
+
+    monkeypatch.setattr(cli, "sweep_trajectory", too_large)
+    monkeypatch.setattr(experiments, "sweep_trajectory", too_large)
+    config = write_config(tmp_path / "cfg.json", n=10**12)
+    out = str(tmp_path / "out")
+    argv = [config if a == "CONFIG" else a.replace("OUT", out) for a in argv]
+    assert main(argv) == 2
+    assert "error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []

@@ -146,6 +146,56 @@ class TestFitEllipsoid:
         assert traced_peak(lambda: fit_initial(samples)) < 4 * 8 * n
 
 
+_COVERAGE = "not an ellipsoid; attitude coverage is insufficient"
+
+
+class TestEllipsoidDecision:
+    """The scaled quadric's Cholesky factor alone decides whether the fit is an ellipsoid.
+
+    Each case hands the fit a crafted eigenvector z = [A entries 11,12,13,22,23,33, b, c]
+    of the centred quadric, whose scale is b'A^-1 b - 4c.
+    """
+
+    @staticmethod
+    def _fit_with(monkeypatch, z):
+        eigh = np.linalg.eigh
+
+        def crafted(gram):
+            vals, vecs = eigh(gram)
+            vecs[:, 0] = z
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", crafted)
+        return fit_initial(_noise_free_default())
+
+    @pytest.mark.parametrize("c", [0.25, 0.0, -1e-320], ids=["negative", "zero", "subnormal"])
+    def test_positive_definite_a_with_a_bad_scale_is_degenerate(self, monkeypatch, c):
+        # Scale -1 makes alpha A negative definite; 0 and 4e-320 make alpha overflow to inf.
+        with pytest.raises(DegenerateDataError, match=_COVERAGE):
+            self._fit_with(monkeypatch, _pack_quadric(np.eye(3), np.zeros(3), c))
+
+    @pytest.mark.parametrize("diag", [(1.0, 1.0, -1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, 0.0)],
+                             ids=["indefinite", "indefinite_negative_a11", "singular"])
+    def test_indefinite_or_singular_a_is_degenerate(self, monkeypatch, diag):
+        with pytest.raises(DegenerateDataError, match=_COVERAGE):
+            self._fit_with(monkeypatch, _pack_quadric(np.diag(diag), np.zeros(3), -1.0))
+
+    def test_negative_definite_twin_gives_the_same_fit_bit_for_bit(self, monkeypatch):
+        z = _pack_quadric(*_quadric(default_truth().calibration()))
+        twin = self._fit_with(monkeypatch, -z)
+        fit = self._fit_with(monkeypatch, z)
+        np.testing.assert_array_equal(twin[0].shape, fit[0].shape)
+        np.testing.assert_array_equal(twin[0].offset, fit[0].offset)
+        assert twin[1] == fit[1]
+
+    def test_hyperboloid_samples_are_degenerate(self):
+        rng = np.random.default_rng(9)
+        t, phi = rng.uniform(-1.0, 1.0, 60), rng.uniform(0.0, 2 * np.pi, 60)
+        samples = np.column_stack([np.cosh(t) * np.cos(phi), np.cosh(t) * np.sin(phi), np.sinh(t)])
+        with pytest.raises(DegenerateDataError, match=_COVERAGE):
+            fit_initial(samples)
+
+
 class TestInitialParams:
     def test_noise_free_recovery(self, default_scene):
         params = fit_initial(_noise_free_default())[0]

@@ -6,7 +6,6 @@ from magcal.linalg import (
     attitude_from_euler,
     invert_upper,
     pack_upper,
-    qr_decompose,
     unpack_upper,
 )
 
@@ -36,42 +35,6 @@ class TestAttitude:
             for j in range(5):
                 expected = attitude_from_euler(roll[i, j], pitch[i, j], 30.0)
                 np.testing.assert_array_equal(stack[i, j], expected)
-
-
-class TestQR:
-    def test_identity(self):
-        q, r = qr_decompose(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
-
-    def test_diagonal_passthrough(self):
-        q, r = qr_decompose(np.diag([2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(r, np.diag([2.0, 3.0, 4.0]), atol=1e-15)
-
-    def test_recomposes_inverse_soft_iron(self):
-        from magcal.simulate import DEFAULT_SOFT_IRON
-
-        m = np.linalg.inv(DEFAULT_SOFT_IRON)
-        q, r = qr_decompose(m)
-        np.testing.assert_allclose(q @ r, m, atol=1e-12)
-        assert np.all(np.diag(r) > 0)
-
-    def test_random_matrices(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            m = rng.normal(0, 1, (3, 3))
-            if abs(np.linalg.det(m)) < 1e-3:
-                continue
-            q, r = qr_decompose(m)
-            assert np.linalg.norm(q @ r - m) <= 1e-10 * np.linalg.norm(m)
-            np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
-            assert np.all(np.diag(r) > 0)
-            np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0.0)
-
-    def test_singular_input_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            qr_decompose(np.ones((3, 3)))
 
 
 class TestPacking:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import oracle_true_params
 
+from magcal.simulate import DEFAULT_SOFT_IRON
 from magcal.types import CalibrationParams, Dataset, SensorTruth, as_samples
 
 
@@ -14,6 +16,38 @@ def test_calibration_params_need_a_3x3_shape_and_a_3_offset(shape, offset):
 def test_sensor_truth_needs_a_unit_field():
     with pytest.raises(ValueError, match="field must be a unit vector"):
         SensorTruth(np.eye(3), np.zeros(3), 0.01, np.array([2.0, 0.0, 0.0]))
+
+
+def _random_soft_irons(count, seed):
+    """Random S = U diag(s) V' with singular values in [0.5, 1.5] and random rotations."""
+    rng = np.random.default_rng(seed)
+    rotations = np.linalg.qr(rng.normal(size=(count, 2, 3, 3)))[0]
+    return rotations[:, 0] * rng.uniform(0.5, 1.5, (count, 1, 3)) @ rotations[:, 1]
+
+
+def _truth(soft_iron):
+    return SensorTruth(soft_iron, np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
+
+
+def test_sensor_truth_calibration_is_upper_with_positive_diagonal():
+    for soft_iron in [np.eye(3), np.diag([0.5, 2.0, 4.0]), DEFAULT_SOFT_IRON,
+                      *_random_soft_irons(200, 2)]:
+        shape = _truth(soft_iron).calibration().shape
+        assert np.all(np.diag(shape) > 0.0)
+        np.testing.assert_array_equal(np.tril(shape, -1), 0.0)
+        np.testing.assert_allclose(np.linalg.inv(shape.T @ shape), soft_iron @ soft_iron.T,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_sensor_truth_calibration_equals_the_qr_oracle():
+    for soft_iron in _random_soft_irons(200, 3):
+        np.testing.assert_array_equal(_truth(soft_iron).calibration().shape,
+                                      oracle_true_params(soft_iron, np.zeros(3))[0])
+
+
+def test_sensor_truth_rejects_a_singular_soft_iron_naming_it():
+    with pytest.raises(ValueError, match="soft_iron is singular or near-singular"):
+        _truth(np.ones((3, 3)))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (5, 2), (3,)])
