@@ -8,6 +8,8 @@ from magcal.linalg import (
     pack_upper,
     unpack_upper,
 )
+from magcal.simulate import DEFAULT_SOFT_IRON
+from magcal.types import SensorTruth
 
 
 class TestAttitude:
@@ -35,6 +37,33 @@ class TestAttitude:
             for j in range(5):
                 expected = attitude_from_euler(roll[i, j], pitch[i, j], 30.0)
                 np.testing.assert_array_equal(stack[i, j], expected)
+
+
+class TestQR:
+    """The positive-diagonal QR of inv(S) that SensorTruth.calibration takes."""
+
+    @staticmethod
+    def _qr(soft_iron):
+        m = np.linalg.inv(soft_iron)
+        r = SensorTruth(soft_iron, np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0])).calibration().shape
+        return m, m @ np.linalg.inv(r), r
+
+    def test_identity(self):
+        _, q, r = self._qr(np.eye(3))
+        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
+
+    def test_diagonal_passthrough(self):
+        _, q, r = self._qr(np.diag([1 / 2.0, 1 / 3.0, 1 / 4.0]))
+        np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(r, np.diag([2.0, 3.0, 4.0]), atol=1e-15)
+
+    def test_recomposes_inverse_soft_iron(self):
+        m, q, r = self._qr(DEFAULT_SOFT_IRON)
+        np.testing.assert_allclose(q @ r, m, atol=1e-12)
+        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
+        assert np.all(np.diag(r) > 0)
+        np.testing.assert_array_equal(np.tril(r, -1), 0.0)
 
 
 class TestPacking:
