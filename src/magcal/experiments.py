@@ -15,8 +15,8 @@ import numpy as np
 
 from ._newton import CHUNK
 from .errors import CalibrationError, SolverFailure
-from .initfit import fit_initial
-from .metrics import error_metrics
+from .initfit import _scatter, fit_initial, fit_initial_batch
+from .metrics import error_metrics_batch
 from .ml import solve_ml, solve_ml_batch
 from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
@@ -121,59 +121,62 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
     )
 
 
-def _outcome(result, truth_params=None) -> MethodOutcome:
-    """One solve's report, or its failure, as a study row; error metrics need ``truth_params``."""
-    if isinstance(result, SolverFailure):
-        return _failed_outcome(str(result), result.report)
-    return MethodOutcome(
-        failed=False,
-        error=None,
-        converged=result.converged,
-        iterations=result.iterations,
-        final_objective=result.final_objective,
-        metrics=None if truth_params is None else error_metrics(result.final_params, truth_params),
-    )
+def _outcomes(results: list, truth_params=None) -> list:
+    """A stack's reports, or their failures, as study rows; error metrics need ``truth_params``.
+
+    The reports are scored in one stack.
+    """
+    reports = [r for r in results if not isinstance(r, SolverFailure)]
+    scores = iter(error_metrics_batch([r.final_params for r in reports], truth_params)
+                  if truth_params is not None else [None] * len(reports))
+    return [_failed_outcome(str(r), r.report) if isinstance(r, SolverFailure)
+            else MethodOutcome(failed=False, error=None, converged=r.converged,
+                               iterations=r.iterations, final_objective=r.final_objective,
+                               metrics=next(scores))
+            for r in results]
 
 
 def _run(args) -> list:
-    """Simulate, fit and perturb each run of a job, then solve them in stacks.
+    """Simulate, fit and perturb a job's runs as one stack, then solve and score them in stacks.
 
     Returns the runs' (nm, ml) outcomes, in order. The first item of ``args``
     is the study's scene, (truth, trajectory, noise-free samples), the same
     for every run; the last lists the runs as (alpha, run_seq) pairs. A
     Monte-Carlo run (``alpha`` None) draws its noise from ``run_seq`` and is
     scored against ``truth_params``. A sensitivity run splits ``run_seq`` into
-    noise and perturbation-sign seeds and is not scored. The runs whose fit
-    succeeds are solved, with the numbers of lone solves, by nm as one stack
-    and by ml in stacks of at most CHUNK rows; no stack's reports outlive it.
+    noise and perturbation-sign seeds and is not scored. The job's samples go
+    into one (B, N, 3) array whose scatter matrices are formed once, for the
+    stacked fit and for nm. The runs whose fit succeeds are solved, with the
+    numbers of lone solves, by nm as one stack and by ml in stacks of at most
+    CHUNK rows, and each stack is scored as one; no stack's reports outlive it.
     """
     (truth, trajectory, noise_free), truth_params, runs = args
-    outcomes, solved, inits = [None] * len(runs), [], []
-    samples = np.empty((len(runs),) + noise_free.shape)  # the solved runs' samples, in order
+    samples, signs = np.empty((len(runs),) + noise_free.shape), []
     for i, (alpha, run_seq) in enumerate(runs):
-        noise_seq = run_seq
-        if alpha is not None:
-            noise_seq, sign_seq = run_seq.spawn(2)
-        dataset = simulate(truth, trajectory, noise_seq, noise_free)
-        try:
-            init, _ = fit_initial(dataset)
-        except CalibrationError as exc:
-            bad = _failed_outcome(f"init-fit failed: {exc}")
+        noise_seq, sign_seq = (run_seq, None) if alpha is None else run_seq.spawn(2)
+        samples[i] = simulate(truth, trajectory, noise_seq, noise_free).samples
+        signs.append(sign_seq)
+    scatter = _scatter(samples)
+    # Called by module-global name, never bound at import, like ``solve``'s solvers: a
+    # rebinding of a batch entry point here applies to every study fit, solve and score.
+    fits = fit_initial_batch(samples, scatter)
+    outcomes, solved, inits = [None] * len(runs), [], []
+    for i, ((alpha, _), sign_seq, fit) in enumerate(zip(runs, signs, fits)):
+        if isinstance(fit, CalibrationError):
+            bad = _failed_outcome(f"init-fit failed: {fit}")
             outcomes[i] = bad, bad
             continue
-        if alpha is not None:
-            init = perturb_initial(init, alpha, sign_seq)
-        samples[len(solved)] = dataset.samples
         solved.append(i)
-        inits.append(init)
-    samples, size = samples[: len(solved)], max(1, CHUNK // len(trajectory))
-    # Called by module-global name, never bound at import, like ``solve``'s solvers: a
-    # rebinding of ``solve_nm_batch``/``solve_ml_batch`` here applies to every study solve.
-    nm = [_outcome(r, truth_params) for r in solve_nm_batch(samples, inits)] if solved else []
+        inits.append(fit[0] if alpha is None else perturb_initial(fit[0], alpha, sign_seq))
+    if len(solved) < len(runs):  # a view of the job's arrays otherwise, so no copy
+        samples, scatter = samples[solved], tuple(a[solved] for a in scatter)
+    size = max(1, CHUNK // len(trajectory))
+    nm = _outcomes(solve_nm_batch(samples, inits, scatter=scatter), truth_params) if solved else []
+    del signs, fits, scatter  # not held while ml solves
     for lo in range(0, len(solved), size):
         ml = solve_ml_batch(samples[lo : lo + size], inits[lo : lo + size])
-        for i, nm_outcome, ml_result in zip(solved[lo:], nm[lo:], ml):
-            outcomes[i] = nm_outcome, _outcome(ml_result, truth_params)
+        for i, nm_outcome, ml_outcome in zip(solved[lo:], nm[lo:], _outcomes(ml, truth_params)):
+            outcomes[i] = nm_outcome, ml_outcome
         del ml  # not held while the next stack solves
     return outcomes
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._newton import CHUNK, tr
-from .errors import DegenerateDataError, InsufficientDataError
+from ._newton import CHUNK, dot, tr
+from .errors import CalibrationError, DegenerateDataError, InsufficientDataError
 from .linalg import UPPER_POSITIONS, unpack_upper
 from .types import CalibrationParams, as_samples
 
@@ -64,36 +64,73 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     when G overflows or the scaled quadric matrix has no finite Cholesky factor:
     the quadric is not an ellipsoid (typically: not enough distinct attitudes).
     """
-    samples = as_samples(data)
-    n = samples.shape[0]
+    (fit,) = fit_initial_batch(as_samples(data)[None])
+    if isinstance(fit, CalibrationError):
+        raise fit
+    return fit
+
+
+def _each(fn, *stacks) -> np.ndarray:
+    """``fn`` over stacks of matrices, shaped as the last; after a LinAlgError, item by item.
+
+    An item on which ``fn`` raises alone is NaN.
+    """
+    try:
+        return fn(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+        for i in range(len(out)):
+            try:
+                out[i] = fn(*(s[i : i + 1] for s in stacks))[0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def fit_initial_batch(samples: np.ndarray, scatter=None) -> list:
+    """fit_initial on a stack of validated (B, N, 3) ``samples``; ``scatter`` is their _scatter.
+
+    Returns, per item in order, its (estimate, smallest eigenvalue) or the
+    CalibrationError its lone fit raises. Each item's numbers are those of its
+    lone fit_initial.
+    """
+    n = samples.shape[1]
     if n < MIN_SAMPLES:
-        raise InsufficientDataError(f"ellipsoid fit needs >= {MIN_SAMPLES} samples, got {n}")
+        return [InsufficientDataError(f"ellipsoid fit needs >= {MIN_SAMPLES} samples, got {n}")
+                for _ in samples]
+    center, gram = _scatter(samples) if scatter is None else scatter
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    out = [None if ok else DegenerateDataError(
+        "the quadric's scatter matrix overflows; rescale the data") for ok in finite.tolist()]
+    items = np.flatnonzero(finite)
+    if not items.size:
+        return out
+    eigvals, eigvecs = np.linalg.eigh(gram[items])
+    z = eigvecs[:, :, 0]
 
-    (center,), (gram,) = _scatter(samples[None])
-    if not np.isfinite(gram).all():
-        raise DegenerateDataError("the quadric's scatter matrix overflows; rescale the data")
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    z = eigvecs[:, 0]
-    min_eigenvalue = float(eigvals[0])
-
-    a = unpack_upper(z[:6])
-    a += np.triu(a, 1).T
-    if a[0, 0] < 0.0:  # eigh's sign is arbitrary; a definite A shares the sign of A_11
-        z, a = -z, -a
-    b, c = z[6:9], z[9]
+    a = unpack_upper(z[:, :6])
+    a += tr(np.triu(a, 1))
+    flip = a[:, 0, 0] < 0.0  # eigh's sign is arbitrary; a definite A shares the sign of A_11
+    z[flip], a[flip] = -z[flip], -a[flip]
+    b, c = z[:, 6:9], z[:, 9]
     # The Cholesky factor alone decides: a singular A fails the scale's solve, an
     # indefinite one the factorization, and a zero or overflowing scale gives inf or NaN.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            alpha = 4.0 / (b @ np.linalg.solve(a, b) - 4.0 * c)
-            a, b = alpha * a, alpha * b
-            shape = np.linalg.cholesky(a).T.copy()  # upper, R'R = A
-        except np.linalg.LinAlgError:
-            shape = None
-    if shape is None or not np.isfinite(shape).all():
-        raise DegenerateDataError(
-            "fitted quadric is not an ellipsoid; attitude coverage is insufficient"
-        )
+        scale = dot(b, _each(np.linalg.solve, a, b[:, :, None])[:, :, 0]) - 4.0 * c
+        alpha = 4.0 / scale
+        a, b = alpha[:, None, None] * a, alpha[:, None] * b
+        shape = tr(_each(np.linalg.cholesky, a))  # upper, R'R = A
+    ellipsoid = np.isfinite(shape).all(axis=(1, 2))
+    a, b, center = a[ellipsoid], b[ellipsoid], center[items[ellipsoid]]
     # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
-    offset = -0.5 * np.linalg.solve(a, b - 2.0 * a @ center)
-    return CalibrationParams(shape=shape, offset=offset), min_eigenvalue
+    rhs = b - 2.0 * (a @ center[:, :, None])[:, :, 0]
+    offset = -0.5 * np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    fits = iter(zip(shape[ellipsoid], offset, eigvals[ellipsoid, 0].tolist()))
+    for i, ok in zip(items.tolist(), ellipsoid.tolist()):
+        if ok:
+            r, h, min_eigenvalue = next(fits)
+            out[i] = CalibrationParams(shape=r.copy(), offset=h), min_eigenvalue
+        else:
+            out[i] = DegenerateDataError(
+                "fitted quadric is not an ellipsoid; attitude coverage is insufficient")
+    return out

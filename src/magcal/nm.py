@@ -107,13 +107,15 @@ def solve_nm(data, init: CalibrationParams, opts: SolveOptions | None = None) ->
     return only(solve_nm_batch(as_samples(data)[None], [init], opts))
 
 
-def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None) -> list:
+def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None,
+                   scatter=None) -> list:
     """solve_nm on a stack of problems: validated (B, N, 3) ``samples`` and B initial estimates.
 
-    Returns, per problem in order, its SolveReport or the SolverFailure that
-    ended it. Each problem's numbers are those of its lone solve_nm. An iteration's
-    residual pass spans the whole stack, so the caller bounds its size: a study's
-    stack holds at most 4 CHUNK sample rows, or one run.
+    ``scatter`` is _scatter(samples), if the caller has formed it. Returns, per
+    problem in order, its SolveReport or the SolverFailure that ended it. Each
+    problem's numbers are those of its lone solve_nm. An iteration's residual pass
+    spans the whole stack, so the caller bounds its size: a study's stack holds at
+    most 4 CHUNK sample rows, or one run.
     """
     opts = opts or SolveOptions()
 
@@ -136,6 +138,6 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
                 for f, f0, d in zip(values, previous, delta)]
 
     x = (np.array([p.shape for p in inits]), np.array([p.offset for p in inits]), samples,
-         *_scatter(samples))
+         *(_scatter(samples) if scatter is None else scatter))
     return newton_solve(x, opts, objective, step, converged,
                         lambda item, records: {"final_params": CalibrationParams(*item[:2])})

@@ -32,6 +32,7 @@ DEFAULT_SIGMA = 0.003
 DEFAULT_FIELD = np.array([0.7388, 0.0409, -0.6727])
 DEFAULT_N = 300
 DEFAULT_SEED = 20240901
+_MAX_N = int(np.iinfo(np.intp).max)
 
 
 def _unit(v) -> np.ndarray:
@@ -121,8 +122,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("config requires n >= 1")
+        if not 1 <= self.n <= _MAX_N:  # no array is longer than _MAX_N
+            raise ValueError(f"config requires 1 <= n <= {_MAX_N}, got n = {reprlib.repr(self.n)}")
         check_seed(self.seed)
 
     def to_dict(self) -> dict:

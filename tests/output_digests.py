@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of twenty CLI outputs, so that two checkouts compare with one ``diff``.
+"""Print the sha256 of twenty-two CLI outputs, so that two checkouts compare with one ``diff``.
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
@@ -9,8 +9,10 @@ Runs through ``cli.main`` in a temporary directory, with one BLAS thread:
 JSON; ``simulate --seed 9124 --tilt 5`` (CSV and sidecar) with its report;
 ``simulate --config`` of ``default_config(n=30000)`` (CSV and sidecar) with its
 ``calibrate --method both`` report and ``apply --method ml`` CSV, which reach the
-row blocks of ml, of the scatter matrix and of the CSV writers; and the default
-``montecarlo`` and ``sensitivity`` outputs with ``--workers 1`` and ``--workers 2``.
+row blocks of ml, of the scatter matrix and of the CSV writers; ``montecarlo --config``
+of ``default_config(sigma=0.1, n=12)`` with 20 runs, 11 of whose fits fail, so that a
+job holds both failed and fitted runs; and the default ``montecarlo`` and
+``sensitivity`` outputs with ``--workers 1`` and ``--workers 2``.
 Prints ``sha256  name`` per output, in name order. The two worker counts must give
 the same study digests.
 """
@@ -36,6 +38,7 @@ COMMANDS = (
     ["calibrate", "--input", "n30k.csv", "--method", "both", "--out", "n30k_report.json"],
     ["apply", "--report", "n30k_report.json", "--method", "ml", "--input", "n30k.csv",
      "--out", "n30k_ml.csv"],
+    ["montecarlo", "--config", "mix.json", "--runs", "20", "--seed", "3", "--out-prefix", "mix"],
     *([study, "--workers", workers, "--out-prefix", f"{study}_w{workers}"]
       for study in ("montecarlo", "sensitivity") for workers in ("1", "2")),
 )
@@ -51,12 +54,14 @@ def digests() -> list:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            config = pathlib.Path("n30k.json")
-            config.write_text(json.dumps(default_config(n=30000).to_dict()))
+            configs = {"n30k.json": default_config(n=30000), "mix.json": default_config(0.1, 12)}
+            for name, config in configs.items():
+                pathlib.Path(name).write_text(json.dumps(config.to_dict()))
             for argv in COMMANDS:
                 with contextlib.redirect_stdout(io.StringIO()):
                     main(argv)
-            config.unlink()  # an input, not an output
+            for name in configs:  # inputs, not outputs
+                pathlib.Path(name).unlink()
             return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
                     for path in sorted(pathlib.Path(tmp).iterdir())]
         finally:

@@ -37,7 +37,9 @@ PUBLIC_NAMES = [
 INTERNAL_NAMES = [
     "EllipsoidCoeffs",
     "MLState",
+    "error_metrics_batch",
     "fit_ellipsoid",
+    "fit_initial_batch",
     "initial_ml_state",
     "initial_params",
     "ml_objective",

@@ -487,3 +487,15 @@ def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, argv
     assert main(argv) == 2
     assert "error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+@pytest.mark.parametrize("n", [2**63, 1e300], ids=["two_to_the_63", "1e300"])
+def test_scenario_n_longer_than_any_array_exits_2_naming_it(tmp_path, capsys, command, n):
+    # No array holds more than intp's maximum of rows, so such an n is refused before numpy sees it.
+    config, out = write_config(tmp_path / "cfg.json", n=n), str(tmp_path / "out")
+    argv = {"simulate": ["--out", out + ".csv"], "montecarlo": ["--runs", "1", "--out-prefix", out]}
+    assert main([command, "--config", config, *argv[command]]) == 2
+    assert (f"error: config requires 1 <= n <= {np.iinfo(np.intp).max}, got n = "
+            f"{str(int(n))[:12]}" in capsys.readouterr().err)
+    assert list(tmp_path.glob("out*")) == []

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import pathlib
@@ -87,9 +88,9 @@ class TestSolve:
         for name in ("solve_nm", "solve_ml", "solve_nm_batch", "solve_ml_batch"):
             real = getattr(experiments, name)
 
-            def counted(*args, _real=real, _name=name):
+            def counted(*args, _real=real, _name=name, **kwargs):
                 calls.append(_name)
-                return _real(*args)
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(experiments, name, counted)
         run_monte_carlo(small_config, runs=1, seed=1)
@@ -140,6 +141,20 @@ class TestMonteCarlo:
         result = run_monte_carlo(small_config, runs=1, seed=5)
         assert result.failure_count("ml") == 1
         assert result.failure_count("nm") == 0
+
+    def test_zero_diagonal_estimate_stops_the_study(self, small_config, monkeypatch):
+        # The stacked scorer raises as error_metrics does, so a study does not aggregate inf.
+        solve_ml_batch = experiments.solve_ml_batch
+
+        def zero_diagonal(samples, inits, **kwargs):
+            reports = solve_ml_batch(samples, inits, **kwargs)
+            bad = CalibrationParams(np.diag([1.0, 0.0, 1.0]), reports[1].final_params.offset)
+            reports[1] = dataclasses.replace(reports[1], final_params=bad)
+            return reports
+
+        monkeypatch.setattr(experiments, "solve_ml_batch", zero_diagonal)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            run_monte_carlo(small_config, runs=3, seed=1)
 
     def test_run_count_validated(self, small_config):
         with pytest.raises(ValueError):
@@ -206,9 +221,9 @@ class TestBatches:
         for name in ("solve_nm_batch", "solve_ml_batch"):
             real = getattr(experiments, name)
 
-            def counted(samples, inits, _real=real, _name=name):
+            def counted(samples, inits, _real=real, _name=name, **kwargs):
                 stacks.append((_name, len(samples)))
-                return _real(samples, inits)
+                return _real(samples, inits, **kwargs)
 
             monkeypatch.setattr(experiments, name, counted)
         run_sensitivity(default_config(), [0.01 * k for k in range(1, 8)], runs=3)
@@ -216,16 +231,14 @@ class TestBatches:
 
     def test_failed_fit_leaves_the_other_runs_of_its_batch(self, small_config, monkeypatch):
         clean = run_monte_carlo(small_config, runs=5, seed=4)
-        calls = []
-        fit = experiments.fit_initial
+        fit = experiments.fit_initial_batch
 
-        def flaky(dataset):
-            calls.append(1)
-            if len(calls) in (2, 4):
-                raise DegenerateDataError("test")
-            return fit(dataset)
+        def flaky(samples, scatter):
+            fits = fit(samples, scatter)
+            fits[1] = fits[3] = DegenerateDataError("test")
+            return fits
 
-        monkeypatch.setattr(experiments, "fit_initial", flaky)
+        monkeypatch.setattr(experiments, "fit_initial_batch", flaky)
         result = run_monte_carlo(small_config, runs=5, seed=4)
         assert [r.nm.error for r in result.runs] == [None, "init-fit failed: test", None,
                                                      "init-fit failed: test", None]

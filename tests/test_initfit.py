@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from magcal.errors import DegenerateDataError, InsufficientDataError
-from magcal.initfit import _design_matrix, _scatter, fit_initial
+from magcal.errors import CalibrationError, DegenerateDataError, InsufficientDataError
+from magcal.initfit import _design_matrix, _scatter, fit_initial, fit_initial_batch
 from magcal.linalg import pack_upper
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams
@@ -162,7 +162,7 @@ class TestEllipsoidDecision:
 
         def crafted(gram):
             vals, vecs = eigh(gram)
-            vecs[:, 0] = z
+            vecs[..., :, 0] = z
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", crafted)
@@ -194,6 +194,76 @@ class TestEllipsoidDecision:
         samples = np.column_stack([np.cosh(t) * np.cos(phi), np.cosh(t) * np.sin(phi), np.sinh(t)])
         with pytest.raises(DegenerateDataError, match=_COVERAGE):
             fit_initial(samples)
+
+
+def _assert_fits_equal(fit, lone):
+    """A stacked fit's item is its lone fit, bit for bit: the same estimate or the same error."""
+    if isinstance(lone, CalibrationError):
+        assert type(fit) is type(lone) and str(fit) == str(lone)
+        return
+    assert not isinstance(fit, CalibrationError), fit
+    np.testing.assert_array_equal(fit[0].shape, lone[0].shape)
+    np.testing.assert_array_equal(fit[0].offset, lone[0].offset)
+    assert fit[1] == lone[1]
+
+
+def _lone_fit(samples):
+    try:
+        return fit_initial(samples)
+    except CalibrationError as exc:
+        return exc
+
+
+class TestFitBatch:
+    def test_stack_equals_lone_fits_bit_for_bit(self):
+        # A clean run, near-planar runs (tilt 0.5 fails; tilt 0 fits a needle), a run whose
+        # scatter matrix overflows, and random clouds, of which the Gaussian ones fit.
+        rng = np.random.default_rng(21)
+        clean = simulate(default_truth(), sweep_trajectory(300), seed=3).samples
+        planar = [simulate(default_truth(), sweep_trajectory(300, tilt), seed=4).samples
+                  for tilt in (0.0, 0.5)]
+        clouds = [rng.normal(0, 1, (300, 3)) * 10.0 ** e for e in (-3, 0, 3)]
+        stack = np.array([clean, *planar, clean * 1e77, *clouds, rng.standard_cauchy((300, 3)),
+                          clean[::-1]])
+        lone = [_lone_fit(samples) for samples in stack]
+        kinds = [str(f) if isinstance(f, CalibrationError) else "fit" for f in lone]
+        assert sorted(set(kinds)) == ["fit", "fitted quadric is not an ellipsoid; attitude "
+                                      "coverage is insufficient", "the quadric's scatter matrix "
+                                      "overflows; rescale the data"]
+        for fits in (fit_initial_batch(stack), fit_initial_batch(stack, _scatter(stack)),
+                     fit_initial_batch(stack[::-1])[::-1]):
+            assert len(fits) == len(stack)
+            for fit, alone in zip(fits, lone):
+                _assert_fits_equal(fit, alone)
+
+    def test_too_few_samples_fail_every_item(self):
+        fits = fit_initial_batch(np.ones((3, 9, 3)))
+        assert [type(f) for f in fits] == [InsufficientDataError] * 3
+        assert str(fits[0]) == "ellipsoid fit needs >= 10 samples, got 9"
+
+    def test_singular_and_indefinite_items_leave_the_others_bit_for_bit(self, monkeypatch):
+        # Item 1's A is singular, so the stack's scale solve raises; item 2's is indefinite,
+        # so the stack's Cholesky factorization raises. Items 0 and 3 still fit as alone.
+        stack = np.array([simulate(default_truth(), sweep_trajectory(300), seed=s).samples
+                          for s in range(4)])
+        lone = [fit_initial(samples) for samples in stack]
+        eigh = np.linalg.eigh
+        crafted = {1: _pack_quadric(np.diag([1.0, 1.0, 0.0]), np.zeros(3), -1.0),
+                   2: _pack_quadric(np.diag([1.0, 1.0, -1.0]), np.zeros(3), -1.0)}
+
+        def crafted_eigh(gram):
+            vals, vecs = eigh(gram)
+            for i, z in crafted.items():
+                vecs[i, :, 0] = z
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", crafted_eigh)
+        fits = fit_initial_batch(stack)
+        for i in (1, 2):
+            assert isinstance(fits[i], DegenerateDataError)
+            assert str(fits[i]).startswith("fitted quadric is not an ellipsoid")
+        for i in (0, 3):
+            _assert_fits_equal(fits[i], lone[i])
 
 
 class TestInitialParams:

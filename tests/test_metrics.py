@@ -3,7 +3,7 @@ import pytest
 
 from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
-from magcal.metrics import apply_calibration, error_metrics
+from magcal.metrics import apply_calibration, error_metrics, error_metrics_batch
 from magcal.ml import solve_ml
 from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate
@@ -86,6 +86,23 @@ class TestErrorMetrics:
         ml_params = solve_ml(ds, init).final_params
         m = error_metrics(ml_params, truth)
         assert m.scale_pct < 0.5 and m.ortho_deg < 0.5
+
+    def test_stack_equals_lone_norms_bit_for_bit(self):
+        # The stacked scorer rounds as np.linalg.norm of each 1-D mismatch, at scales 1e-6 to 1e6.
+        rng = np.random.default_rng(17)
+        truth = _params([1.1, 0.2, -0.1, 0.9, 0.3, 1.2], [0.5, 1.7, 2.6])
+        estimates = [CalibrationParams(truth.shape * (1.0 + rng.normal(0, s, (3, 3))),
+                                       truth.offset + rng.normal(0, s, 3))
+                     for s in np.logspace(-6, 6, 49)]
+        scores = error_metrics_batch(estimates, truth)
+        for estimate, score in zip(estimates, scores):
+            est_scales, ref_scales = np.diag(estimate.shape), np.diag(truth.shape)
+            coupling = estimate.shape / est_scales - truth.shape / ref_scales
+            assert score.as_tuple() == error_metrics(estimate, truth).as_tuple() == (
+                float(np.linalg.norm(est_scales / ref_scales - 1.0) / 3.0 * 100.0),
+                float(180.0 / (3.0 * np.pi) * np.linalg.norm(coupling[np.triu_indices(3, 1)])),
+                float(np.linalg.norm(estimate.offset - truth.offset) / 3.0))
+        assert error_metrics_batch([], truth) == []
 
     @pytest.mark.parametrize("zero_in", ["estimate", "truth"])
     def test_zero_scale_diagonal_raises(self, zero_in):
