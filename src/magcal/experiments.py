@@ -122,10 +122,7 @@ def _failed_outcome(message: str, report=None) -> MethodOutcome:
 
 
 def _outcomes(results: list, truth_params=None) -> list:
-    """A stack's reports, or their failures, as study rows; error metrics need ``truth_params``.
-
-    The reports are scored in one stack.
-    """
+    """A stack's reports or failures as study rows; with ``truth_params``, scored as one stack."""
     reports = [r for r in results if not isinstance(r, SolverFailure)]
     scores = iter(error_metrics_batch([r.final_params for r in reports], truth_params)
                   if truth_params is not None else [None] * len(reports))
@@ -137,7 +134,7 @@ def _outcomes(results: list, truth_params=None) -> list:
 
 
 def _run(args) -> list:
-    """Simulate, fit and perturb a job's runs as one stack, then solve and score them in stacks.
+    """Simulate, fit and perturb a job's runs as one stack, then solve and score them as stacks.
 
     Returns the runs' (nm, ml) outcomes, in order. The first item of ``args``
     is the study's scene, (truth, trajectory, noise-free samples), the same
@@ -147,8 +144,8 @@ def _run(args) -> list:
     noise and perturbation-sign seeds and is not scored. The job's samples go
     into one (B, N, 3) array whose scatter matrices are formed once, for the
     stacked fit and for nm. The runs whose fit succeeds are solved, with the
-    numbers of lone solves, by nm as one stack and by ml in stacks of at most
-    CHUNK rows, and each stack is scored as one; no stack's reports outlive it.
+    numbers of lone solves, by nm as one stack and then by ml as one stack, and
+    each stack is scored as one; a job whose fits all fail solves nothing.
     """
     (truth, trajectory, noise_free), truth_params, runs = args
     samples, signs = np.empty((len(runs),) + noise_free.shape), []
@@ -170,22 +167,20 @@ def _run(args) -> list:
         inits.append(fit[0] if alpha is None else perturb_initial(fit[0], alpha, sign_seq))
     if len(solved) < len(runs):  # a view of the job's arrays otherwise, so no copy
         samples, scatter = samples[solved], tuple(a[solved] for a in scatter)
-    size = max(1, CHUNK // len(trajectory))
-    nm = _outcomes(solve_nm_batch(samples, inits, scatter=scatter), truth_params) if solved else []
-    del signs, fits, scatter  # not held while ml solves
-    for lo in range(0, len(solved), size):
-        ml = solve_ml_batch(samples[lo : lo + size], inits[lo : lo + size])
-        for i, nm_outcome, ml_outcome in zip(solved[lo:], nm[lo:], _outcomes(ml, truth_params)):
-            outcomes[i] = nm_outcome, ml_outcome
-        del ml  # not held while the next stack solves
+    if solved:
+        nm = _outcomes(solve_nm_batch(samples, inits, scatter=scatter), truth_params)
+        del signs, fits, scatter  # not held while ml solves
+        ml = _outcomes(solve_ml_batch(samples, inits), truth_params)
+        for i, pair in zip(solved, zip(nm, ml)):
+            outcomes[i] = pair
     return outcomes
 
 
 def _batches(scene, truth_params, runs: list, workers: int) -> list:
     """The ``_run`` jobs of a study: its runs in order, up to 4 CHUNK sample rows a job.
 
-    A job holds at least one run, and there are at least ``workers`` jobs when
-    there are that many runs.
+    A job holds at least one run and is one nm and one ml stack. There are at
+    least ``workers`` jobs when there are that many runs.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -254,7 +254,9 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
     """solve_ml on a stack of problems: validated (B, N, 3) ``samples`` and B initial estimates.
 
     Returns, per problem in order, its SolveReport or the SolverFailure that
-    ended it. Each problem's numbers are those of its lone solve_ml.
+    ended it. Each problem's numbers are those of its lone solve_ml. The step
+    takes CHUNK rows at a time, but the iterates span the stack (about 51 floats
+    a row at N = 300), so the caller bounds it, as for solve_nm_batch.
     """
     return _iterate(_initial_states(inits, samples), opts)
 

@@ -7,6 +7,7 @@ fields directly; ``nm`` and ``ml`` document the flat layout of each step.
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -153,8 +154,10 @@ class SolveOptions:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            kind = "an integer" if name == "max_iterations" else "a number"
+            if (isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf
+                    or kind == "an integer" and not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be positive and finite, and {kind}, got {value}")
 
 
 @dataclass(frozen=True)

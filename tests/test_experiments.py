@@ -216,7 +216,9 @@ class TestBatches:
         big = experiments._batches(experiments._scene(default_config(n=9000)), None, runs[:3], 1)
         assert [len(job[2]) for job in big] == [1, 1, 1]
 
-    def test_sensitivity_job_is_one_nm_stack_and_chunk_sized_ml_stacks(self, monkeypatch):
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The (solver, stack size) of every study solve, in call order."""
         stacks = []
         for name in ("solve_nm_batch", "solve_ml_batch"):
             real = getattr(experiments, name)
@@ -226,8 +228,24 @@ class TestBatches:
                 return _real(samples, inits, **kwargs)
 
             monkeypatch.setattr(experiments, name, counted)
+        return stacks
+
+    def test_sensitivity_job_is_one_nm_stack_and_one_ml_stack(self, stacks):
         run_sensitivity(default_config(), [0.01 * k for k in range(1, 8)], runs=3)
-        assert stacks == [("solve_nm_batch", 21)] + [("solve_ml_batch", k) for k in (6, 6, 6, 3)]
+        assert stacks == [("solve_nm_batch", 21), ("solve_ml_batch", 21)]
+
+    def test_monte_carlo_jobs_are_one_nm_stack_then_one_ml_stack_each(self, stacks):
+        run_monte_carlo(default_config(), runs=50, seed=experiments.DEFAULT_MC_SEED)
+        assert stacks == [("solve_nm_batch", 27), ("solve_ml_batch", 27),
+                          ("solve_nm_batch", 23), ("solve_ml_batch", 23)]
+
+    def test_job_whose_fits_all_fail_solves_nothing(self, small_config, stacks, monkeypatch):
+        monkeypatch.setattr(experiments, "fit_initial_batch",
+                            lambda samples, scatter: [DegenerateDataError("test")] * len(samples))
+        result = run_monte_carlo(small_config, runs=3, seed=4)
+        assert stacks == []
+        failed = "init-fit failed: test"
+        assert [(r.nm.error, r.ml.error) for r in result.runs] == [(failed, failed)] * 3
 
     def test_failed_fit_leaves_the_other_runs_of_its_batch(self, small_config, monkeypatch):
         clean = run_monte_carlo(small_config, runs=5, seed=4)

@@ -469,6 +469,18 @@ class TestSolve:
         solve_ml(ds.samples[:300], init)  # numpy's first-call set-up is not the solve's
         assert traced_peak(lambda: solve_ml(ds, init)) < 40 * 8 * n
 
+    def test_stack_of_a_study_job_stays_within_60_floats_a_row(self, default_scene, traced_peak):
+        # A study job solves up to 27 default runs as one ml stack (8 100 rows). Its
+        # iterates, assembly, step temporaries and the reports' final states peak at
+        # about 51 floats a row, at 6 items (one 2 048-row block) and 27 alike.
+        data = [simulate(default_scene["truth"], default_scene["trajectory"], seed=s)
+                for s in range(27)]
+        samples = np.stack([d.samples for d in data])
+        inits = [fit_initial(d)[0] for d in data]
+        ml.solve_ml_batch(samples[:1], inits[:1])  # numpy's first-call set-up is not the solve's
+        rows = samples.shape[0] * samples.shape[1]
+        assert traced_peak(lambda: ml.solve_ml_batch(samples, inits)) < 60 * 8 * rows
+
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
         calls = []

@@ -3,7 +3,7 @@ import pytest
 from conftest import oracle_true_params
 
 from magcal.simulate import DEFAULT_SOFT_IRON
-from magcal.types import CalibrationParams, Dataset, SensorTruth, as_samples
+from magcal.types import CalibrationParams, Dataset, SensorTruth, SolveOptions, as_samples
 
 
 @pytest.mark.parametrize("shape, offset", [(np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))],
@@ -60,3 +60,19 @@ def test_dataset_needs_n_by_3_samples(shape):
 def test_as_samples_needs_an_n_by_3_array(shape):
     with pytest.raises(ValueError, match=r"expected samples of shape \(N, 3\)"):
         as_samples(np.zeros(shape))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 2.5), ("max_iterations", np.float64(3.0)), ("max_iterations", True),
+    ("gradient_tolerance", True), ("objective_tolerance", np.True_),
+], ids=["iterations_2.5", "iterations_float64", "iterations_true", "gradient_true",
+        "objective_numpy_true"])
+def test_solve_options_reject_a_non_integral_count_or_a_boolean_naming_the_field(field, value):
+    # A float count would fail mid-solve with a TypeError; a boolean would read as 1.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_numpy_numbers():
+    opts = SolveOptions(max_iterations=np.int64(3), gradient_tolerance=np.float64(1e-6))
+    assert opts.max_iterations == 3 and opts.gradient_tolerance == 1e-6
