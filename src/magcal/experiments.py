@@ -20,7 +20,7 @@ from .metrics import error_metrics_batch
 from .ml import solve_ml, solve_ml_batch
 from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
-from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, check_seed
+from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, check_integer
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
@@ -182,8 +182,7 @@ def _batches(scene, truth_params, runs: list, workers: int) -> list:
     A job holds at least one run and is one nm and one ml stack. There are at
     least ``workers`` jobs when there are that many runs.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = check_integer("workers", workers, 1)
     size = min(max(1, 4 * CHUNK // len(scene[1])), -(-len(runs) // workers))
     return [(scene, truth_params, runs[i : i + size]) for i in range(0, len(runs), size)]
 
@@ -221,10 +220,9 @@ def run_monte_carlo(
     The trajectory and truth stay fixed; only the noise realization is
     redrawn per run. Solver failures become flagged rows, never aborts.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs, seed = check_integer("runs", runs, 1), check_integer("seed", seed, 0)
     scene, truth_params = _scene(config), config.truth.calibration()
-    children = np.random.SeedSequence(check_seed(seed)).spawn(runs)
+    children = np.random.SeedSequence(seed).spawn(runs)
     results = _map(_run, _batches(scene, truth_params, [(None, child) for child in children],
                                   workers), workers)
     rows = tuple(MonteCarloRun(i, nm, ml) for i, (nm, ml) in enumerate(results))
@@ -275,8 +273,7 @@ def run_sensitivity(
     objective (NaN included) is not within the method's threshold, which
     the scenario's N and sigma set (see ``_thresholds``).
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs, seed = check_integer("runs", runs, 1), check_integer("seed", seed, 0)
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
@@ -284,7 +281,7 @@ def run_sensitivity(
         _check_alpha(alpha)
     thresholds = _thresholds(config)
     scene = _scene(config)
-    alpha_children = np.random.SeedSequence(check_seed(seed)).spawn(len(alphas))
+    alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
 
     # One pool for the whole sweep; outcomes come back in (alpha, run) order.
     jobs = _batches(scene, None, [(alpha, run_seq) for alpha, child in zip(alphas, alpha_children)
@@ -331,14 +328,13 @@ def run_timing(
     """
     if not n_values or not methods:
         raise ValueError("n_values and methods must be nonempty")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    check_seed(seed)
+    repeats, seed = check_integer("repeats", repeats, 1), check_integer("seed", seed, 0)
+    n_values = [check_integer("n", n, 1) for n in n_values]
     for method in methods:  # before any solve, not when the timing loop reaches it
         _check_method(method)
     rows = []
     for n in n_values:
-        dataset = simulate(config.truth, sweep_trajectory(int(n)), seed)
+        dataset = simulate(config.truth, sweep_trajectory(n), seed)
         init, _ = fit_initial(dataset)
         reports = [solve(method, dataset, init) for method in methods]  # warm-up
         times = [[] for _ in methods]
@@ -349,15 +345,7 @@ def run_timing(
                 times[i].append(time.perf_counter() - start)
         for method, report, method_times in zip(methods, reports, times):
             med = float(median(method_times))
-            iters = max(report.iterations, 1)
-            rows.append(
-                TimingRow(
-                    n=int(n),
-                    method=method,
-                    median_seconds=med,
-                    min_seconds=min(method_times),
-                    iterations=report.iterations,
-                    seconds_per_iteration=med / iters,
-                )
-            )
+            rows.append(TimingRow(n=n, method=method, median_seconds=med,
+                                  min_seconds=min(method_times), iterations=report.iterations,
+                                  seconds_per_iteration=med / max(report.iterations, 1)))
     return tuple(rows)

@@ -179,10 +179,13 @@ def truth_report_dict(params: CalibrationParams, input_digest=None) -> dict:
 
 
 def params_from_report(report: dict) -> CalibrationParams:
-    return CalibrationParams(
-        shape=unpack_upper(json_numbers(report, "shape_upper", 6, "report")),
-        offset=json_numbers(report, "offset", 3, "report"),
-    )
+    """A report's calibration; a ValueError names a missing, malformed or non-finite field."""
+    fields = {name: json_numbers(report, name, size, "report")
+              for name, size in (("shape_upper", 6), ("offset", 3))}
+    for name, value in fields.items():
+        if not np.isfinite(value).all():  # a failed solve's report holds NaN
+            raise ValueError(f"report field {name!r} must be finite, got {value.tolist()}")
+    return CalibrationParams(unpack_upper(fields["shape_upper"]), fields["offset"])
 
 
 def select_report(document: dict, method: str | None = None) -> dict:

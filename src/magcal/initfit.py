@@ -14,12 +14,11 @@ import numpy as np
 
 from ._newton import CHUNK, dot, tr
 from .errors import CalibrationError, DegenerateDataError, InsufficientDataError
-from .linalg import UPPER_POSITIONS, unpack_upper
+from .linalg import UPPER_COLS, UPPER_ROWS, unpack_upper
 from .types import CalibrationParams, as_samples
 
 MIN_SAMPLES = 10
-_ROWS, _COLS = np.array(UPPER_POSITIONS).T
-_QUADRATIC_FACTOR = np.where(_ROWS == _COLS, 1.0, 2.0)
+_QUADRATIC_FACTOR = np.where(UPPER_ROWS == UPPER_COLS, 1.0, 2.0)
 
 
 def _design_matrix(samples: np.ndarray) -> np.ndarray:
@@ -30,7 +29,7 @@ def _design_matrix(samples: np.ndarray) -> np.ndarray:
     for its merged symmetric counterpart, so the solved coefficients are
     the entries of A directly.
     """
-    quadratic = samples[..., _ROWS] * samples[..., _COLS] * _QUADRATIC_FACTOR
+    quadratic = samples[..., UPPER_ROWS] * samples[..., UPPER_COLS] * _QUADRATIC_FACTOR
     return np.concatenate([quadratic, samples, np.ones(samples.shape[:-1] + (1,))], axis=-1)
 
 

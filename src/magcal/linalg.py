@@ -13,18 +13,17 @@ import numpy as np
 # matrix, row-major: (11, 12, 13, 22, 23, 33). This ordering is also the
 # on-disk 6-tuple convention for serialized shape matrices.
 UPPER_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_ROWS = np.array([p[0] for p in UPPER_POSITIONS])
-_COLS = np.array([p[1] for p in UPPER_POSITIONS])
+UPPER_ROWS, UPPER_COLS = np.array(UPPER_POSITIONS).T
 
 # The same six entries as indices into a column-stacked 9-vector vec(R),
 # used to pick the free coordinates out of the vec(R)-indexed gradients and
 # Hessians that the nm and ml solvers assemble.
-UPPER_VEC_INDICES = 3 * _COLS + _ROWS
+UPPER_VEC_INDICES = 3 * UPPER_COLS + UPPER_ROWS
 
 
 def pack_upper(m: np.ndarray) -> np.ndarray:
     """Six free entries of an upper-triangular matrix, row-major; of each in a stack."""
-    return np.asarray(m, dtype=float)[..., _ROWS, _COLS]  # a fancy index copies
+    return np.asarray(m, dtype=float)[..., UPPER_ROWS, UPPER_COLS]  # a fancy index copies
 
 
 def unpack_upper(entries) -> np.ndarray:
@@ -33,7 +32,7 @@ def unpack_upper(entries) -> np.ndarray:
     if entries.shape[-1:] != (6,):
         raise ValueError(f"expected 6 entries, got shape {entries.shape}")
     out = np.zeros(entries.shape[:-1] + (3, 3))
-    out[..., _ROWS, _COLS] = entries
+    out[..., UPPER_ROWS, UPPER_COLS] = entries
     return out
 
 

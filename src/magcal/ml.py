@@ -29,19 +29,19 @@ import numpy as np
 
 from ._newton import CHUNK as _CHUNK  # _step_block's rows a block: N <= _CHUNK is one block
 from ._newton import dot, newton_solve, only, solve_newton_system, tr
-from .linalg import UPPER_POSITIONS, UPPER_VEC_INDICES, invert_upper, pack_upper, unpack_upper
+from .linalg import UPPER_COLS, UPPER_ROWS, UPPER_VEC_INDICES, invert_upper, pack_upper
+from .linalg import unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
 _EYE3 = np.eye(3)
-_ROWS, _COLS = np.array(UPPER_POSITIONS).T
 # The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
 # the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
 # head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. This is where each entry
 # takes its half in [vec(m'm), sum m, n, 0].
-_SAME_P, _SAME_Q = np.nonzero(_ROWS[:, None] == _ROWS)
+_SAME_P, _SAME_Q = np.nonzero(UPPER_ROWS[:, None] == UPPER_ROWS)
 _HEAD_FROM = np.full((9, 9), 13)
-_HEAD_FROM[_SAME_P, _SAME_Q] = 3 * _COLS[_SAME_P] + _COLS[_SAME_Q]
-_HEAD_FROM[np.arange(6), 6 + _ROWS] = _HEAD_FROM[6 + _ROWS, np.arange(6)] = 9 + _COLS
+_HEAD_FROM[_SAME_P, _SAME_Q] = 3 * UPPER_COLS[_SAME_P] + UPPER_COLS[_SAME_Q]
+_HEAD_FROM[np.arange(6), 6 + UPPER_ROWS] = _HEAD_FROM[6 + UPPER_ROWS, np.arange(6)] = 9 + UPPER_COLS
 _HEAD_FROM[6 + np.arange(3), 6 + np.arange(3)] = 12
 # Sample k couples to the head along eigenvector j through the 9x7 matrix
 # lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
@@ -49,8 +49,8 @@ _HEAD_FROM[6 + np.arange(3), 6 + np.arange(3)] = 12
 # are where each entry takes its value in [vec(2 T V), vec(-2 V), 0], row-major.
 _J = np.arange(3)[:, None]
 _LIN_FROM = np.full((3, 9, 7), 18)
-_LIN_FROM[:, np.arange(6), _COLS] = 3 * _ROWS + _J
-_LIN_FROM[:, np.arange(6), 3 + _ROWS] = 9 + 3 * _COLS + _J
+_LIN_FROM[:, np.arange(6), UPPER_COLS] = 3 * UPPER_ROWS + _J
+_LIN_FROM[:, np.arange(6), 3 + UPPER_ROWS] = 9 + 3 * UPPER_COLS + _J
 _LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.

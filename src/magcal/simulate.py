@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import attitude_from_euler
-from .types import Dataset, SensorTruth, check_seed, json_numbers
+from .types import Dataset, SensorTruth, check_integer, json_field, json_numbers
 
 DEFAULT_SOFT_IRON = np.array(
     [
@@ -32,7 +32,7 @@ DEFAULT_SIGMA = 0.003
 DEFAULT_FIELD = np.array([0.7388, 0.0409, -0.6727])
 DEFAULT_N = 300
 DEFAULT_SEED = 20240901
-_MAX_N = int(np.iinfo(np.intp).max)
+_MAX_N = int(np.iinfo(np.intp).max)  # no array is longer
 
 
 def _unit(v) -> np.ndarray:
@@ -45,7 +45,7 @@ def _unit(v) -> np.ndarray:
 
 def _scenario_number(d: dict, name: str, integral: bool = False):
     """A scenario's scalar field: a JSON number, and an integral one where ``integral``."""
-    value = d[name]
+    value = json_field(d, name, "scenario")
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or integral and not isinstance(value, numbers.Integral) and not value.is_integer()):
         kind = "an integer" if integral else "a number"
@@ -76,8 +76,7 @@ def sweep_trajectory(n: int, tilt_deg: float = 20.0) -> np.ndarray:
     The default tilt covers the ellipsoid surface well; a small ``tilt_deg``
     mimics motion confined to a nearly level surface (weak excitation).
     """
-    if n < 1:
-        raise ValueError("trajectory needs at least one sample")
+    n = check_integer("n", n, 1)
     if not np.isfinite(tilt_deg):
         raise ValueError(f"tilt must be finite, got {tilt_deg}")
     k = np.arange(1, n + 1, dtype=float)
@@ -122,9 +121,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= _MAX_N:  # no array is longer than _MAX_N
-            raise ValueError(f"config requires 1 <= n <= {_MAX_N}, got n = {reprlib.repr(self.n)}")
-        check_seed(self.seed)
+        object.__setattr__(self, "n", check_integer("n", self.n, 1, _MAX_N))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
     def to_dict(self) -> dict:
         truth = self.truth
@@ -134,8 +132,8 @@ class SimConfig:
             "hard_iron": [float(v) for v in truth.hard_iron],
             "sigma": truth.noise_sigma,
             "field": [float(v) for v in truth.field],
-            "n": int(self.n),
-            "seed": int(self.seed),
+            "n": self.n,
+            "seed": self.seed,
         }
 
     @classmethod

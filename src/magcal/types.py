@@ -25,13 +25,20 @@ def _as_float_array(x, shape=None):
     return out
 
 
+def json_field(doc: dict, name: str, what: str):
+    """Field ``name`` of the ``what`` JSON document; a ValueError names both if it is missing."""
+    if name not in doc:
+        raise ValueError(f"{what} field {name!r} is missing")
+    return doc[name]
+
+
 def json_numbers(doc: dict, name: str, size: int, what: str) -> np.ndarray:
     """The ``size`` numbers of a JSON document's field ``name`` as a float array.
 
-    Raises ValueError naming the field of the ``what`` document when they are
-    not numbers (a string, a boolean, a null or an object) or not ``size`` of them.
+    Raises ValueError naming the field of the ``what`` document when it is missing or
+    holds no ``size`` numbers (a string, a boolean, a null, an object or a ragged list).
     """
-    value = doc[name]
+    value = json_field(doc, name, what)
     try:
         out = np.asarray(value)
     except ValueError:  # a ragged list
@@ -41,10 +48,14 @@ def json_numbers(doc: dict, name: str, size: int, what: str) -> np.ndarray:
     return out.astype(float)
 
 
-def check_seed(seed) -> int:
-    if seed < 0:  # numpy's own message names nothing
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def check_integer(name: str, value, low: int, high=np.inf) -> int:
+    """``value`` as an int; a ValueError names a bool, a fraction or a value out of [low, high]."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
+        rule = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        rule += f" and <= {high}" if high < np.inf else ""
+        raise ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -153,11 +164,11 @@ class SolveOptions:
     gradient_tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            kind = "an integer" if name == "max_iterations" else "a number"
-            if (isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf
-                    or kind == "an integer" and not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be positive and finite, and {kind}, got {value}")
+        object.__setattr__(self, "max_iterations",
+                           check_integer("max_iterations", self.max_iterations, 1))
+        for name, value in vars(self).items():  # max_iterations passes, an int >= 1 by now
+            if isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, and a number, got {value}")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ PUBLIC_NAMES = [
 INTERNAL_NAMES = [
     "EllipsoidCoeffs",
     "MLState",
+    "check_integer",
     "error_metrics_batch",
     "fit_ellipsoid",
     "fit_initial_batch",

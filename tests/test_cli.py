@@ -339,6 +339,14 @@ class TestMetricsCommand:
 
 
 _SCENARIO = default_config().to_dict()
+_REPORT = {"method": "ml", "converged": True, "shape_upper": [1.1, 0.2, -0.1, 0.9, 0.3, 1.2],
+           "offset": [0.5, 1.7, 2.6]}
+
+
+def _without(document, name):
+    return {key: value for key, value in document.items() if key != name}
+
+
 _MALFORMED = {
     "scenario_3": ("simulate", 3, "scenario must be a JSON object, got 3"),
     "scenario_list": ("simulate", [1, 2], "scenario must be a JSON object, got [1, 2]"),
@@ -348,12 +356,23 @@ _MALFORMED = {
     "seed_list": ("simulate", {**_SCENARIO, "seed": [1]},
                   "scenario field 'seed' must be an integer"),
     "n_fraction": ("simulate", {**_SCENARIO, "n": 2.7}, "scenario field 'n' must be an integer"),
+    **{f"scenario_without_{name}": ("simulate", _without(_SCENARIO, name),
+                                    f"scenario field {name!r} is missing")
+       for name in ("n", "sigma", "soft_iron")},
     **{f"{command}_{name}": (command, document, message)
        for command in ("apply", "metrics")
        for name, document, message in (
            ("report_3", 3, "report document must be a JSON object, got 3"),
            ("report_list", [1, 2], "report document must be a JSON object, got [1, 2]"),
-           ("nm_5", {"nm": 5}, "the document's 'nm' report must be a JSON object, got 5"))},
+           ("nm_5", {"nm": 5}, "the document's 'nm' report must be a JSON object, got 5"),
+           ("without_offset", _without(_REPORT, "offset"), "report field 'offset' is missing"),
+           # A flat report is told by its shape_upper, so this one is picked out of a combined one.
+           ("without_shape_upper", {"ml": _without(_REPORT, "shape_upper")},
+            "report field 'shape_upper' is missing"),
+           ("shape_nan", {**_REPORT, "shape_upper": [float("nan")] + [1.0] * 5},
+            "report field 'shape_upper' must be finite, got [nan, 1.0, 1.0, 1.0, 1.0, 1.0]"),
+           ("offset_infinity", {**_REPORT, "offset": [0.0, float("inf"), 0.0]},
+            "report field 'offset' must be finite, got [0.0, inf, 0.0]"))},
 }
 
 
@@ -496,6 +515,6 @@ def test_scenario_n_longer_than_any_array_exits_2_naming_it(tmp_path, capsys, co
     config, out = write_config(tmp_path / "cfg.json", n=n), str(tmp_path / "out")
     argv = {"simulate": ["--out", out + ".csv"], "montecarlo": ["--runs", "1", "--out-prefix", out]}
     assert main([command, "--config", config, *argv[command]]) == 2
-    assert (f"error: config requires 1 <= n <= {np.iinfo(np.intp).max}, got n = "
+    assert (f"error: n must be an integer >= 1 and <= {np.iinfo(np.intp).max}, got "
             f"{str(int(n))[:12]}" in capsys.readouterr().err)
     assert list(tmp_path.glob("out*")) == []

@@ -310,7 +310,7 @@ class TestSensitivity:
         assert result.ml_divergences == (2,)
 
     def test_run_count_validated(self, small_config):
-        with pytest.raises(ValueError, match="runs must be >= 1"):
+        with pytest.raises(ValueError, match="runs must be an integer >= 1, got 0"):
             run_sensitivity(small_config, [0.01], runs=0)
 
     def test_empty_alphas_rejected(self, small_config):
@@ -338,7 +338,7 @@ class TestTiming:
             run_timing(small_config, [], repeats=1)
 
     def test_repeat_count_validated(self, small_config):
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
+        with pytest.raises(ValueError, match="repeats must be an integer >= 1, got 0"):
             run_timing(small_config, [60], repeats=0)
 
     def test_empty_methods_rejected(self, small_config):
@@ -421,3 +421,57 @@ def test_negative_seed_rejected_naming_it_before_any_run(small_config, monkeypat
     monkeypatch.setattr(experiments, "simulate", lambda *a: pytest.fail("simulated"))
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
         study(small_config, -3)
+
+
+_STUDIES = {
+    "montecarlo": lambda config, kw: run_monte_carlo(config, **{"runs": 1, "seed": 0, **kw}),
+    "sensitivity": lambda config, kw: run_sensitivity(config, [0.01], **{"runs": 1, **kw}),
+    "timing": lambda config, kw: run_timing(config, **{"n_values": [60], "repeats": 1, **kw}),
+}
+
+
+@pytest.mark.parametrize("study, argument, value, message", [
+    ("montecarlo", "runs", True, "runs must be an integer >= 1, got True"),
+    ("montecarlo", "runs", 2.0, "runs must be an integer >= 1, got 2.0"),
+    ("montecarlo", "runs", 2.5, "runs must be an integer >= 1, got 2.5"),
+    ("sensitivity", "runs", True, "runs must be an integer >= 1, got True"),
+    ("sensitivity", "runs", 2.5, "runs must be an integer >= 1, got 2.5"),
+    ("montecarlo", "workers", 2.5, "workers must be an integer >= 1, got 2.5"),
+    ("sensitivity", "workers", 2.5, "workers must be an integer >= 1, got 2.5"),
+    ("timing", "repeats", 2.5, "repeats must be an integer >= 1, got 2.5"),
+    ("timing", "n_values", [60.7], "n must be an integer >= 1, got 60.7"),
+    ("timing", "n_values", [60, True], "n must be an integer >= 1, got True"),
+    ("montecarlo", "seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+    ("montecarlo", "seed", True, "seed must be a non-negative integer, got True"),
+    ("sensitivity", "seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+    ("timing", "seed", True, "seed must be a non-negative integer, got True"),
+], ids=["montecarlo_runs_true", "montecarlo_runs_2.0", "montecarlo_runs_2.5",
+        "sensitivity_runs_true", "sensitivity_runs_2.5", "montecarlo_workers_2.5",
+        "sensitivity_workers_2.5", "timing_repeats_2.5", "timing_n_60.7", "timing_second_n_true",
+        "montecarlo_seed_2.5", "montecarlo_seed_true", "sensitivity_seed_2.5", "timing_seed_true"])
+def test_non_integral_or_boolean_count_rejected_naming_it_before_any_run(
+        small_config, monkeypatch, study, argument, value, message):
+    # Unchecked, runs=True would run one run, n = 60.7 would time N = 60, and a float
+    # count would die with a TypeError that names nothing.
+    monkeypatch.setattr(experiments, "_run", lambda job: pytest.fail("ran a job"))
+    monkeypatch.setattr(experiments, "simulate", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ValueError) as info:
+        _STUDIES[study](small_config, {argument: value})
+    assert str(info.value) == message
+
+
+def test_numpy_integer_counts_and_seeds_give_the_summaries_of_ints(small_config, tmp_path):
+    # A study keeps the ints it checked, so a numpy seed or run count writes JSON.
+    for name, study, summary in [
+        ("montecarlo", lambda i: run_monte_carlo(small_config, runs=i(2), seed=i(5), workers=i(1)),
+         fileio.monte_carlo_summary),
+        ("sensitivity", lambda i: run_sensitivity(small_config, [0.02], runs=i(2), seed=i(3)),
+         fileio.sensitivity_summary),
+    ]:
+        paths = [tmp_path / f"{name}_{kind.__name__}.json" for kind in (int, np.int64)]
+        for kind, path in zip((int, np.int64), paths):
+            fileio.write_json(path, summary(study(kind)))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    rows = run_timing(small_config, [np.int64(60)], repeats=np.int64(1), seed=np.int64(2))
+    assert [type(row.n) for row in rows] == [int, int]
+    json.dumps(fileio.timing_summary(rows))

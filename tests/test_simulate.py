@@ -113,6 +113,9 @@ def test_noise_free_samples_need_an_n_by_3_trajectory(shape):
         noise_free_samples(default_truth(), np.zeros(shape))
 
 
+_N_RULE = f"n must be an integer >= 1 and <= {np.iinfo(np.intp).max}"
+
+
 class TestSimConfig:
     def test_round_trip(self):
         cfg = default_config()
@@ -171,6 +174,30 @@ class TestSimConfig:
                      lambda: dataclasses.replace(default_config(), seed=-1)):
             with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
                 make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: default_config(n=300.5), f"{_N_RULE}, got 300.5"),
+        (lambda: default_config(n=True), f"{_N_RULE}, got True"),
+        (lambda: default_config(n=2.5), f"{_N_RULE}, got 2.5"),
+        (lambda: default_config(seed=2.5), "seed must be a non-negative integer, got 2.5"),
+        (lambda: dataclasses.replace(default_config(), seed=True),
+         "seed must be a non-negative integer, got True"),
+        (lambda: sweep_trajectory(300.5), "n must be an integer >= 1, got 300.5"),
+        (lambda: sweep_trajectory(True), "n must be an integer >= 1, got True"),
+        (lambda: sweep_trajectory(2.5), "n must be an integer >= 1, got 2.5"),
+    ], ids=["config_n_300.5", "config_n_true", "config_n_2.5", "config_seed_2.5",
+            "replaced_seed_true", "trajectory_300.5", "trajectory_true", "trajectory_2.5"])
+    def test_non_integral_or_boolean_n_or_seed_rejected_naming_it(self, make, message):
+        # At 300.5 a study would simulate 301 samples a run and write n = 300 to its summary.
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_numpy_integer_n_and_seed_stored_as_int(self):
+        config = default_config(n=np.int64(120), seed=np.uint32(7))
+        assert (config.n, config.seed) == (120, 7)
+        assert type(config.n) is type(config.seed) is int
+        assert config.to_dict() == default_config(n=120, seed=7).to_dict()
 
     def test_integral_float_n_and_seed_accepted(self):
         d = {**default_config().to_dict(), "n": 300.0, "seed": 7.0}

@@ -3,7 +3,9 @@ import pytest
 from conftest import oracle_true_params
 
 from magcal.simulate import DEFAULT_SOFT_IRON
-from magcal.types import CalibrationParams, Dataset, SensorTruth, SolveOptions, as_samples
+from magcal.types import (
+    CalibrationParams, Dataset, SensorTruth, SolveOptions, as_samples, check_integer,
+)
 
 
 @pytest.mark.parametrize("shape, offset", [(np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))],
@@ -65,8 +67,11 @@ def test_as_samples_needs_an_n_by_3_array(shape):
 @pytest.mark.parametrize("field, value", [
     ("max_iterations", 2.5), ("max_iterations", np.float64(3.0)), ("max_iterations", True),
     ("gradient_tolerance", True), ("objective_tolerance", np.True_),
+    ("max_iterations", 0), ("max_iterations", np.False_), ("max_iterations", "3"),
+    ("step_tolerance", 0.0), ("step_tolerance", np.inf),
 ], ids=["iterations_2.5", "iterations_float64", "iterations_true", "gradient_true",
-        "objective_numpy_true"])
+        "objective_numpy_true", "iterations_0", "iterations_numpy_false", "iterations_string",
+        "step_0", "step_inf"])
 def test_solve_options_reject_a_non_integral_count_or_a_boolean_naming_the_field(field, value):
     # A float count would fail mid-solve with a TypeError; a boolean would read as 1.
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -76,3 +81,24 @@ def test_solve_options_reject_a_non_integral_count_or_a_boolean_naming_the_field
 def test_solve_options_accept_numpy_numbers():
     opts = SolveOptions(max_iterations=np.int64(3), gradient_tolerance=np.float64(1e-6))
     assert opts.max_iterations == 3 and opts.gradient_tolerance == 1e-6
+
+
+@pytest.mark.parametrize("value, low, high, rule", [
+    (True, 0, np.inf, "a non-negative integer"),
+    (np.True_, 1, np.inf, "an integer >= 1"),
+    (2.0, 1, np.inf, "an integer >= 1"),
+    (2.5, 0, np.inf, "a non-negative integer"),
+    (-1, 0, np.inf, "a non-negative integer"),
+    (np.int64(0), 1, np.inf, "an integer >= 1"),
+    (4, 1, 3, "an integer >= 1 and <= 3"),
+    (None, 0, np.inf, "a non-negative integer"),
+], ids=["true", "numpy_true", "2.0", "2.5", "negative", "numpy_below", "above", "none"])
+def test_check_integer_names_the_argument_the_rule_and_the_value(value, low, high, rule):
+    with pytest.raises(ValueError) as info:
+        check_integer("seed", value, low, high)
+    assert str(info.value) == f"seed must be {rule}, got {value!r}"
+
+
+def test_check_integer_returns_a_python_int():
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert type(check_integer("n", value, 1, 3)) is int and check_integer("n", value, 1) == 3
