@@ -28,21 +28,8 @@ from .initfit import fit_initial
 from .metrics import apply_calibration, error_metrics
 from .ml import solve_ml
 from .nm import solve_nm
-from .simulate import (
-    SimConfig,
-    default_config,
-    default_truth,
-    simulate,
-    sweep_trajectory,
-)
-from .types import (
-    CalibrationParams,
-    Dataset,
-    ErrorMetrics,
-    SensorTruth,
-    SolveOptions,
-    SolveReport,
-)
+from .simulate import SimConfig, default_config, default_truth, simulate, sweep_trajectory
+from .types import CalibrationParams, Dataset, ErrorMetrics, SensorTruth, SolveOptions, SolveReport
 
 __all__ = [
     "CalibrationError",

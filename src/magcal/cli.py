@@ -27,6 +27,16 @@ def _load_config(path) -> SimConfig:
     return SimConfig.from_dict(fileio.read_json(path))
 
 
+def _items(item, kind: str):
+    """An argparse type: comma-separated tokens, each through ``item``; argparse names the flag."""
+    def one(token: str):
+        try:
+            return item(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} is not {kind}") from None
+    return lambda text: [one(token) for token in map(str.strip, text.split(",")) if token]
+
+
 def _truth_sidecar(out_path) -> str:
     out = str(out_path)
     stem = out[:-4] if out.endswith(".csv") else out
@@ -151,9 +161,8 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     config = _load_config(args.config)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     result = experiments.run_sensitivity(
-        config, alphas, args.runs, seed=args.seed, workers=args.workers
+        config, args.alphas, args.runs, seed=args.seed, workers=args.workers
     )
     fileio.write_sensitivity_csv(args.out_prefix + "_counts.csv", result)
     fileio.write_json(args.out_prefix + "_summary.json", fileio.sensitivity_summary(result))
@@ -164,10 +173,8 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_timing(args) -> int:
     config = _load_config(args.config)
-    n_values = [int(n) for n in args.n_values.split(",") if n.strip()]
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     rows = experiments.run_timing(
-        config, n_values, repeats=args.repeats, methods=methods, seed=args.seed
+        config, args.n_values, repeats=args.repeats, methods=args.methods, seed=args.seed
     )
     fileio.write_timing_csv(args.out_prefix + "_timing.csv", rows)
     fileio.write_json(args.out_prefix + "_timing.json", fileio.timing_summary(rows))
@@ -231,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
              "3x the objective expected at the optimum, set by the scenario's N and sigma (> 0)")
     sens = subs.add_parser("sensitivity", help=about, description=about)
     sens.add_argument("--config", help="scenario JSON (default: bundled scenario)")
-    sens.add_argument("--alphas", default="0.01,0.02,0.03,0.04,0.05,0.06,0.07")
+    sens.add_argument("--alphas", type=_items(float, "a number"),
+                      default="0.01,0.02,0.03,0.04,0.05,0.06,0.07")
     sens.add_argument("--runs", type=int, default=50)
     sens.add_argument("--seed", type=int, default=experiments.DEFAULT_SENSITIVITY_SEED)
     sens.add_argument("--workers", type=int, default=1)
@@ -240,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tim = subs.add_parser("timing", help="solver wall-clock comparison")
     tim.add_argument("--config", help="scenario JSON (default: bundled scenario)")
-    tim.add_argument("--n-values", default="100,300,1000")
+    tim.add_argument("--n-values", type=_items(int, "an integer"), default="100,300,1000")
     tim.add_argument("--repeats", type=int, default=5)
-    tim.add_argument("--methods", default="nm,ml")
+    tim.add_argument("--methods", type=_items(experiments._check_method, "nm or ml"),
+                     default="nm,ml")
     tim.add_argument("--seed", type=int, default=0)
     tim.add_argument("--out-prefix", required=True)
     tim.set_defaults(func=cmd_timing)

@@ -20,7 +20,8 @@ from .metrics import error_metrics_batch
 from .ml import solve_ml, solve_ml_batch
 from .nm import solve_nm, solve_nm_batch
 from .simulate import SimConfig, noise_free_samples, simulate, sweep_trajectory
-from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport, check_integer
+from .types import CalibrationParams, ErrorMetrics, SolveOptions, SolveReport
+from .types import check_integer, check_real
 
 METRIC_NAMES = tuple(f.name for f in fields(ErrorMetrics))
 
@@ -29,9 +30,10 @@ DEFAULT_MC_SEED = 20240901
 DEFAULT_SENSITIVITY_SEED = 18687
 
 
-def _check_method(method) -> None:
+def _check_method(method) -> str:
     if method not in ("nm", "ml"):
         raise ValueError(f"unknown method {method!r}")
+    return method
 
 
 def solve(method: str, data, init: CalibrationParams,
@@ -44,11 +46,6 @@ def solve(method: str, data, init: CalibrationParams,
     return (solve_nm if method == "nm" else solve_ml)(data, init, opts)
 
 
-def _check_alpha(alpha) -> None:
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
 def perturb_initial(params: CalibrationParams, alpha: float, seed) -> CalibrationParams:
     """Multiply every free entry by (1 +/- alpha), signs drawn independently.
 
@@ -56,7 +53,7 @@ def perturb_initial(params: CalibrationParams, alpha: float, seed) -> Calibratio
     (shape entries first, then offset). Structural zeros of the shape
     matrix are unaffected since scaling zero leaves zero.
     """
-    _check_alpha(alpha)
+    alpha = check_real("alpha", alpha, 0.0)
     rng = np.random.default_rng(seed)
     shape_signs = np.sign(rng.standard_normal((3, 3)))
     offset_signs = np.sign(rng.standard_normal(3))
@@ -274,11 +271,10 @@ def run_sensitivity(
     the scenario's N and sigma set (see ``_thresholds``).
     """
     runs, seed = check_integer("runs", runs, 1), check_integer("seed", seed, 0)
-    alphas = tuple(float(a) for a in alphas)
+    # Each alpha before any run, not when a run reaches the bad one.
+    alphas = tuple(check_real("alpha", alpha, 0.0) for alpha in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    for alpha in alphas:  # before any run, not when a run reaches the bad alpha
-        _check_alpha(alpha)
     thresholds = _thresholds(config)
     scene = _scene(config)
     alpha_children = np.random.SeedSequence(seed).spawn(len(alphas))
@@ -326,12 +322,14 @@ def run_timing(
     timed in the same host state. An ml solve is timed from the fit's
     estimate, so its time includes building the initial ML state.
     """
+    for name, values in (("n_values", n_values), ("methods", methods)):
+        if isinstance(values, str):  # whose characters would pass as items
+            raise ValueError(f"{name} must be a sequence, not the string {values!r}")
+    repeats, seed = check_integer("repeats", repeats, 1), check_integer("seed", seed, 0)
+    n_values = [check_integer("n", n, 1) for n in n_values]  # all before any solve
+    methods = [_check_method(method) for method in methods]
     if not n_values or not methods:
         raise ValueError("n_values and methods must be nonempty")
-    repeats, seed = check_integer("repeats", repeats, 1), check_integer("seed", seed, 0)
-    n_values = [check_integer("n", n, 1) for n in n_values]
-    for method in methods:  # before any solve, not when the timing loop reaches it
-        _check_method(method)
     rows = []
     for n in n_values:
         dataset = simulate(config.truth, sweep_trajectory(n), seed)

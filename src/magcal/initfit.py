@@ -59,9 +59,9 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     matrix is _scatter's G, of the design rows about the sample mean (an
     exact reparameterization that improves conditioning).
 
-    Raises InsufficientDataError below 10 samples and DegenerateDataError
-    when G overflows or the scaled quadric matrix has no finite Cholesky factor:
-    the quadric is not an ellipsoid (typically: not enough distinct attitudes).
+    Raises ValueError unless the data are a finite (N>=1, 3) array, InsufficientDataError
+    below 10 samples and DegenerateDataError when G overflows or the scaled quadric matrix
+    has no finite Cholesky factor: the quadric is not an ellipsoid (too few attitudes).
     """
     (fit,) = fit_initial_batch(as_samples(data)[None])
     if isinstance(fit, CalibrationError):

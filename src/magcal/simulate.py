@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import attitude_from_euler
-from .types import Dataset, SensorTruth, check_integer, json_field, json_numbers
+from .types import Dataset, SensorTruth, check_integer, check_real, json_field, json_numbers
 
 DEFAULT_SOFT_IRON = np.array(
     [
@@ -76,9 +76,7 @@ def sweep_trajectory(n: int, tilt_deg: float = 20.0) -> np.ndarray:
     The default tilt covers the ellipsoid surface well; a small ``tilt_deg``
     mimics motion confined to a nearly level surface (weak excitation).
     """
-    n = check_integer("n", n, 1)
-    if not np.isfinite(tilt_deg):
-        raise ValueError(f"tilt must be finite, got {tilt_deg}")
+    n, tilt_deg = check_integer("n", n, 1), check_real("tilt", tilt_deg)
     k = np.arange(1, n + 1, dtype=float)
     phase = 20.0 * np.pi * k / n
     roll = tilt_deg * np.sin(phase + np.pi / 2.0)

@@ -7,6 +7,7 @@ fields directly; ``nm`` and ``ml`` document the flat layout of each step.
 
 from __future__ import annotations
 
+import math
 import numbers
 import reprlib
 from dataclasses import dataclass
@@ -18,9 +19,9 @@ if TYPE_CHECKING:
     from .ml import MLState
 
 
-def _as_float_array(x, shape=None):
+def _as_float_array(x, shape):
     out = np.asarray(x, dtype=float)
-    if shape is not None and out.shape != shape:
+    if out.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {out.shape}")
     return out
 
@@ -58,6 +59,16 @@ def check_integer(name: str, value, low: int, high=np.inf) -> int:
     return int(value)
 
 
+def check_real(name: str, value, low: float = -np.inf) -> float:
+    """``value`` as a float; a ValueError names a bool, a non-number, NaN, +-inf, or below low."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= low)):
+        bound = f" and >= {low:g}" if low > -np.inf else ""
+        raise ValueError(f"{name} must be finite{bound}, and a real number, "
+                         f"got {reprlib.repr(value)}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CalibrationParams:
     """Triangular shape matrix (Gauss^-1) plus hard-iron offset (Gauss).
@@ -91,15 +102,11 @@ class SensorTruth:
     field: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "soft_iron", _as_float_array(self.soft_iron, (3, 3)))
-        object.__setattr__(self, "hard_iron", _as_float_array(self.hard_iron, (3,)))
-        object.__setattr__(self, "field", _as_float_array(self.field, (3,)))
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        for name in ("soft_iron", "hard_iron", "noise_sigma", "field"):
+        for name, shape in (("soft_iron", (3, 3)), ("hard_iron", (3,)), ("field", (3,))):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), shape))
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        object.__setattr__(self, "noise_sigma", check_real("noise_sigma", self.noise_sigma, 0.0))
         if abs(np.linalg.norm(self.field) - 1.0) > 1e-12:
             raise ValueError("field must be a unit vector (normalize before use)")
         try:
@@ -129,10 +136,7 @@ class Dataset:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _as_float_array(self.samples)
-        if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 1:
-            raise ValueError(f"samples must be (N>=1, 3), got {samples.shape}")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", as_samples(self.samples))
 
     @property
     def n_samples(self) -> int:
@@ -140,13 +144,13 @@ class Dataset:
 
 
 def as_samples(data) -> np.ndarray:
-    """Accept a Dataset or a raw (N, 3) array-like; return the samples.
+    """Accept a Dataset or a raw (N, 3) array-like, N >= 1; return the samples.
 
-    Raises ValueError naming the first row that holds a NaN or infinity.
+    Raises ValueError on any other shape, or naming the first row with a NaN or infinity.
     """
-    samples = data.samples if isinstance(data, Dataset) else np.asarray(data, float)
-    if samples.ndim != 2 or samples.shape[1] != 3:
-        raise ValueError(f"expected samples of shape (N, 3), got {samples.shape}")
+    samples = np.asarray(data.samples if isinstance(data, Dataset) else data, float)
+    if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 1:
+        raise ValueError(f"samples must be (N>=1, 3), got {samples.shape}")
     finite = np.isfinite(samples)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

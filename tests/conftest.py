@@ -3,8 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same examples on every run and keeps no example database, so its
+# result depends on the code alone. `pytest --hypothesis-profile=deep` draws fresh
+# examples, five times as many (see `examples`), and replays those that failed before.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("deep", max_examples=500)
+settings.load_profile("derandomized")
 
 _ACCEPTANCE = {}
+
+
+def examples(count: int) -> int:
+    """A property's example count: ``count`` in tier-1, five times as many under ``deep``."""
+    return count * settings.default.max_examples // 100
 
 
 def pytest_runtest_logreport(report):

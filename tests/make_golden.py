@@ -5,9 +5,11 @@
     PYTHONPATH=src python tests/make_golden.py --check   # compare, exit 1 on a change
 
 The file holds the default Monte-Carlo aggregates, the default sensitivity
-counts, and each nm and ml outcome on a grid of trajectory tilts and seeds at
-zero perturbation, with the tilt-20 estimates. ``test_golden.py`` recomputes
-every entry through the functions below and compares. A change that is meant
+counts, and each nm and ml outcome on a grid of scenes and seeds at zero
+perturbation, with the estimates at tilt 20 and the default sigma. A scene is
+a trajectory tilt at the default sigma, or tilt 20 at a higher sigma.
+``test_golden.py`` recomputes every entry through the functions below and
+compares. A change that is meant
 to move an entry regenerates the file and lists each changed entry.
 """
 
@@ -29,14 +31,16 @@ from magcal.experiments import (
 )
 from magcal.initfit import fit_initial
 from magcal.linalg import pack_upper
-from magcal.simulate import default_config, default_truth, simulate, sweep_trajectory
+from magcal.simulate import DEFAULT_SIGMA, default_config, default_truth, simulate, sweep_trajectory
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden.json")
 METHODS = ("nm", "ml")
 SENSITIVITY_ALPHAS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
-GRID_TILTS = (20.0, 8.0, 5.0, 3.0, 0.0)
+# (tilt, sigma): five tilts at the default sigma, then tilt 20 at high noise (ROADMAP item 15).
+GRID_SCENES = (*((tilt, DEFAULT_SIGMA) for tilt in (20.0, 8.0, 5.0, 3.0, 0.0)),
+               (20.0, 0.05), (20.0, 0.1))
 GRID_SEEDS = tuple(range(1000, 1050))
-ESTIMATE_TILT = 20.0
+ESTIMATE_SCENE = (20.0, DEFAULT_SIGMA)
 GRID_WORKERS = 2  # the grid is most of the suite's added time; two cores halve it
 
 
@@ -58,15 +62,15 @@ def sensitivity_entry(result) -> dict:
     return {"nm": list(result.nm_divergences), "ml": list(result.ml_divergences)}
 
 
-def grid_cell(tilt_seed) -> dict:
-    """Outcome of each method on one (tilt, seed) dataset, started from the fit.
+def grid_cell(scene_seed) -> dict:
+    """Outcome of each method on one ((tilt, sigma), seed) dataset, started from the fit.
 
     An outcome is "converged in K", "unconverged after K", "<error> after K"
     for a SolverFailure, or "<error> in fit". The estimate is the report's
     shape_upper then offset, None when the solve raised.
     """
-    tilt, seed = tilt_seed
-    dataset = simulate(default_truth(), sweep_trajectory(300, tilt), seed)
+    (tilt, sigma), seed = scene_seed
+    dataset = simulate(default_truth(sigma), sweep_trajectory(300, tilt), seed)
     try:
         init, _ = fit_initial(dataset)
     except CalibrationError as exc:
@@ -88,26 +92,31 @@ def grid_cell(tilt_seed) -> dict:
 
 
 def grid() -> dict:
-    """tilt -> method -> per-seed outcomes (and estimates), over GRID_TILTS x GRID_SEEDS."""
-    jobs = [(tilt, seed) for tilt in GRID_TILTS for seed in GRID_SEEDS]
+    """(tilt, sigma) -> method -> per-seed outcomes (and estimates), over GRID_SCENES x seeds."""
+    jobs = [(scene, seed) for scene in GRID_SCENES for seed in GRID_SEEDS]
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=GRID_WORKERS, mp_context=spawn) as pool:
         cells = list(pool.map(grid_cell, jobs, chunksize=5))
     out = {}
-    for (tilt, _), cell in zip(jobs, cells):
+    for (scene, _), cell in zip(jobs, cells):
         for method in METHODS:
-            entry = out.setdefault(tilt, {}).setdefault(method, {"outcomes": [], "estimates": []})
+            entry = out.setdefault(scene, {}).setdefault(method, {"outcomes": [], "estimates": []})
             entry["outcomes"].append(cell[method]["outcome"])
             entry["estimates"].append(cell[method]["estimate"])
     return out
 
 
 def grid_entry(cells: dict) -> dict:
-    """The pinned part of ``grid()``: every outcome, and the estimates at ESTIMATE_TILT only."""
+    """The pinned part of ``grid()``: every outcome, and the estimates at ESTIMATE_SCENE only.
+
+    A scene at the default sigma is keyed by its tilt alone, so its entries keep their keys.
+    """
     out = {}
-    for tilt, methods in cells.items():
-        out[f"tilt {tilt:g}"] = {
-            m: {k: v for k, v in entry.items() if k == "outcomes" or tilt == ESTIMATE_TILT}
+    for (tilt, sigma), methods in cells.items():
+        key = f"tilt {tilt:g}" + ("" if sigma == DEFAULT_SIGMA else f" sigma {sigma:g}")
+        out[key] = {
+            m: {k: v for k, v in entry.items()
+                if k == "outcomes" or (tilt, sigma) == ESTIMATE_SCENE}
             for m, entry in methods.items()
         }
     return out

@@ -436,6 +436,21 @@ class TestStudyCommands:
         assert "alpha" in capsys.readouterr().err
         assert list(tmp_path.glob("sens*")) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["timing", "--n-values", "60.7"], "argument --n-values: '60.7' is not an integer"),
+        (["sensitivity", "--alphas", "0.1,abc"], "argument --alphas: 'abc' is not a number"),
+        (["timing", "--methods", "nm, qr"], "argument --methods: 'qr' is not nm or ml"),
+    ], ids=["n_values", "alphas", "methods"])
+    def test_bad_list_flag_token_exits_2_naming_flag_and_token(self, tmp_path, capsys, argv,
+                                                               message):
+        # These exited 2 with int()'s or float()'s message alone, or "unknown method",
+        # naming no flag.
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-prefix", str(tmp_path / "study")])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("study*")) == []
+
     @pytest.mark.parametrize("study", ["montecarlo", "sensitivity"])
     def test_non_finite_sigma_exits_2_naming_it(self, tmp_path, capsys, study):
         cfg = write_config(tmp_path / "cfg.json", sigma=float("nan"), n=100)

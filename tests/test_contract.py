@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from magcal import fileio
 from magcal.cli import main
 from magcal.initfit import fit_initial
@@ -129,7 +130,7 @@ def _assert_same_solve(report, expected, offset_shift=0.0):
                                + offset_shift, rtol=0, atol=PROPERTY_ATOL)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(truth=sensors(sigmas=(0.0,)), seed=st.integers(0, 2**32 - 1))
 def test_both_solvers_recover_a_noise_free_truth(truth, seed):
     expected = truth.calibration()
@@ -140,7 +141,7 @@ def test_both_solvers_recover_a_noise_free_truth(truth, seed):
                                    rtol=0, atol=PROPERTY_ATOL)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(truth=sensors(), seed=st.integers(0, 2**32 - 1), order=st.integers(0, 2**32 - 1))
 def test_permuting_the_samples_changes_nothing(truth, seed, order):
     samples = simulate(truth, _TRAJECTORY, seed).samples
@@ -149,7 +150,7 @@ def test_permuting_the_samples_changes_nothing(truth, seed, order):
         _assert_same_solve(report, expected)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(truth=sensors(), seed=st.integers(0, 2**32 - 1),
        shift=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3))
 def test_translating_the_data_moves_only_the_offset(truth, seed, shift):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magcal import experiments, fileio, ml
+from magcal import experiments, fileio, initfit, ml, nm
 from magcal.errors import DegenerateDataError
 from magcal.experiments import (
     perturb_initial,
@@ -18,9 +18,12 @@ from magcal.experiments import (
     run_sensitivity,
     run_timing,
 )
+from magcal.initfit import fit_initial
 from magcal.linalg import unpack_upper
-from magcal.simulate import default_config
-from magcal.types import CalibrationParams
+from magcal.ml import solve_ml
+from magcal.nm import solve_nm
+from magcal.simulate import default_config, default_truth, sweep_trajectory
+from magcal.types import CalibrationParams, Dataset, SensorTruth
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -475,3 +478,61 @@ def test_numpy_integer_counts_and_seeds_give_the_summaries_of_ints(small_config,
     rows = run_timing(small_config, [np.int64(60)], repeats=np.int64(1), seed=np.int64(2))
     assert [type(row.n) for row in rows] == [int, int]
     json.dumps(fileio.timing_summary(rows))
+
+
+_PARAMS = CalibrationParams(shape=np.eye(3), offset=np.zeros(3))
+_REALS = {  # argument -> (its name, its lower bound, a call that checks it)
+    "perturb_initial_alpha": ("alpha", 0.0, lambda v, config: perturb_initial(_PARAMS, v, 0)),
+    "run_sensitivity_alpha": ("alpha", 0.0,
+                              lambda v, config: run_sensitivity(config, [0.01, v], runs=1)),
+    "sweep_trajectory_tilt": ("tilt", None, lambda v, config: sweep_trajectory(30, v)),
+    "sensor_truth_sigma": ("noise_sigma", 0.0,
+                           lambda v, config: SensorTruth(np.eye(3), np.zeros(3), v, [1, 0, 0])),
+    "default_truth_sigma": ("noise_sigma", 0.0, lambda v, config: default_truth(v)),
+}
+_BAD_REALS = {"true": True, "numpy_true": np.True_, "string": "0.1", "none": None,
+              "nan": np.nan, "inf": np.inf, "minus_inf": -np.inf, "negative": -0.5}
+
+
+@pytest.mark.parametrize("argument, value", [
+    pytest.param(argument, value, id=f"{argument}_{kind}")
+    for argument, (_, low, _) in _REALS.items() for kind, value in _BAD_REALS.items()
+    if kind != "negative" or low is not None  # a negative tilt is a tilt
+])
+def test_bad_real_rejected_naming_it_before_any_run(small_config, monkeypatch, argument, value):
+    # Unchecked, a boolean alpha, tilt or sigma read as 1 or 0, and a string alpha died
+    # with a TypeError that names nothing.
+    name, low, call = _REALS[argument]
+    monkeypatch.setattr(experiments, "_run", lambda job: pytest.fail("ran a job"))
+    with pytest.raises(ValueError) as info:
+        call(value, small_config)
+    bound = "" if low is None else " and >= 0"
+    assert str(info.value) == f"{name} must be finite{bound}, and a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("call", [solve_nm, solve_ml, fit_initial, Dataset],
+                         ids=["solve_nm", "solve_ml", "fit_initial", "Dataset"])
+def test_no_samples_rejected_naming_them_before_any_fit_or_solve(monkeypatch, call):
+    # Unchecked, nm died with a ZeroDivisionError in the scatter matrices, ml with numpy's
+    # "zero-size array", and the fit raised InsufficientDataError.
+    for module, name in ((initfit, "fit_initial_batch"), (nm, "solve_nm_batch"),
+                         (ml, "solve_ml_batch")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("fitted or solved"))
+    args = (np.empty((0, 3)),) if call in (fit_initial, Dataset) else (np.empty((0, 3)), _PARAMS)
+    with pytest.raises(ValueError, match=r"^samples must be \(N>=1, 3\), got \(0, 3\)$"):
+        call(*args)
+
+
+def test_timing_takes_a_numpy_array_of_n_values(small_config):
+    rows = run_timing(small_config, np.array([60, 120]), repeats=1, methods=("nm",))
+    assert [(r.n, type(r.n)) for r in rows] == [(60, int), (120, int)]
+
+
+@pytest.mark.parametrize("argument, value", [("methods", "nm"), ("n_values", "60")])
+def test_timing_rejects_a_bare_string_naming_it_before_any_solve(small_config, monkeypatch,
+                                                                 argument, value):
+    # Unchecked, methods="nm" reported "unknown method 'n'" and n_values="60" timed N = 6.
+    monkeypatch.setattr(experiments, "simulate", lambda *a: pytest.fail("simulated"))
+    monkeypatch.setattr(experiments, "solve", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=f"^{argument} must be a sequence, not the string "):
+        run_timing(small_config, **{"n_values": [60], "repeats": 1, argument: value})

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import examples
 from magcal import fileio
 from magcal.initfit import fit_initial
 from magcal.linalg import pack_upper
@@ -157,7 +158,7 @@ class TestSamplesCsv:
             with pytest.raises(ValueError, match="no samples"):
                 fileio.read_samples_csv(path)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     @example(np.array([[-0.0, 0.0, 5e-324], [1e308, -1e308, -2.2250738585072014e-308]]))

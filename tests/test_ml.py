@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import examples
 from fd import fd_gradient, fd_jacobian
 from kkt_oracle import ml_kkt_system, ml_objective, step_dense
 from magcal import ml
@@ -133,7 +134,7 @@ class TestKKTSystem:
 
 
 class TestAssembly:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         dirs=st.one_of(st.integers(1, 50), st.just(300)).flatmap(
             lambda n: arrays(float, (n, 3), elements=st.floats(-1e3, 1e3))
@@ -160,7 +161,7 @@ class TestNewtonStep:
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(block - dense)) <= 1e-9 * scale
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         n=st.integers(3, 12),
         seed=st.integers(0, 2**32 - 1),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import test_ml
 import test_nm
+from conftest import examples
 from magcal import ml, nm
 from magcal._newton import solve_newton_system, take
 from magcal.cli import main
@@ -61,7 +62,7 @@ def symmetric_systems(draw):
 EPS = np.finfo(float).eps
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(symmetric_systems())
 def test_step_is_backward_stable_and_matches_scipy_when_well_conditioned(system):
     # LU and scipy's Bunch-Kaufman round differently, so the step is checked by its

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import oracle_true_params
 
 from magcal.simulate import DEFAULT_SOFT_IRON
 from magcal.types import (
-    CalibrationParams, Dataset, SensorTruth, SolveOptions, as_samples, check_integer,
+    CalibrationParams, Dataset, SensorTruth, SolveOptions, as_samples, check_integer, check_real,
 )
 
 
@@ -58,9 +60,9 @@ def test_dataset_needs_n_by_3_samples(shape):
         Dataset(np.zeros(shape))
 
 
-@pytest.mark.parametrize("shape", [(5, 2), (3,), (2, 3, 3)])
+@pytest.mark.parametrize("shape", [(0, 3), (5, 2), (3,), (2, 3, 3)])
 def test_as_samples_needs_an_n_by_3_array(shape):
-    with pytest.raises(ValueError, match=r"expected samples of shape \(N, 3\)"):
+    with pytest.raises(ValueError, match=r"samples must be \(N>=1, 3\)"):
         as_samples(np.zeros(shape))
 
 
@@ -102,3 +104,9 @@ def test_check_integer_names_the_argument_the_rule_and_the_value(value, low, hig
 def test_check_integer_returns_a_python_int():
     for value in (3, np.int64(3), np.uint8(3)):
         assert type(check_integer("n", value, 1, 3)) is int and check_integer("n", value, 1) == 3
+
+
+def test_check_real_returns_a_python_float():
+    for value in (0.5, np.float32(0.5), np.int64(3) / 6, Fraction(1, 2)):
+        assert type(check_real("alpha", value, 0.0)) is float and check_real("alpha", value) == 0.5
+    assert check_real("tilt", -3) == -3.0
