@@ -23,6 +23,7 @@ standard initialization) and is no use as a test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,69 @@ class MLState:
     lagrange: np.ndarray
 
 
-def _assemble(t, offset, dirs, lam, samples):
+class _Workspace:
+    """Scratch memory of one ml solve: one float block, cut into slots that each iteration reuses.
+
+    ``at(start, *shape)`` is the C-contiguous view of ``shape`` at float
+    ``start`` of the block. A workspace without a block (``_FRESH``) gives a
+    fresh array instead, so the private functions also run without one.
+
+    Slots are counted in units of one float per item and row, rounded up to 8
+    floats (``_unit``). _assemble takes slots 0 (3 units) and 3 (1 unit) of the
+    whole iterate, and the objective slot 0. The step cuts its scratch from 0,
+    in units of one row block:
+
+        _block_inverses     m_e 0, a 3, |a| then m_w 6, min 9, max 10
+        a group of items    inv_a y, then z inv_s, 0; z 21 (in the group's units)
+        _solve_blocks       out_m 0, w x then w c 3, c 6, out_lam 7
+        its input x         g_me 8 in the first pass; in back-substitution d_x 8,
+                            the sum of d_lin y and g_me 0, then v d_m 8
+
+    After the scratch come, block by block, the slots that back-substitution
+    reads: inv_a 0, w 3, inv_s 6 and y 7. What leaves a call (the assembly,
+    the step, the next iterate) is a fresh array, so the driver's ``take`` and
+    the reports never alias the block.
+    """
+
+    def __init__(self, floats: int = 0):
+        self.block = np.empty(floats) if floats else None
+
+    def at(self, start: int, *shape: int) -> np.ndarray:
+        if self.block is None:
+            return np.empty(shape)
+        return self.block[start : start + math.prod(shape)].reshape(shape)
+
+
+_FRESH = _Workspace()  # the private functions' default: every slot a fresh array
+
+
+def _unit(b: int, rows: int) -> int:
+    """One float per item and row, rounded up to 8 floats: the stride of a workspace's slots."""
+    return -(-b * rows // 8) * 8
+
+
+def _group_items(rows: int) -> int:
+    """Items whose (items, 21, rows) products _step_block forms at once: <= _CHUNK/2 rows."""
+    return max(1, _CHUNK // (2 * rows))
+
+
+def _scratch_floats(b: int, n: int) -> int:
+    """The step's scratch, ahead of its kept slots: what its first, largest row block needs."""
+    rows = min(n, _CHUNK)
+    return max(11 * _unit(b, rows), 30 * _unit(min(b, _group_items(rows)), rows))
+
+
+def _workspace_floats(b: int, n: int) -> int:
+    """Floats of the workspace of a solve of b items of n rows.
+
+    The step's scratch, then 14 units for each row block, which alone exceed
+    the 4 units of the whole iterate that _assemble takes.
+    """
+    kept = sum(_unit(b, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK))
+    return _scratch_floats(b, n) + 14 * kept
+
+
+def _assemble(t, offset, dirs, lam, samples, ws=_FRESH):
     """Gradient and head Hessian of the Lagrangian at a stack of states, plus what the step needs.
 
     Takes the stacked state (T, h, directions, multipliers) and the (B, N, 3)
@@ -75,17 +138,21 @@ def _assemble(t, offset, dirs, lam, samples):
     a leading batch axis: the 9-vector head gradient, per-sample gradients
     (N,3) and (N,), the 9x9 head Hessian, and T with the per-sample
     directions, residuals and multipliers from which _step_block forms the
-    per-sample blocks.
+    per-sample blocks. The temporaries use ``ws``; the returned arrays are fresh.
     """
     b, n = lam.shape
-    r = samples - offset[:, None, :] - dirs @ tr(t)
+    prod, lam2 = ws.at(0, b, n, 3), ws.at(3 * _unit(b, n), b, n, 1)
+    r = np.subtract(samples, offset[:, None, :])
+    r -= np.matmul(dirs, tr(t), out=prod)
 
     g_t = -2.0 * tr(tr(r) @ dirs).reshape(b, 9).take(UPPER_VEC_INDICES, axis=1)
     # einsum sums each column in row order, as r.sum(axis=1) does, in half the time.
     g_h = -2.0 * np.einsum("bij->bj", r)
     g_head = np.concatenate([g_t, g_h], axis=1)
-    g_m = -2.0 * r @ t + 2.0 * lam[:, :, None] * dirs
-    g_lam = np.einsum("bij,bij->bi", dirs, dirs) - 1.0
+    g_m = np.matmul(np.multiply(-2.0, r, out=prod), t)  # -2 r T + 2 lambda m
+    g_m += np.multiply(np.multiply(2.0, lam[:, :, None], out=lam2), dirs, out=prod)
+    g_lam = np.einsum("bij,bij->bi", dirs, dirs)
+    g_lam -= 1.0
 
     moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs),
                               np.full((b, 1), float(n)), np.zeros((b, 1))], axis=1)
@@ -94,52 +161,76 @@ def _assemble(t, offset, dirs, lam, samples):
     return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
-def _block_inverses(ev, v, dirs, r, lam):
+def _block_inverses(ev, v, dirs, r, lam, ws, kept):
     """The closed-form block inverses of some sample rows, and their y_k.
 
     Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
     bad_inv holds the flagged rows' inverted 4x4 blocks, item by item, or is
-    None if no row is flagged.
+    None if no row is flagged. inv_a, w, inv_s and y take the slots of ``ws``
+    from float ``kept`` on; the temporaries take its scratch.
     """
-    m_e = tr(v) @ tr(dirs)  # per-sample values in the eigenbasis are (B, 3, rows)
-    a = 2.0 * (ev[:, :, None] + lam[:, None, :])
-    abs_a = np.abs(a)
-    bad = abs_a.min(axis=1) <= _FALLBACK_RTOL * abs_a.max(axis=1)
-    inv_a = (np.divide(1.0, a, out=np.zeros_like(a), where=~bad[:, None, :]) if bad.any()
-             else 1.0 / a)
-    w = 2.0 * m_e * inv_a
-    m_w = m_e * w
-    s = 2.0 * m_w.sum(axis=1)
-    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=1)
+    b, rows = lam.shape
+    u = _unit(b, rows)
+    m_e = np.matmul(tr(v), tr(dirs), out=ws.at(0, b, 3, rows))  # (B, 3, rows) in the eigenbasis
+    a = np.add(ev[:, :, None], lam[:, None, :], out=ws.at(3 * u, b, 3, rows))
+    a *= 2.0
+    abs_a = np.abs(a, out=ws.at(6 * u, b, 3, rows))
+    high = np.max(abs_a, axis=1, out=ws.at(10 * u, b, rows))
+    high *= _FALLBACK_RTOL
+    low = np.min(abs_a, axis=1, out=ws.at(9 * u, b, rows))
+    bad = low <= high
+    inv_a = ws.at(kept, b, 3, rows)
+    if bad.any():
+        inv_a.fill(0.0)
+        np.divide(1.0, a, out=inv_a, where=~bad[:, None, :])
+    else:
+        np.divide(1.0, a, out=inv_a)
+    w = np.multiply(2.0, m_e, out=ws.at(kept + 3 * u, b, 3, rows))
+    w *= inv_a
+    m_w = np.multiply(m_e, w, out=abs_a)
+    s = np.sum(m_w, axis=1, out=ws.at(kept + 6 * u, b, rows))  # inverted in place: inv_s
+    s *= 2.0
+    cancels = np.sum(np.abs(m_w, out=m_w), axis=1, out=high)
+    cancels *= _FALLBACK_RTOL * 2.0
+    bad |= np.abs(s, out=low) <= cancels
     bad_inv = None
     if bad.any():
         tr(inv_a)[bad] = tr(w)[bad] = 0.0
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
+        np.divide(1.0, s, out=s, where=~bad)
+        s[bad] = 0.0
         blocks = np.zeros((int(bad.sum()), 4, 4))
         blocks[:, :3, :3] = _EYE3 * tr(a)[bad][:, None, :]
         blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * tr(m_e)[bad]
         bad_inv = np.linalg.inv(blocks)
     else:
-        inv_s = 1.0 / s
-    del abs_a, m_w, m_e, a  # not held while y is formed
-    y = np.empty((lam.shape[0], 7, lam.shape[1]))
+        np.divide(1.0, s, out=s)
+    y = ws.at(kept + 7 * u, b, 7, rows)
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
-    return inv_a, w, inv_s, bad, bad_inv, y
+    return inv_a, w, s, bad, bad_inv, y
 
 
-def _solve_blocks(inverses, x, x_lam):
-    """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
+def _solve_blocks(inverses, x, x_lam, ws):
+    """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis.
+
+    The result and the temporaries take the first 8 units of ``ws``'s scratch.
+    """
     inv_a, w, inv_s, bad, bad_inv, _ = inverses
-    c = (x_lam - (w * x).sum(axis=1)) * inv_s
-    out_m, out_lam = x * inv_a, -c
-    out_m += w * c[:, None, :]
+    b, rows = x_lam.shape
+    u = _unit(b, rows)
+    w_x = np.multiply(w, x, out=ws.at(3 * u, b, 3, rows))
+    c = np.sum(w_x, axis=1, out=ws.at(6 * u, b, rows))
+    np.subtract(x_lam, c, out=c)
+    c *= inv_s
+    out_m = np.multiply(x, inv_a, out=ws.at(0, b, 3, rows))
+    out_lam = np.negative(c, out=ws.at(7 * u, b, rows))
+    out_m += np.multiply(w, c[:, None, :], out=w_x)
     if bad_inv is not None:
         sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
         tr(out_m)[bad], out_lam[bad] = sol[:, :3, 0], sol[:, 3, 0]
     return out_m, out_lam
 
 
-def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
+def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
     """Newton steps by Schur elimination of each (m_k, lambda_k) block onto the head.
 
     Takes _assemble's stacked output and gives one (9 + 4N) step per item.
@@ -155,8 +246,9 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     The rows are taken _CHUNK at a time, so the temporaries are the size of
     one block: a first pass adds each block's part of the Schur complement
     and of its right-hand side, the 9x9 head system is solved once, and a
-    second pass back-substitutes each block into the step. An item whose T'T
-    is not finite gets a NaN step.
+    second pass back-substitutes each block into the step. The per-row
+    arrays live in ``ws``, as _Workspace lays them out; the step is fresh.
+    An item whose T'T is not finite gets a NaN step.
     """
     b, n = g_lam.shape
     ttt = tr(t) @ t
@@ -165,7 +257,7 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
         step = np.full((b, 9 + 4 * n), np.nan)
         if finite.any():
             step[finite] = _step_block(*(a[finite] for a in (g_head, g_m, g_lam, head, t, dirs,
-                                                              r, lam)))
+                                                              r, lam)), ws)
         return step
     ev, v = np.linalg.eigh(ttt)
     tv = t @ v
@@ -175,21 +267,27 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
 
     blocks, total, fallback = [], None, [None] * b
+    kept = _scratch_floats(b, n)
     for lo in range(0, n, _CHUNK):
         span = slice(lo, lo + _CHUNK)
-        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
+        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws, kept)
         inv_a, w, inv_s, bad, bad_inv, y = inverses
         rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
-        step_items = max(1, _CHUNK // (2 * rows))  # (items, 21, rows) products of <= _CHUNK/2 rows
+        step_items = _group_items(rows)  # (items, 21, rows) products of <= _CHUNK/2 rows
         for g in (slice(i, i + step_items) for i in range(0, b, step_items)):
-            np.matmul((inv_a[g, :, None, :] * y[g, None]).reshape(-1, 21, rows), tr(y[g]),
-                      out=moments[g])
-            z = lin_flat[g] @ (w[g, :, None, :] * y[g, None]).reshape(-1, 21, rows)
-            np.matmul(z * inv_s[g, None, :], tr(z), out=zz[g])
-        del z  # not held while the next temporaries are formed
+            items = len(inv_s[g])
+            products = ws.at(0, items, 3, 7, rows)
+            np.matmul(np.multiply(inv_a[g, :, None, :], y[g, None], out=products)
+                      .reshape(-1, 21, rows), tr(y[g]), out=moments[g])
+            np.multiply(w[g, :, None, :], y[g, None], out=products)
+            z = np.matmul(lin_flat[g], products.reshape(-1, 21, rows),
+                          out=ws.at(21 * _unit(items, rows), items, 9, rows))
+            np.matmul(np.multiply(z, inv_s[g, None, :], out=ws.at(0, items, 9, rows)), tr(z),
+                      out=zz[g])
         moments = moments.reshape(b, 3, 7, 7)
-        g_me = tr(v) @ tr(g_m[:, span])
-        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
+        u = _unit(b, rows)
+        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.at(8 * u, b, 3, rows))
+        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span], ws)[0] @ tr(y)
         # Each sum starts from its first block's part, so one block adds nothing.
         total = part if total is None else [p + q for p, q in zip(total, part)]
         if bad_inv is not None:
@@ -199,7 +297,8 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
                 item_inv = bad_inv[ends[i] - len(g_bad) : ends[i]]
                 part = g_bad.reshape(-1, 9).T @ (item_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
                 fallback[i] = part if fallback[i] is None else fallback[i] + part
-        blocks.append((span, inverses, g_me))
+        blocks.append((span, inverses))
+        kept += 14 * u
     moments, zz, g_y = total
     schur = head - (lin @ moments @ tr(lin)).sum(axis=1) + zz
     for i, part in enumerate(fallback):
@@ -212,12 +311,14 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     step = np.empty((b, 9 + 4 * n))
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
-    for span, inverses, g_me in blocks:
-        d_x = d_lin @ inverses[5]
+    for span, inverses in blocks:
+        rows = inverses[5].shape[2]
+        u = _unit(b, rows)
+        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.at(0, b, 3, rows))  # as in pass 1
+        d_x = np.matmul(d_lin, inverses[5], out=ws.at(8 * u, b, 3, rows))
         d_x += g_me
-        d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span])
-        del d_x
-        np.negative(tr(v @ d_m), out=d_dirs[:, span])
+        d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span], ws)
+        np.negative(tr(np.matmul(v, d_m, out=d_x)), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
     return step
 
@@ -264,12 +365,14 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
 def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     """solve_ml_batch's Newton iteration from the stacked iterate ``x`` of _initial_states."""
     opts = opts or SolveOptions()
+    ws = _Workspace(_workspace_floats(*x[3].shape))
 
     def objective(x):
         # Assembled once per iterate; converged and step then reuse it.
-        assembly = _assemble(*x)
+        assembly = _assemble(*x, ws)
         g_lam, r = assembly[2], assembly[6]
-        return (np.einsum("bij,bij->b", r, r), np.abs(g_lam).max(axis=1)), assembly
+        violation = np.abs(g_lam, out=ws.at(0, *g_lam.shape)).max(axis=1)
+        return (np.einsum("bij,bij->b", r, r), violation), assembly
 
     def converged(values, previous, delta, assembly):
         g_head, g_m, g_lam = assembly[:3]
@@ -280,7 +383,7 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     def step(x, assembly):
         t, offset, dirs, lam, samples = x
         n = lam.shape[1]
-        delta = _step_block(*assembly)
+        delta = _step_block(*assembly, ws)
         return delta, (unpack_upper(pack_upper(t) + delta[:, :6]), offset + delta[:, 6:9],
                        dirs + delta[:, 9 : 9 + 3 * n].reshape(-1, n, 3),
                        lam + delta[:, 9 + 3 * n :], samples)
@@ -295,4 +398,7 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         return dict(final_params=CalibrationParams(invert_upper(t), offset.copy()),
                     final_state=state, constraint_violation_history=records[1], warnings=warn)
 
-    return newton_solve(x, opts, objective, step, converged, finish)
+    # Handed over, not kept here, so that a solve_ml_batch drops its start after the first step.
+    start = [x]
+    del x
+    return newton_solve(start.pop(), opts, objective, step, converged, finish)

@@ -60,13 +60,21 @@ def check_integer(name: str, value, low: int, high=np.inf) -> int:
 
 
 def check_real(name: str, value, low: float = -np.inf) -> float:
-    """``value`` as a float; a ValueError names a bool, a non-number, NaN, +-inf, or below low."""
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value >= low)):
+    """``value`` as a float; a ValueError names a bool, a non-number, NaN, +-inf, or below low.
+
+    An integer beyond the float range counts as infinite.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not (math.isfinite(number) and number >= low):
         bound = f" and >= {low:g}" if low > -np.inf else ""
         raise ValueError(f"{name} must be finite{bound}, and a real number, "
                          f"got {reprlib.repr(value)}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,12 @@ def ml_kkt_system(*assembly, item=0):
 
 
 def step_dense(*assembly):
-    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block."""
+    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block.
+
+    Takes the eight assembly arrays, and ignores the workspace that follows them
+    when the solver's driver calls it.
+    """
+    assembly = assembly[:8]
     steps = []
     for item in range(len(assembly[0])):
         grad, hess = ml_kkt_system(*assembly, item=item)

@@ -510,6 +510,16 @@ def test_bad_real_rejected_naming_it_before_any_run(small_config, monkeypatch, a
     assert str(info.value) == f"{name} must be finite{bound}, and a real number, got {value!r}"
 
 
+@pytest.mark.parametrize("argument", ["perturb_initial_alpha", "default_truth_sigma"])
+def test_int_beyond_the_float_range_rejected_naming_it(small_config, argument):
+    # float(10**400) raises OverflowError, which escaped naming nothing.
+    name, _, call = _REALS[argument]
+    with pytest.raises(ValueError) as info:
+        call(10**400, small_config)
+    assert str(info.value) == (f"{name} must be finite and >= 0, and a real number, "
+                               "got 100000000000000000...0000000000000000000")
+
+
 @pytest.mark.parametrize("call", [solve_nm, solve_ml, fit_initial, Dataset],
                          ids=["solve_nm", "solve_ml", "fit_initial", "Dataset"])
 def test_no_samples_rejected_naming_them_before_any_fit_or_solve(monkeypatch, call):

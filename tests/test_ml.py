@@ -1,3 +1,9 @@
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -460,10 +466,10 @@ class TestSolve:
 
     def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
         # The iterates, assembly and step are about 20 N-vectors of 8N bytes; the
-        # step's per-sample temporaries, one row block at a time, add about 20
-        # more, and the solve holds neither its start nor the last step while it
-        # forms the next (38 here, 42 when it held both). Eliminating all N rows
-        # at once peaked at 70.
+        # solve's workspace, 14 floats a row that back-substitution reads plus one
+        # row block's temporaries, adds about 16 more, and the solve holds neither
+        # its start nor the last step while it forms the next (35 here, 39 when it
+        # held its start). Eliminating all N rows at once peaked at 70.
         n = 30_000
         ds = simulate(default_scene["truth"], sweep_trajectory(n), seed=7)
         init = fit_initial(ds)[0]
@@ -472,8 +478,8 @@ class TestSolve:
 
     def test_stack_of_a_study_job_stays_within_60_floats_a_row(self, default_scene, traced_peak):
         # A study job solves up to 27 default runs as one ml stack (8 100 rows). Its
-        # iterates, assembly, step temporaries and the reports' final states peak at
-        # about 51 floats a row, at 6 items (one 2 048-row block) and 27 alike.
+        # iterates, assembly, workspace and the reports' final states peak at about
+        # 46 floats a row.
         data = [simulate(default_scene["truth"], default_scene["trajectory"], seed=s)
                 for s in range(27)]
         samples = np.stack([d.samples for d in data])
@@ -481,6 +487,37 @@ class TestSolve:
         ml.solve_ml_batch(samples[:1], inits[:1])  # numpy's first-call set-up is not the solve's
         rows = samples.shape[0] * samples.shape[1]
         assert traced_peak(lambda: ml.solve_ml_batch(samples, inits)) < 60 * 8 * rows
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_repeated_study_job_solves_do_not_fault_their_memory_back_in(self):
+        # Each solve frees its working set. Freed in many arrays, glibc trimmed it back to
+        # the kernel, and the next solve faulted it in again: 11 652 minor faults in 10
+        # solves. Freed as one workspace block, it raises glibc's mmap and trim thresholds
+        # (mallopt(3)), and later solves reuse the heap: 53. The thresholds are
+        # per-process state, so the solves run in a fresh process with the defaults.
+        script = """if True:
+            import resource
+            import numpy as np
+            from magcal import ml
+            from magcal.initfit import fit_initial
+            from magcal.simulate import default_truth, simulate, sweep_trajectory
+            data = [simulate(default_truth(), sweep_trajectory(300), seed=s) for s in range(27)]
+            samples = np.stack([d.samples for d in data])
+            inits = [fit_initial(d)[0] for d in data]
+            for _ in range(3):
+                ml.solve_ml_batch(samples, inits)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                ml.solve_ml_batch(samples, inits)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        src = str(pathlib.Path(ml.__file__).resolve().parents[1])
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert int(done.stdout) < 300
 
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)

@@ -181,8 +181,15 @@ def _lone_nm(samples, init):
         return exc
 
 
-@pytest.mark.parametrize("method", ["nm", "ml"])
-def test_stacked_solves_equal_lone_solves_in_either_order(method, monkeypatch):
+@pytest.mark.parametrize("method, chunk", [
+    pytest.param("nm", None, id="nm"),
+    pytest.param("ml", None, id="ml"),
+    # Three row blocks of N = 300, each with its own workspace slots, which must not alias.
+    pytest.param("ml", 128, id="ml_three_row_blocks"),
+])
+def test_stacked_solves_equal_lone_solves_in_either_order(method, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ml, "_CHUNK", chunk)
     samples, inits = _mixed_batch()
     inverted = []
     inv = np.linalg.inv
