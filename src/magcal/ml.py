@@ -69,68 +69,44 @@ class MLState:
 
 
 class _Workspace:
-    """Scratch memory of one ml solve: one float block, cut into slots that each iteration reuses.
+    """Scratch memory of one ml solve: one float block, handed out in order and taken back.
 
-    ``at(start, *shape)`` is the C-contiguous view of ``shape`` at float
-    ``start`` of the block. A workspace without a block (``_FRESH``) gives a
-    fresh array instead, so the private functions also run without one.
-
-    Slots are counted in units of one float per item and row, rounded up to 8
-    floats (``_unit``). _assemble takes slots 0 (3 units) and 3 (1 unit) of the
-    whole iterate, and the objective slot 0. The step cuts its scratch from 0,
-    in units of one row block:
-
-        _block_inverses     m_e 0, a 3, |a| then m_w 6, min 9, max 10
-        a group of items    inv_a y, then z inv_s, 0; z 21 (in the group's units)
-        _solve_blocks       out_m 0, w x then w c 3, c 6, out_lam 7
-        its input x         g_me 8 in the first pass; in back-substitution d_x 8,
-                            the sum of d_lin y and g_me 0, then v d_m 8
-
-    After the scratch come, block by block, the slots that back-substitution
-    reads: inv_a 0, w 3, inv_s 6 and y 7. What leaves a call (the assembly,
-    the step, the next iterate) is a fresh array, so the driver's ``take`` and
-    the reports never alias the block.
+    ``take(*shape)`` is the next free C-contiguous slot. A function gives its
+    slots back by restoring ``top``, so slots live at once never overlap. A slot
+    past the block's end is a fresh array, as is every slot of a 0-float
+    workspace. What leaves a call (the assembly, the step, the next iterate) is
+    fresh, so the driver's ``take`` and the reports never alias the block.
     """
 
     def __init__(self, floats: int = 0):
-        self.block = np.empty(floats) if floats else None
+        self.block, self.top = np.empty(floats), 0
 
-    def at(self, start: int, *shape: int) -> np.ndarray:
-        if self.block is None:
+    def take(self, *shape: int) -> np.ndarray:
+        start, self.top = self.top, self.top + math.prod(shape)
+        if self.top > self.block.size:
             return np.empty(shape)
-        return self.block[start : start + math.prod(shape)].reshape(shape)
-
-
-_FRESH = _Workspace()  # the private functions' default: every slot a fresh array
-
-
-def _unit(b: int, rows: int) -> int:
-    """One float per item and row, rounded up to 8 floats: the stride of a workspace's slots."""
-    return -(-b * rows // 8) * 8
-
-
-def _group_items(rows: int) -> int:
-    """Items whose (items, 21, rows) products _step_block forms at once: <= _CHUNK/2 rows."""
-    return max(1, _CHUNK // (2 * rows))
-
-
-def _scratch_floats(b: int, n: int) -> int:
-    """The step's scratch, ahead of its kept slots: what its first, largest row block needs."""
-    rows = min(n, _CHUNK)
-    return max(11 * _unit(b, rows), 30 * _unit(min(b, _group_items(rows)), rows))
+        return self.block[start : self.top].reshape(shape)
 
 
 def _workspace_floats(b: int, n: int) -> int:
-    """Floats of the workspace of a solve of b items of n rows.
+    """Floats of the workspace of a solve of b items of n rows, allocated before its first iterate.
 
-    The step's scratch, then 14 units for each row block, which alone exceed
-    the 4 units of the whole iterate that _assemble takes.
+    _step_block keeps 14 floats a row of every row block for back-substitution
+    and takes, above them, 11 floats a row of one block or 30 of one group of
+    items, each count rounded up to 8 floats: the sizes README's fault counts
+    were measured at. That is more than the 4 floats a row of the whole iterate
+    that _assemble takes.
     """
-    kept = sum(_unit(b, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK))
-    return _scratch_floats(b, n) + 14 * kept
+    def floats(items, rows):
+        return -(-items * rows // 8) * 8
+
+    rows = min(n, _CHUNK)
+    group = min(b, max(1, _CHUNK // (2 * rows)))  # _step_block's items a group
+    kept = sum(floats(b, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK))
+    return max(11 * floats(b, rows), 30 * floats(group, rows)) + 14 * kept
 
 
-def _assemble(t, offset, dirs, lam, samples, ws=_FRESH):
+def _assemble(t, offset, dirs, lam, samples, ws=None):
     """Gradient and head Hessian of the Lagrangian at a stack of states, plus what the step needs.
 
     Takes the stacked state (T, h, directions, multipliers) and the (B, N, 3)
@@ -141,7 +117,9 @@ def _assemble(t, offset, dirs, lam, samples, ws=_FRESH):
     per-sample blocks. The temporaries use ``ws``; the returned arrays are fresh.
     """
     b, n = lam.shape
-    prod, lam2 = ws.at(0, b, n, 3), ws.at(3 * _unit(b, n), b, n, 1)
+    ws = ws or _Workspace()
+    top = ws.top
+    prod, lam2 = ws.take(b, n, 3), ws.take(b, n, 1)
     r = np.subtract(samples, offset[:, None, :])
     r -= np.matmul(dirs, tr(t), out=prod)
 
@@ -157,38 +135,38 @@ def _assemble(t, offset, dirs, lam, samples, ws=_FRESH):
     moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs),
                               np.full((b, 1), float(n)), np.zeros((b, 1))], axis=1)
     head = 2.0 * moments.take(_HEAD_FROM, axis=1)
-
+    ws.top = top
     return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
-def _block_inverses(ev, v, dirs, r, lam, ws, kept):
+def _block_inverses(ev, v, dirs, r, lam, ws):
     """The closed-form block inverses of some sample rows, and their y_k.
 
     Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
     bad_inv holds the flagged rows' inverted 4x4 blocks, item by item, or is
-    None if no row is flagged. inv_a, w, inv_s and y take the slots of ``ws``
-    from float ``kept`` on; the temporaries take its scratch.
+    None if no row is flagged. inv_a, w, inv_s and y are slots of ``ws`` that
+    the caller gives back; the temporaries' slots are given back here.
     """
     b, rows = lam.shape
-    u = _unit(b, rows)
-    m_e = np.matmul(tr(v), tr(dirs), out=ws.at(0, b, 3, rows))  # (B, 3, rows) in the eigenbasis
-    a = np.add(ev[:, :, None], lam[:, None, :], out=ws.at(3 * u, b, 3, rows))
+    inv_a, w, s, y = (ws.take(b, *shape) for shape in ((3, rows), (3, rows), (rows,), (7, rows)))
+    top = ws.top
+    m_e = np.matmul(tr(v), tr(dirs), out=ws.take(b, 3, rows))  # (B, 3, rows) in the eigenbasis
+    a = np.add(ev[:, :, None], lam[:, None, :], out=ws.take(b, 3, rows))
     a *= 2.0
-    abs_a = np.abs(a, out=ws.at(6 * u, b, 3, rows))
-    high = np.max(abs_a, axis=1, out=ws.at(10 * u, b, rows))
+    abs_a = np.abs(a, out=ws.take(b, 3, rows))
+    high = np.max(abs_a, axis=1, out=ws.take(b, rows))
     high *= _FALLBACK_RTOL
-    low = np.min(abs_a, axis=1, out=ws.at(9 * u, b, rows))
+    low = np.min(abs_a, axis=1, out=ws.take(b, rows))
     bad = low <= high
-    inv_a = ws.at(kept, b, 3, rows)
     if bad.any():
         inv_a.fill(0.0)
         np.divide(1.0, a, out=inv_a, where=~bad[:, None, :])
     else:
         np.divide(1.0, a, out=inv_a)
-    w = np.multiply(2.0, m_e, out=ws.at(kept + 3 * u, b, 3, rows))
+    np.multiply(2.0, m_e, out=w)
     w *= inv_a
     m_w = np.multiply(m_e, w, out=abs_a)
-    s = np.sum(m_w, axis=1, out=ws.at(kept + 6 * u, b, rows))  # inverted in place: inv_s
+    np.sum(m_w, axis=1, out=s)  # inverted in place: inv_s
     s *= 2.0
     cancels = np.sum(np.abs(m_w, out=m_w), axis=1, out=high)
     cancels *= _FALLBACK_RTOL * 2.0
@@ -204,7 +182,7 @@ def _block_inverses(ev, v, dirs, r, lam, ws, kept):
         bad_inv = np.linalg.inv(blocks)
     else:
         np.divide(1.0, s, out=s)
-    y = ws.at(kept + 7 * u, b, 7, rows)
+    ws.top = top
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
     return inv_a, w, s, bad, bad_inv, y
 
@@ -212,17 +190,16 @@ def _block_inverses(ev, v, dirs, r, lam, ws, kept):
 def _solve_blocks(inverses, x, x_lam, ws):
     """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis.
 
-    The result and the temporaries take the first 8 units of ``ws``'s scratch.
+    The result and the temporaries are slots of ``ws`` that the caller gives back.
     """
     inv_a, w, inv_s, bad, bad_inv, _ = inverses
     b, rows = x_lam.shape
-    u = _unit(b, rows)
-    w_x = np.multiply(w, x, out=ws.at(3 * u, b, 3, rows))
-    c = np.sum(w_x, axis=1, out=ws.at(6 * u, b, rows))
+    w_x = np.multiply(w, x, out=ws.take(b, 3, rows))
+    c = np.sum(w_x, axis=1, out=ws.take(b, rows))
     np.subtract(x_lam, c, out=c)
     c *= inv_s
-    out_m = np.multiply(x, inv_a, out=ws.at(0, b, 3, rows))
-    out_lam = np.negative(c, out=ws.at(7 * u, b, rows))
+    out_m = np.multiply(x, inv_a, out=ws.take(b, 3, rows))
+    out_lam = np.negative(c, out=ws.take(b, rows))
     out_m += np.multiply(w, c[:, None, :], out=w_x)
     if bad_inv is not None:
         sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
@@ -230,7 +207,7 @@ def _solve_blocks(inverses, x, x_lam, ws):
     return out_m, out_lam
 
 
-def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
+def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
     """Newton steps by Schur elimination of each (m_k, lambda_k) block onto the head.
 
     Takes _assemble's stacked output and gives one (9 + 4N) step per item.
@@ -247,10 +224,12 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
     one block: a first pass adds each block's part of the Schur complement
     and of its right-hand side, the 9x9 head system is solved once, and a
     second pass back-substitutes each block into the step. The per-row
-    arrays live in ``ws``, as _Workspace lays them out; the step is fresh.
-    An item whose T'T is not finite gets a NaN step.
+    arrays are slots of ``ws``, each block's inv_a, w, inv_s and y kept until
+    the second pass; the step is fresh. An item whose T'T is not finite gets
+    a NaN step.
     """
     b, n = g_lam.shape
+    ws = ws or _Workspace()
     ttt = tr(t) @ t
     finite = np.isfinite(ttt).all(axis=(1, 2))
     if not finite.all():  # overflow is divergence, not a singular system
@@ -267,27 +246,30 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
     lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
 
     blocks, total, fallback = [], None, [None] * b
-    kept = _scratch_floats(b, n)
+    start = ws.top
     for lo in range(0, n, _CHUNK):
         span = slice(lo, lo + _CHUNK)
-        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws, kept)
+        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws)
         inv_a, w, inv_s, bad, bad_inv, y = inverses
         rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
-        step_items = _group_items(rows)  # (items, 21, rows) products of <= _CHUNK/2 rows
+        top = ws.top
+        step_items = max(1, _CHUNK // (2 * rows))  # (items, 21, rows) products of <= _CHUNK/2 rows
         for g in (slice(i, i + step_items) for i in range(0, b, step_items)):
             items = len(inv_s[g])
-            products = ws.at(0, items, 3, 7, rows)
+            z = ws.take(items, 9, rows)
+            products = ws.take(items, 3, 7, rows)
             np.matmul(np.multiply(inv_a[g, :, None, :], y[g, None], out=products)
                       .reshape(-1, 21, rows), tr(y[g]), out=moments[g])
             np.multiply(w[g, :, None, :], y[g, None], out=products)
-            z = np.matmul(lin_flat[g], products.reshape(-1, 21, rows),
-                          out=ws.at(21 * _unit(items, rows), items, 9, rows))
-            np.matmul(np.multiply(z, inv_s[g, None, :], out=ws.at(0, items, 9, rows)), tr(z),
+            np.matmul(lin_flat[g], products.reshape(-1, 21, rows), out=z)
+            ws.top -= products.size  # the products are spent: z inv_s takes their slot
+            np.matmul(np.multiply(z, inv_s[g, None, :], out=ws.take(items, 9, rows)), tr(z),
                       out=zz[g])
+            ws.top = top
         moments = moments.reshape(b, 3, 7, 7)
-        u = _unit(b, rows)
-        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.at(8 * u, b, 3, rows))
+        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.take(b, 3, rows))
         part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span], ws)[0] @ tr(y)
+        ws.top = top
         # Each sum starts from its first block's part, so one block adds nothing.
         total = part if total is None else [p + q for p, q in zip(total, part)]
         if bad_inv is not None:
@@ -298,7 +280,6 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
                 part = g_bad.reshape(-1, 9).T @ (item_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
                 fallback[i] = part if fallback[i] is None else fallback[i] + part
         blocks.append((span, inverses))
-        kept += 14 * u
     moments, zz, g_y = total
     schur = head - (lin @ moments @ tr(lin)).sum(axis=1) + zz
     for i, part in enumerate(fallback):
@@ -311,15 +292,19 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=_FRESH):
     step = np.empty((b, 9 + 4 * n))
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
+    top = ws.top
     for span, inverses in blocks:
         rows = inverses[5].shape[2]
-        u = _unit(b, rows)
-        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.at(0, b, 3, rows))  # as in pass 1
-        d_x = np.matmul(d_lin, inverses[5], out=ws.at(8 * u, b, 3, rows))
+        d_x = ws.take(b, 3, rows)
+        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.take(b, 3, rows))  # as in pass 1
+        np.matmul(d_lin, inverses[5], out=d_x)
         d_x += g_me
+        ws.top -= g_me.size
         d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span], ws)
         np.negative(tr(np.matmul(v, d_m, out=d_x)), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
+        ws.top = top
+    ws.top = start
     return step
 
 
@@ -356,7 +341,7 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
 
     Returns, per problem in order, its SolveReport or the SolverFailure that
     ended it. Each problem's numbers are those of its lone solve_ml. The step
-    takes CHUNK rows at a time, but the iterates span the stack (about 51 floats
+    takes CHUNK rows at a time, but the iterates span the stack (about 46 floats
     a row at N = 300), so the caller bounds it, as for solve_nm_batch.
     """
     return _iterate(_initial_states(inits, samples), opts)
@@ -371,7 +356,8 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         # Assembled once per iterate; converged and step then reuse it.
         assembly = _assemble(*x, ws)
         g_lam, r = assembly[2], assembly[6]
-        violation = np.abs(g_lam, out=ws.at(0, *g_lam.shape)).max(axis=1)
+        violation = np.abs(g_lam, out=ws.take(*g_lam.shape)).max(axis=1)
+        ws.top = 0
         return (np.einsum("bij,bij->b", r, r), violation), assembly
 
     def converged(values, previous, delta, assembly):

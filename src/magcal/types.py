@@ -178,9 +178,11 @@ class SolveOptions:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            check_integer("max_iterations", self.max_iterations, 1))
-        for name, value in vars(self).items():  # max_iterations passes, an int >= 1 by now
-            if isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, and a number, got {value}")
+        for name in ("objective_tolerance", "step_tolerance", "gradient_tolerance"):
+            tolerance = check_real(name, getattr(self, name))
+            if tolerance <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {tolerance!r}")
+            object.__setattr__(self, name, tolerance)
 
 
 @dataclass(frozen=True)

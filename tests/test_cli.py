@@ -133,7 +133,7 @@ class TestCalibrateCommand:
         data, report = tmp_path / "data.csv", tmp_path / "r.json"
         main(["simulate", "--out", str(data), "--seed", "124"])
         assert main(["calibrate", "--input", str(data), "--out", str(report), *flags]) == 2
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert "tolerance must be finite" in capsys.readouterr().err
         assert not report.exists()
 
     def test_byte_order_mark_before_header(self, tmp_path):

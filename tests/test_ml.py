@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import platform
@@ -25,6 +26,19 @@ from magcal.nm import solve_nm
 from magcal.simulate import default_truth, simulate, sweep_trajectory
 from magcal.types import CalibrationParams, SolveOptions
 from packing import initial_ml_state, stacked, state_from_vector, state_to_vector
+
+
+def _fresh_process_env():
+    """A subprocess environment with one BLAS thread, no ``MALLOC_*`` variable and this ``src``.
+
+    glibc's malloc thresholds are per-process state, so a fault count is read in a
+    fresh process that starts from the allocator's defaults.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(pathlib.Path(ml.__file__).resolve().parents[1])
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return env
 
 
 def _random_state(rng, n):
@@ -488,13 +502,38 @@ class TestSolve:
         rows = samples.shape[0] * samples.shape[1]
         assert traced_peak(lambda: ml.solve_ml_batch(samples, inits)) < 60 * 8 * rows
 
+    def test_no_workspace_slot_spills_past_the_block(self, default_scene, tmp_path, monkeypatch):
+        # An undersized block fails nowhere: a slot past its end is a fresh array, and the
+        # solve only loses the memory reuse. So every take on the benchmark ops' stacks
+        # (27 and 23 runs of Monte-Carlo, 21 of sensitivity) and on one 30 000-row solve
+        # must fit in the block sized before the first iterate.
+        from fault_probe import make_op
+
+        blocks, spills = set(), []
+        take = ml._Workspace.take
+
+        def recorded(ws, *shape):
+            slot = take(ws, *shape)
+            blocks.add(ws.block.size)
+            if ws.top > ws.block.size:
+                spills.append((ws.block.size, ws.top, shape))
+            return slot
+
+        monkeypatch.setattr(ml._Workspace, "take", recorded)
+        for name in ("montecarlo-300", "sensitivity-300"):
+            make_op(name, tmp_path)(0)
+        ds = simulate(default_scene["truth"], sweep_trajectory(30_000), seed=7)
+        solve_ml(ds, fit_initial(ds)[0])
+        assert spills == []
+        assert {ml._workspace_floats(b, n) for b, n in ((27, 300), (23, 300), (21, 300),
+                                                        (1, 30_000))} <= blocks
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
     def test_repeated_study_job_solves_do_not_fault_their_memory_back_in(self):
         # Each solve frees its working set. Freed in many arrays, glibc trimmed it back to
         # the kernel, and the next solve faulted it in again: 11 652 minor faults in 10
         # solves. Freed as one workspace block, it raises glibc's mmap and trim thresholds
-        # (mallopt(3)), and later solves reuse the heap: 53. The thresholds are
-        # per-process state, so the solves run in a fresh process with the defaults.
+        # (mallopt(3)), and later solves reuse the heap: 53.
         script = """if True:
             import resource
             import numpy as np
@@ -511,13 +550,24 @@ class TestSolve:
                 ml.solve_ml_batch(samples, inits)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
-        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-        src = str(pathlib.Path(ml.__file__).resolve().parents[1])
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
+        done = subprocess.run([sys.executable, "-c", script], env=_fresh_process_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
         assert int(done.stdout) < 300
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_sensitivity_op_does_not_fault_its_memory_back_in(self, tmp_path):
+        # The benchmark's sensitivity-300 op, as tests/fault_probe.py runs it. Its stack is
+        # 21 runs from perturbed starts, where the solve above is 27 from the fit. The
+        # median op read 3-20 minor faults over 72 heap layouts (README), and about 600
+        # with the workspace allocated after the first iterate; 1 318 without it. The
+        # mean is no test: a few ops in ten can fault 50-200 pages in as the heap grows
+        # or is trimmed, and it read 30 or more in 12 of those layouts, at the parent too.
+        probe = pathlib.Path(__file__).with_name("fault_probe.py")
+        done = subprocess.run(
+            [sys.executable, str(probe), "--child", "sensitivity-300", "--workdir",
+             str(tmp_path), "--warmup", "3", "--ops", "10"],
+            env=_fresh_process_env(), capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(done.stdout)["minflt_median"] < 30
 
     def test_one_assembly_per_recorded_iterate(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)

@@ -71,9 +71,12 @@ def test_as_samples_needs_an_n_by_3_array(shape):
     ("gradient_tolerance", True), ("objective_tolerance", np.True_),
     ("max_iterations", 0), ("max_iterations", np.False_), ("max_iterations", "3"),
     ("step_tolerance", 0.0), ("step_tolerance", np.inf),
+    ("gradient_tolerance", "1e-9"), ("step_tolerance", None), ("objective_tolerance", [1]),
+    ("gradient_tolerance", 10**400),
 ], ids=["iterations_2.5", "iterations_float64", "iterations_true", "gradient_true",
         "objective_numpy_true", "iterations_0", "iterations_numpy_false", "iterations_string",
-        "step_0", "step_inf"])
+        "step_0", "step_inf", "gradient_string", "step_none", "objective_list",
+        "gradient_beyond_float"])
 def test_solve_options_reject_a_non_integral_count_or_a_boolean_naming_the_field(field, value):
     # A float count would fail mid-solve with a TypeError; a boolean would read as 1.
     with pytest.raises(ValueError, match=f"^{field} must be"):
