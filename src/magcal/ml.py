@@ -91,19 +91,19 @@ class _Workspace:
 def _workspace_floats(b: int, n: int) -> int:
     """Floats of the workspace of a solve of b items of n rows, allocated before its first iterate.
 
-    _step_block keeps 14 floats a row of every row block for back-substitution
-    and takes, above them, 11 floats a row of one block or 30 of one group of
+    _step_block keeps 14 floats a row of one row block for back-substitution
+    and takes, above them, 11 floats a row of that block or 30 of one group of
     items, each count rounded up to 8 floats: the sizes README's fault counts
-    were measured at. That is more than the 4 floats a row of the whole iterate
-    that _assemble takes.
+    were measured at. Past one row block, _assemble's 4 floats a row of the
+    whole iterate can be more.
     """
     def floats(items, rows):
         return -(-items * rows // 8) * 8
 
     rows = min(n, _CHUNK)
     group = min(b, max(1, _CHUNK // (2 * rows)))  # _step_block's items a group
-    kept = sum(floats(b, min(_CHUNK, n - lo)) for lo in range(0, n, _CHUNK))
-    return max(11 * floats(b, rows), 30 * floats(group, rows)) + 14 * kept
+    step = max(11 * floats(b, rows), 30 * floats(group, rows)) + 14 * floats(b, rows)
+    return max(step, 4 * floats(b, n))
 
 
 def _assemble(t, offset, dirs, lam, samples, ws=None):
@@ -224,9 +224,12 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
     one block: a first pass adds each block's part of the Schur complement
     and of its right-hand side, the 9x9 head system is solved once, and a
     second pass back-substitutes each block into the step. The per-row
-    arrays are slots of ``ws``, each block's inv_a, w, inv_s and y kept until
-    the second pass; the step is fresh. An item whose T'T is not finite gets
-    a NaN step.
+    arrays are slots of ``ws``, and each block hands its slots on to the
+    next, so the workspace holds one block's. The second pass walks the
+    blocks last-first: the last block's inv_a, w, inv_s and y are still in
+    their slots, and every earlier block's are computed again, bit for bit,
+    in the same slots. The step is fresh. An item whose T'T is not finite
+    gets a NaN step.
     """
     b, n = g_lam.shape
     ws = ws or _Workspace()
@@ -245,11 +248,15 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
                          axis=1).take(_LIN_FROM, axis=1)
     lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
 
-    blocks, total, fallback = [], None, [None] * b
-    start = ws.top
-    for lo in range(0, n, _CHUNK):
-        span = slice(lo, lo + _CHUNK)
-        inverses = _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws)
+    spans = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+    total, fallback, start = None, [None] * b, ws.top
+
+    def block_inverses(span):  # each block's kept slots start where the last one's did
+        ws.top = start
+        return _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws)
+
+    for span in spans:
+        inverses = block_inverses(span)
         inv_a, w, inv_s, bad, bad_inv, y = inverses
         rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
         top = ws.top
@@ -279,7 +286,6 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
                 item_inv = bad_inv[ends[i] - len(g_bad) : ends[i]]
                 part = g_bad.reshape(-1, 9).T @ (item_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
                 fallback[i] = part if fallback[i] is None else fallback[i] + part
-        blocks.append((span, inverses))
     moments, zz, g_y = total
     schur = head - (lin @ moments @ tr(lin)).sum(axis=1) + zz
     for i, part in enumerate(fallback):
@@ -292,8 +298,9 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
     step = np.empty((b, 9 + 4 * n))
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
-    top = ws.top
-    for span, inverses in blocks:
+    for span in reversed(spans):
+        if span is not spans[-1]:  # the last block's inverses are still in their slots
+            inverses = block_inverses(span)
         rows = inverses[5].shape[2]
         d_x = ws.take(b, 3, rows)
         g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.take(b, 3, rows))  # as in pass 1
@@ -303,7 +310,6 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
         d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span], ws)
         np.negative(tr(np.matmul(v, d_m, out=d_x)), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
-        ws.top = top
     ws.top = start
     return step
 
@@ -341,8 +347,10 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
 
     Returns, per problem in order, its SolveReport or the SolverFailure that
     ended it. Each problem's numbers are those of its lone solve_ml. The step
-    takes CHUNK rows at a time, but the iterates span the stack (about 46 floats
-    a row at N = 300), so the caller bounds it, as for solve_nm_batch.
+    takes CHUNK rows at a time, but the iterates span the stack: its traced peak
+    is about 46 floats a stacked row at N = 300, where one row block holds the
+    whole stack, and 23 a row for one item of 30 000 rows. The caller bounds the
+    stack, as for solve_nm_batch.
     """
     return _iterate(_initial_states(inits, samples), opts)
 

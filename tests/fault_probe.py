@@ -10,8 +10,9 @@ on a 30 000-row log that this script writes (``calibrate-30k``). Each op runs
 in a fresh process with one BLAS thread and no ``MALLOC_*`` variable, so the
 allocator starts from its defaults. After ``--warmup`` ops, ``resource.getrusage``
 is read around ``--ops`` more. Prints one line per op: minor faults, system
-milliseconds and wall milliseconds, each per op, and the minor faults of the
-median op.
+milliseconds and wall milliseconds, each per op, the minor faults of the
+median op, and the process's peak RSS in MB (``ru_maxrss``, as perfbench reads
+it, but without perfbench's log generator and set-up probes in the process).
 
 A page fault here is the kernel handing the process a fresh page, typically
 because the allocator returned memory to it and the next op asked for it again.
@@ -83,7 +84,8 @@ def child(name: str, workdir: pathlib.Path, warmup: int, ops: int) -> dict:
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {"op": name, "minflt": (after.ru_minflt - before.ru_minflt) / ops,
             "minflt_median": statistics.median(faults),
-            "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / ops, "wall_ms": 1e3 * wall / ops}
+            "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / ops, "wall_ms": 1e3 * wall / ops,
+            "maxrss_mb": after.ru_maxrss / 1024.0}
 
 
 def write_log(workdir: pathlib.Path) -> None:
@@ -111,7 +113,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_log(pathlib.Path(tmp))
         print(f"{'op':16s} {'faults/op':>10s} {'sys ms/op':>10s} {'wall ms/op':>11s} "
-              f"{'median op':>10s}")
+              f"{'median op':>10s} {'peak RSS MB':>12s}")
         for name in OPS:
             done = subprocess.run(
                 [sys.executable, __file__, "--child", name, "--workdir", tmp,
@@ -119,7 +121,7 @@ def main() -> int:
                 env=env, capture_output=True, text=True, check=True)
             row = json.loads(done.stdout)
             print(f"{name:16s} {row['minflt']:10.1f} {row['sys_ms']:10.2f} {row['wall_ms']:11.1f} "
-                  f"{row['minflt_median']:10.1f}")
+                  f"{row['minflt_median']:10.1f} {row['maxrss_mb']:12.2f}")
     return 0
 
 

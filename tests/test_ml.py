@@ -226,11 +226,18 @@ class TestNewtonStep:
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
         _assert_block_step_equals_dense(assembly)
 
-    @pytest.mark.parametrize("rows, inversions", [([9], [(1, 4, 4)]), ([6, 7], [(1, 4, 4)] * 2)])
-    def test_fallback_rows_in_later_row_blocks(self, rows, inversions, monkeypatch):
-        # In blocks of 7 rows, row 9 is in the second block, and rows 6 and 7 sit
-        # either side of the first edge; each block inverts its own 4x4 blocks.
-        assembly, block_cond = _shifted_assembly(12, 3, [0.0] * len(rows), first=rows[0])
+    @pytest.mark.parametrize("n, rows, inversions", [
+        (12, [9], [(1, 4, 4)]),
+        (12, [6, 7], [(1, 4, 4)] * 3),
+        (15, [6, 7, 8], [(1, 4, 4), (2, 4, 4), (2, 4, 4), (1, 4, 4)]),
+    ])
+    def test_fallback_rows_in_later_row_blocks(self, n, rows, inversions, monkeypatch):
+        # In blocks of 7 rows, row 9 is in the second block, and rows 6 and 7 (or
+        # 6, 7 and 8) sit either side of the first edge; each block inverts its own
+        # 4x4 blocks. Back-substitution walks the blocks last-first and computes
+        # every block's inverses but the last one's again, so a flagged row in an
+        # earlier block is inverted twice, the blocks in reverse order the second time.
+        assembly, block_cond = _shifted_assembly(n, 3, [0.0] * len(rows), first=rows[0])
         assert block_cond < 1e6
         whole = ml._step_block(*assembly)
         monkeypatch.setattr(ml, "_CHUNK", 7)
@@ -479,16 +486,27 @@ class TestSolve:
         assert report.converged and report.iterations > 0
 
     def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
-        # The iterates, assembly and step are about 20 N-vectors of 8N bytes; the
-        # solve's workspace, 14 floats a row that back-substitution reads plus one
-        # row block's temporaries, adds about 16 more, and the solve holds neither
-        # its start nor the last step while it forms the next (35 here, 39 when it
-        # held its start). Eliminating all N rows at once peaked at 70.
+        # The iterates, assembly and step are about 19 N-vectors of 8N bytes; the
+        # solve's workspace, one row block's inverses and temporaries or _assemble's
+        # 4 floats a row, adds 4 more, and the solve holds neither its start nor the
+        # last step while it forms the next (23 here; 35 when every row block's
+        # inverses were kept for back-substitution, 39 when the solve also held its
+        # start). Eliminating all N rows at once peaked at 70.
         n = 30_000
         ds = simulate(default_scene["truth"], sweep_trajectory(n), seed=7)
         init = fit_initial(ds)[0]
         solve_ml(ds.samples[:300], init)  # numpy's first-call set-up is not the solve's
-        assert traced_peak(lambda: solve_ml(ds, init)) < 40 * 8 * n
+        assert traced_peak(lambda: solve_ml(ds, init)) < 26 * 8 * n
+
+    @pytest.mark.parametrize("b, n, floats", [
+        (27, 300, 202_600), (23, 300, 172_600), (21, 300, 157_600),
+        (1, 2_049, 90_112), (1, 30_000, 120_000), (1, 300_000, 1_200_000),
+    ])
+    def test_workspace_is_one_row_block_or_the_assembly(self, b, n, floats):
+        # The study stacks' sizes are those their fault counts were measured at. Past
+        # one row block of 2 048 rows, a lone solve's block is one row block's 44
+        # floats a row (90 112), or _assemble's 4 floats a row of the whole iterate.
+        assert ml._workspace_floats(b, n) == floats
 
     def test_stack_of_a_study_job_stays_within_60_floats_a_row(self, default_scene, traced_peak):
         # A study job solves up to 27 default runs as one ml stack (8 100 rows). Its
