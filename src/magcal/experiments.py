@@ -304,6 +304,7 @@ class TimingRow:
     method: str
     median_seconds: float
     min_seconds: float
+    min_cpu_seconds: float
     iterations: int
     seconds_per_iteration: float
 
@@ -315,12 +316,14 @@ def run_timing(
     methods: tuple = ("nm", "ml"),
     seed: int = 0,
 ) -> tuple:
-    """Median and fastest wall-clock solve time per (N, method).
+    """Median and fastest wall-clock solve time, and fastest thread CPU time, per (N, method).
 
-    At each N, one warm-up solve per method precedes the timed repeats, which
-    take the methods in turn (nm, ml, nm, ml, ...) so that every method is
-    timed in the same host state. An ml solve is timed from the fit's
-    estimate, so its time includes building the initial ML state.
+    The CPU time (``time.thread_time``) leaves out the time other processes
+    hold the core, so a loaded host moves it less than the wall clock. One
+    warm-up solve per (N, method) precedes the timed repeats, which take every
+    (N, method) in turn, so that a host whose speed drifts over seconds slows
+    all rows alike. An ml solve is timed from the fit's estimate, so its time
+    includes building the initial ML state.
     """
     for name, values in (("n_values", n_values), ("methods", methods)):
         if isinstance(values, str):  # whose characters would pass as items
@@ -330,20 +333,24 @@ def run_timing(
     methods = [_check_method(method) for method in methods]
     if not n_values or not methods:
         raise ValueError("n_values and methods must be nonempty")
-    rows = []
+    cases = []
     for n in n_values:
         dataset = simulate(config.truth, sweep_trajectory(n), seed)
         init, _ = fit_initial(dataset)
-        reports = [solve(method, dataset, init) for method in methods]  # warm-up
-        times = [[] for _ in methods]
-        for _ in range(repeats):
-            for i, method in enumerate(methods):
-                start = time.perf_counter()
-                reports[i] = solve(method, dataset, init)
-                times[i].append(time.perf_counter() - start)
-        for method, report, method_times in zip(methods, reports, times):
-            med = float(median(method_times))
-            rows.append(TimingRow(n=n, method=method, median_seconds=med,
-                                  min_seconds=min(method_times), iterations=report.iterations,
-                                  seconds_per_iteration=med / max(report.iterations, 1)))
+        cases += [(n, method, dataset, init) for method in methods]
+    reports = [solve(method, dataset, init) for _, method, dataset, init in cases]  # warm-up
+    times, cpu_times = [[] for _ in cases], [[] for _ in cases]
+    for _ in range(repeats):
+        for i, (_, method, dataset, init) in enumerate(cases):
+            start, cpu_start = time.perf_counter(), time.thread_time()
+            reports[i] = solve(method, dataset, init)
+            cpu_times[i].append(time.thread_time() - cpu_start)  # within the wall interval
+            times[i].append(time.perf_counter() - start)
+    rows = []
+    for (n, method, _, _), report, case_times, case_cpu in zip(cases, reports, times, cpu_times):
+        med = float(median(case_times))
+        rows.append(TimingRow(n=n, method=method, median_seconds=med,
+                              min_seconds=min(case_times), min_cpu_seconds=min(case_cpu),
+                              iterations=report.iterations,
+                              seconds_per_iteration=med / max(report.iterations, 1)))
     return tuple(rows)

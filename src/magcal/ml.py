@@ -23,7 +23,7 @@ standard initialization) and is no use as a test.
 
 from __future__ import annotations
 
-import math
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,11 @@ _LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
 # _step_block inverts a row's own 4x4 block where its closed form would
 # cancel more than this fraction of the terms it sums.
 _FALLBACK_RTOL = 1e-4
+try:  # the C library's malloc and free, which numpy's arrays go through
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.malloc.restype, _LIBC.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
+except (OSError, TypeError, AttributeError):  # no C library to load by name
+    _LIBC = None
 
 
 @dataclass(frozen=True)
@@ -68,45 +73,7 @@ class MLState:
     lagrange: np.ndarray
 
 
-class _Workspace:
-    """Scratch memory of one ml solve: one float block, handed out in order and taken back.
-
-    ``take(*shape)`` is the next free C-contiguous slot. A function gives its
-    slots back by restoring ``top``, so slots live at once never overlap. A slot
-    past the block's end is a fresh array, as is every slot of a 0-float
-    workspace. What leaves a call (the assembly, the step, the next iterate) is
-    fresh, so the driver's ``take`` and the reports never alias the block.
-    """
-
-    def __init__(self, floats: int = 0):
-        self.block, self.top = np.empty(floats), 0
-
-    def take(self, *shape: int) -> np.ndarray:
-        start, self.top = self.top, self.top + math.prod(shape)
-        if self.top > self.block.size:
-            return np.empty(shape)
-        return self.block[start : self.top].reshape(shape)
-
-
-def _workspace_floats(b: int, n: int) -> int:
-    """Floats of the workspace of a solve of b items of n rows, allocated before its first iterate.
-
-    _step_block keeps 14 floats a row of one row block for back-substitution
-    and takes, above them, 11 floats a row of that block or 30 of one group of
-    items, each count rounded up to 8 floats: the sizes README's fault counts
-    were measured at. Past one row block, _assemble's 4 floats a row of the
-    whole iterate can be more.
-    """
-    def floats(items, rows):
-        return -(-items * rows // 8) * 8
-
-    rows = min(n, _CHUNK)
-    group = min(b, max(1, _CHUNK // (2 * rows)))  # _step_block's items a group
-    step = max(11 * floats(b, rows), 30 * floats(group, rows)) + 14 * floats(b, rows)
-    return max(step, 4 * floats(b, n))
-
-
-def _assemble(t, offset, dirs, lam, samples, ws=None):
+def _assemble(t, offset, dirs, lam, samples):
     """Gradient and head Hessian of the Lagrangian at a stack of states, plus what the step needs.
 
     Takes the stacked state (T, h, directions, multipliers) and the (B, N, 3)
@@ -114,100 +81,69 @@ def _assemble(t, offset, dirs, lam, samples, ws=None):
     a leading batch axis: the 9-vector head gradient, per-sample gradients
     (N,3) and (N,), the 9x9 head Hessian, and T with the per-sample
     directions, residuals and multipliers from which _step_block forms the
-    per-sample blocks. The temporaries use ``ws``; the returned arrays are fresh.
+    per-sample blocks.
     """
     b, n = lam.shape
-    ws = ws or _Workspace()
-    top = ws.top
-    prod, lam2 = ws.take(b, n, 3), ws.take(b, n, 1)
-    r = np.subtract(samples, offset[:, None, :])
-    r -= np.matmul(dirs, tr(t), out=prod)
+    r = samples - offset[:, None, :] - dirs @ tr(t)
 
     g_t = -2.0 * tr(tr(r) @ dirs).reshape(b, 9).take(UPPER_VEC_INDICES, axis=1)
     # einsum sums each column in row order, as r.sum(axis=1) does, in half the time.
     g_h = -2.0 * np.einsum("bij->bj", r)
     g_head = np.concatenate([g_t, g_h], axis=1)
-    g_m = np.matmul(np.multiply(-2.0, r, out=prod), t)  # -2 r T + 2 lambda m
-    g_m += np.multiply(np.multiply(2.0, lam[:, :, None], out=lam2), dirs, out=prod)
-    g_lam = np.einsum("bij,bij->bi", dirs, dirs)
-    g_lam -= 1.0
+    g_m = -2.0 * r @ t + 2.0 * lam[:, :, None] * dirs
+    g_lam = np.einsum("bij,bij->bi", dirs, dirs) - 1.0
 
     moments = np.concatenate([(tr(dirs) @ dirs).reshape(b, 9), np.einsum("bij->bj", dirs),
                               np.full((b, 1), float(n)), np.zeros((b, 1))], axis=1)
     head = 2.0 * moments.take(_HEAD_FROM, axis=1)
-    ws.top = top
     return g_head, g_m, g_lam, head, t, dirs, r, lam
 
 
-def _block_inverses(ev, v, dirs, r, lam, ws):
+def _block_inverses(ev, v, dirs, r, lam):
     """The closed-form block inverses of some sample rows, and their y_k.
 
     Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
     bad_inv holds the flagged rows' inverted 4x4 blocks, item by item, or is
-    None if no row is flagged. inv_a, w, inv_s and y are slots of ``ws`` that
-    the caller gives back; the temporaries' slots are given back here.
+    None if no row is flagged.
     """
-    b, rows = lam.shape
-    inv_a, w, s, y = (ws.take(b, *shape) for shape in ((3, rows), (3, rows), (rows,), (7, rows)))
-    top = ws.top
-    m_e = np.matmul(tr(v), tr(dirs), out=ws.take(b, 3, rows))  # (B, 3, rows) in the eigenbasis
-    a = np.add(ev[:, :, None], lam[:, None, :], out=ws.take(b, 3, rows))
-    a *= 2.0
-    abs_a = np.abs(a, out=ws.take(b, 3, rows))
-    high = np.max(abs_a, axis=1, out=ws.take(b, rows))
-    high *= _FALLBACK_RTOL
-    low = np.min(abs_a, axis=1, out=ws.take(b, rows))
-    bad = low <= high
-    if bad.any():
-        inv_a.fill(0.0)
-        np.divide(1.0, a, out=inv_a, where=~bad[:, None, :])
-    else:
-        np.divide(1.0, a, out=inv_a)
-    np.multiply(2.0, m_e, out=w)
-    w *= inv_a
-    m_w = np.multiply(m_e, w, out=abs_a)
-    np.sum(m_w, axis=1, out=s)  # inverted in place: inv_s
-    s *= 2.0
-    cancels = np.sum(np.abs(m_w, out=m_w), axis=1, out=high)
-    cancels *= _FALLBACK_RTOL * 2.0
-    bad |= np.abs(s, out=low) <= cancels
+    m_e = tr(v) @ tr(dirs)  # (B, 3, rows) in the eigenbasis
+    a = 2.0 * (ev[:, :, None] + lam[:, None, :])
+    abs_a = np.abs(a)
+    bad = abs_a.min(axis=1) <= _FALLBACK_RTOL * abs_a.max(axis=1)
+    inv_a = (np.divide(1.0, a, out=np.zeros_like(a), where=~bad[:, None, :]) if bad.any()
+             else 1.0 / a)
+    w = 2.0 * m_e * inv_a
+    m_w = m_e * w
+    s = 2.0 * m_w.sum(axis=1)
+    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=1)
     bad_inv = None
     if bad.any():
         tr(inv_a)[bad] = tr(w)[bad] = 0.0
-        np.divide(1.0, s, out=s, where=~bad)
-        s[bad] = 0.0
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
         blocks = np.zeros((int(bad.sum()), 4, 4))
         blocks[:, :3, :3] = _EYE3 * tr(a)[bad][:, None, :]
         blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * tr(m_e)[bad]
         bad_inv = np.linalg.inv(blocks)
     else:
-        np.divide(1.0, s, out=s)
-    ws.top = top
+        inv_s = 1.0 / s
+    y = np.empty((lam.shape[0], 7, lam.shape[1]))
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
-    return inv_a, w, s, bad, bad_inv, y
+    return inv_a, w, inv_s, bad, bad_inv, y
 
 
-def _solve_blocks(inverses, x, x_lam, ws):
-    """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis.
-
-    The result and the temporaries are slots of ``ws`` that the caller gives back.
-    """
+def _solve_blocks(inverses, x, x_lam):
+    """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
     inv_a, w, inv_s, bad, bad_inv, _ = inverses
-    b, rows = x_lam.shape
-    w_x = np.multiply(w, x, out=ws.take(b, 3, rows))
-    c = np.sum(w_x, axis=1, out=ws.take(b, rows))
-    np.subtract(x_lam, c, out=c)
-    c *= inv_s
-    out_m = np.multiply(x, inv_a, out=ws.take(b, 3, rows))
-    out_lam = np.negative(c, out=ws.take(b, rows))
-    out_m += np.multiply(w, c[:, None, :], out=w_x)
+    c = (x_lam - (w * x).sum(axis=1)) * inv_s
+    out_m, out_lam = x * inv_a, -c
+    out_m += w * c[:, None, :]
     if bad_inv is not None:
         sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
         tr(out_m)[bad], out_lam[bad] = sol[:, :3, 0], sol[:, 3, 0]
     return out_m, out_lam
 
 
-def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
+def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     """Newton steps by Schur elimination of each (m_k, lambda_k) block onto the head.
 
     Takes _assemble's stacked output and gives one (9 + 4N) step per item.
@@ -223,23 +159,19 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
     The rows are taken _CHUNK at a time, so the temporaries are the size of
     one block: a first pass adds each block's part of the Schur complement
     and of its right-hand side, the 9x9 head system is solved once, and a
-    second pass back-substitutes each block into the step. The per-row
-    arrays are slots of ``ws``, and each block hands its slots on to the
-    next, so the workspace holds one block's. The second pass walks the
-    blocks last-first: the last block's inv_a, w, inv_s and y are still in
-    their slots, and every earlier block's are computed again, bit for bit,
-    in the same slots. The step is fresh. An item whose T'T is not finite
-    gets a NaN step.
+    second pass back-substitutes each block into the step. Only the last
+    block's inverses outlive the first pass, so the second pass walks the
+    blocks last-first, reuses them, and computes every earlier block's
+    again, bit for bit. An item whose T'T is not finite gets a NaN step.
     """
     b, n = g_lam.shape
-    ws = ws or _Workspace()
     ttt = tr(t) @ t
     finite = np.isfinite(ttt).all(axis=(1, 2))
     if not finite.all():  # overflow is divergence, not a singular system
         step = np.full((b, 9 + 4 * n), np.nan)
         if finite.any():
             step[finite] = _step_block(*(a[finite] for a in (g_head, g_m, g_lam, head, t, dirs,
-                                                              r, lam)), ws)
+                                                              r, lam)))
         return step
     ev, v = np.linalg.eigh(ttt)
     tv = t @ v
@@ -248,35 +180,24 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
                          axis=1).take(_LIN_FROM, axis=1)
     lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
 
+    def block_inverses(span):
+        return _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
+
     spans = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
-    total, fallback, start = None, [None] * b, ws.top
-
-    def block_inverses(span):  # each block's kept slots start where the last one's did
-        ws.top = start
-        return _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span], ws)
-
+    total, fallback = None, [None] * b
     for span in spans:
         inverses = block_inverses(span)
         inv_a, w, inv_s, bad, bad_inv, y = inverses
         rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
-        top = ws.top
         step_items = max(1, _CHUNK // (2 * rows))  # (items, 21, rows) products of <= _CHUNK/2 rows
         for g in (slice(i, i + step_items) for i in range(0, b, step_items)):
-            items = len(inv_s[g])
-            z = ws.take(items, 9, rows)
-            products = ws.take(items, 3, 7, rows)
-            np.matmul(np.multiply(inv_a[g, :, None, :], y[g, None], out=products)
-                      .reshape(-1, 21, rows), tr(y[g]), out=moments[g])
-            np.multiply(w[g, :, None, :], y[g, None], out=products)
-            np.matmul(lin_flat[g], products.reshape(-1, 21, rows), out=z)
-            ws.top -= products.size  # the products are spent: z inv_s takes their slot
-            np.matmul(np.multiply(z, inv_s[g, None, :], out=ws.take(items, 9, rows)), tr(z),
-                      out=zz[g])
-            ws.top = top
+            np.matmul((inv_a[g, :, None, :] * y[g, None]).reshape(-1, 21, rows), tr(y[g]),
+                      out=moments[g])
+            z = lin_flat[g] @ (w[g, :, None, :] * y[g, None]).reshape(-1, 21, rows)
+            np.matmul(z * inv_s[g, None, :], tr(z), out=zz[g])
         moments = moments.reshape(b, 3, 7, 7)
-        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.take(b, 3, rows))
-        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span], ws)[0] @ tr(y)
-        ws.top = top
+        g_me = tr(v) @ tr(g_m[:, span])
+        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
         # Each sum starts from its first block's part, so one block adds nothing.
         total = part if total is None else [p + q for p, q in zip(total, part)]
         if bad_inv is not None:
@@ -299,18 +220,13 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam, ws=None):
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
     for span in reversed(spans):
-        if span is not spans[-1]:  # the last block's inverses are still in their slots
+        if span is not spans[-1]:  # the last block's inverses are those pass 1 ended with
             inverses = block_inverses(span)
-        rows = inverses[5].shape[2]
-        d_x = ws.take(b, 3, rows)
-        g_me = np.matmul(tr(v), tr(g_m[:, span]), out=ws.take(b, 3, rows))  # as in pass 1
-        np.matmul(d_lin, inverses[5], out=d_x)
-        d_x += g_me
-        ws.top -= g_me.size
-        d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span], ws)
-        np.negative(tr(np.matmul(v, d_m, out=d_x)), out=d_dirs[:, span])
+        d_x = d_lin @ inverses[5]
+        d_x += tr(v) @ tr(g_m[:, span])  # g_me, as in pass 1
+        d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span])
+        np.negative(tr(v @ d_m), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
-    ws.top = start
     return step
 
 
@@ -348,8 +264,8 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
     Returns, per problem in order, its SolveReport or the SolverFailure that
     ended it. Each problem's numbers are those of its lone solve_ml. The step
     takes CHUNK rows at a time, but the iterates span the stack: its traced peak
-    is about 46 floats a stacked row at N = 300, where one row block holds the
-    whole stack, and 23 a row for one item of 30 000 rows. The caller bounds the
+    is about 48 floats a stacked row at N = 300, where one row block holds the
+    whole stack, and 20 a row for one item of 30 000 rows. The caller bounds the
     stack, as for solve_nm_batch.
     """
     return _iterate(_initial_states(inits, samples), opts)
@@ -358,15 +274,20 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
 def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     """solve_ml_batch's Newton iteration from the stacked iterate ``x`` of _initial_states."""
     opts = opts or SolveOptions()
-    ws = _Workspace(_workspace_floats(*x[3].shape))
+    # Dropped untouched: glibc mmaps a 4 MiB block and, on its free, raises the mmap
+    # threshold to 4 MiB and the trim threshold to 8 MiB (mallopt(3)), so later solves
+    # reuse the heap instead of handing it back to the kernel and faulting it in again.
+    # (A 2 MiB block's 4 MiB is about what a 30 000-row solve frees at the heap's top.)
+    # From the C library, not numpy: tracemalloc would count the block, never resident,
+    # as the solve's memory.
+    if _LIBC is not None:
+        _LIBC.free(_LIBC.malloc(4 << 20))
 
     def objective(x):
         # Assembled once per iterate; converged and step then reuse it.
-        assembly = _assemble(*x, ws)
+        assembly = _assemble(*x)
         g_lam, r = assembly[2], assembly[6]
-        violation = np.abs(g_lam, out=ws.take(*g_lam.shape)).max(axis=1)
-        ws.top = 0
-        return (np.einsum("bij,bij->b", r, r), violation), assembly
+        return (np.einsum("bij,bij->b", r, r), np.abs(g_lam).max(axis=1)), assembly
 
     def converged(values, previous, delta, assembly):
         g_head, g_m, g_lam = assembly[:3]
@@ -377,7 +298,7 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     def step(x, assembly):
         t, offset, dirs, lam, samples = x
         n = lam.shape[1]
-        delta = _step_block(*assembly, ws)
+        delta = _step_block(*assembly)
         return delta, (unpack_upper(pack_upper(t) + delta[:, :6]), offset + delta[:, 6:9],
                        dirs + delta[:, 9 : 9 + 3 * n].reshape(-1, n, 3),
                        lam + delta[:, 9 + 3 * n :], samples)

@@ -13,6 +13,8 @@ is read around ``--ops`` more. Prints one line per op: minor faults, system
 milliseconds and wall milliseconds, each per op, the minor faults of the
 median op, and the process's peak RSS in MB (``ru_maxrss``, as perfbench reads
 it, but without perfbench's log generator and set-up probes in the process).
+The log, too, is written in a child process: Linux carries ``ru_maxrss`` across
+``execve``, so a child of a parent that wrote it would read the parent's peak.
 
 A page fault here is the kernel handing the process a fresh page, typically
 because the allocator returned memory to it and the next op asked for it again.
@@ -103,7 +105,11 @@ def main() -> int:
     parser.add_argument("--warmup", type=int, default=5, help="uncounted ops before them")
     parser.add_argument("--child", choices=OPS, help=argparse.SUPPRESS)
     parser.add_argument("--workdir", help=argparse.SUPPRESS)
+    parser.add_argument("--write-log", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.write_log:
+        write_log(pathlib.Path(args.workdir))
+        return 0
     if args.child:
         print(json.dumps(child(args.child, pathlib.Path(args.workdir), args.warmup, args.ops)))
         return 0
@@ -111,7 +117,9 @@ def main() -> int:
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
-        write_log(pathlib.Path(tmp))
+        # In a child, so that this process, whose peak RSS its children inherit, stays small.
+        subprocess.run([sys.executable, __file__, "--write-log", "--workdir", tmp], env=env,
+                       check=True)
         print(f"{'op':16s} {'faults/op':>10s} {'sys ms/op':>10s} {'wall ms/op':>11s} "
               f"{'median op':>10s} {'peak RSS MB':>12s}")
         for name in OPS:

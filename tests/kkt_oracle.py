@@ -59,12 +59,7 @@ def ml_kkt_system(*assembly, item=0):
 
 
 def step_dense(*assembly):
-    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block.
-
-    Takes the eight assembly arrays, and ignores the workspace that follows them
-    when the solver's driver calls it.
-    """
-    assembly = assembly[:8]
+    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block."""
     steps = []
     for item in range(len(assembly[0])):
         grad, hess = ml_kkt_system(*assembly, item=item)

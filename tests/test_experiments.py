@@ -333,6 +333,7 @@ class TestTiming:
         ]
         for row in rows:
             assert 0 < row.min_seconds <= row.median_seconds
+            assert row.min_cpu_seconds > 0
             assert row.iterations >= 1
             assert row.seconds_per_iteration <= row.median_seconds
 
@@ -358,7 +359,7 @@ class TestTiming:
             run_timing(small_config, [40], repeats=1, methods=("nm", "xx"))
 
     def test_methods_are_timed_in_turn(self, small_config, monkeypatch):
-        # One warm-up per method, then the repeats round-robin, at each N.
+        # One warm-up per (N, method), then the repeats round-robin.
         calls = []
         monkeypatch.setattr(experiments, "solve", lambda method, *a: calls.append(method)
                             or SimpleNamespace(iterations={"nm": 2, "ml": 3}[method]))
@@ -368,19 +369,38 @@ class TestTiming:
             (40, "nm", 2), (40, "ml", 3), (60, "nm", 2), (60, "ml", 3)
         ]
 
+    def test_every_n_is_timed_in_turn(self, small_config, monkeypatch):
+        # Each repeat takes every (N, method), so a host whose speed drifts over seconds
+        # slows all the rows alike instead of the Ns timed while it is slow.
+        calls = []
+        monkeypatch.setattr(experiments, "solve", lambda method, data, init: calls.append(
+            (len(data.samples), method)) or SimpleNamespace(iterations=1))
+        run_timing(small_config, [40, 60], repeats=2, methods=("nm", "ml"))
+        assert calls == [(40, "nm"), (40, "ml"), (60, "nm"), (60, "ml")] * 3
+
+    def test_cpu_time_is_at_most_the_wall_clock_time(self, small_config):
+        # thread_time counts the calling thread alone, and its interval lies within the
+        # wall clock's; the slack covers the two clocks' rounding.
+        for row in run_timing(small_config, [60, 120], repeats=3):
+            assert row.min_cpu_seconds <= row.min_seconds + 1e-6
+
     def test_nm_time_grows_about_linearly(self):
         # Doubling N from a base where per-sample work dominates the
         # N-independent assembly overhead: the ratio must sit between
         # flat (1) and quadratic (4). Timed in a fresh child with one BLAS
         # thread: left to itself, OpenBLAS goes to a second thread on the
         # larger products at 20k only, which alone can push the ratio past 3.
-        # The fastest of the repeats is compared, not their median: a host that
-        # slows for part of the run moves a median of 5 but rarely all 5.
+        # The least thread CPU time of the repeats is compared: other processes
+        # taking the core stretch the wall-clock time of either N, not the CPU time.
+        # The host's own speed drifts over seconds (the least CPU time of one N moved
+        # between two levels 1.7 times apart); run_timing takes the Ns in turn, so
+        # both rows see the same levels.
         code = (
             "from magcal import default_config, run_timing\n"
             "small, large = run_timing(default_config(), [10_000, 20_000], repeats=5,\n"
             "                          methods=('nm',))\n"
-            "print(large.min_seconds / large.iterations / (small.min_seconds / small.iterations))\n"
+            "print(large.min_cpu_seconds / large.iterations\n"
+            "      / (small.min_cpu_seconds / small.iterations))\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1"}
@@ -393,7 +413,7 @@ class TestTiming:
 
     def test_block_ml_cost_is_small_multiple_of_nm(self):
         rows = run_timing(default_config(), [300, 1000], repeats=3, methods=("nm", "ml"))
-        per_iter = {(r.n, r.method): r.seconds_per_iteration for r in rows}
+        per_iter = {(r.n, r.method): r.min_cpu_seconds / r.iterations for r in rows}
         for n in (300, 1000):
             assert per_iter[(n, "ml")] / per_iter[(n, "nm")] <= 60.0
 

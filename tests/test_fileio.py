@@ -384,15 +384,17 @@ class TestResultWriters:
     def test_timing_files(self, tmp_path):
         from magcal.experiments import TimingRow
 
-        rows = [TimingRow(300, "nm", 0.25, 0.2, 4, 0.0625),
-                TimingRow(300, "ml", 0.5, 0.375, 3, 1 / 6)]
+        rows = [TimingRow(300, "nm", 0.25, 0.2, 0.125, 4, 0.0625),
+                TimingRow(300, "ml", 0.5, 0.375, 0.25, 3, 1 / 6)]
         fileio.write_timing_csv(tmp_path / "tim.csv", rows)
         assert (tmp_path / "tim.csv").read_bytes() == (
-            b"n,method,median_seconds,min_seconds,iterations,seconds_per_iteration\r\n"
-            b"300,nm,0.25,0.2,4,0.0625\r\n300,ml,0.5,0.375,3,0.16666666666666666\r\n"
+            b"n,method,median_seconds,min_seconds,min_cpu_seconds,iterations,"
+            b"seconds_per_iteration\r\n"
+            b"300,nm,0.25,0.2,0.125,4,0.0625\r\n300,ml,0.5,0.375,0.25,3,0.16666666666666666\r\n"
         )
         assert fileio.timing_summary(rows)["rows"][1] == {
-            "n": 300, "method": "ml", "median_seconds": 0.5, "min_seconds": 0.375, "iterations": 3,
+            "n": 300, "method": "ml", "median_seconds": 0.5, "min_seconds": 0.375,
+            "min_cpu_seconds": 0.25, "iterations": 3,
             "seconds_per_iteration": 1 / 6,
         }
 

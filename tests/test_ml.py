@@ -4,6 +4,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ def _fresh_process_env():
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
     return env
+
+
+def _minor_faults_per_solve(setup, warmup, solves):
+    """Minor page faults per ``solve()`` after ``warmup`` calls, read in a fresh process.
+
+    ``setup`` is code that defines ``solve``; it may use np, ml, fit_initial,
+    default_truth, simulate and sweep_trajectory.
+    """
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from magcal import ml
+        from magcal.initfit import fit_initial
+        from magcal.simulate import default_truth, simulate, sweep_trajectory
+    """) + textwrap.dedent(setup) + textwrap.dedent(f"""
+        for _ in range({warmup}):
+            solve()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range({solves}):
+            solve()
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / {solves})
+    """)
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_process_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return float(done.stdout)
 
 
 def _random_state(rng, n):
@@ -486,32 +512,20 @@ class TestSolve:
         assert report.converged and report.iterations > 0
 
     def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
-        # The iterates, assembly and step are about 19 N-vectors of 8N bytes; the
-        # solve's workspace, one row block's inverses and temporaries or _assemble's
-        # 4 floats a row, adds 4 more, and the solve holds neither its start nor the
-        # last step while it forms the next (23 here; 35 when every row block's
-        # inverses were kept for back-substitution, 39 when the solve also held its
-        # start). Eliminating all N rows at once peaked at 70.
+        # The iterates, assembly, step and one row block's temporaries peak at about 20
+        # N-vectors of 8N bytes: the solve holds neither its start nor the last step while
+        # it forms the next, and back-substitution keeps only the last row block's
+        # inverses (35 when it kept every block's). Eliminating all N rows at once peaked at 70.
         n = 30_000
         ds = simulate(default_scene["truth"], sweep_trajectory(n), seed=7)
         init = fit_initial(ds)[0]
         solve_ml(ds.samples[:300], init)  # numpy's first-call set-up is not the solve's
         assert traced_peak(lambda: solve_ml(ds, init)) < 26 * 8 * n
 
-    @pytest.mark.parametrize("b, n, floats", [
-        (27, 300, 202_600), (23, 300, 172_600), (21, 300, 157_600),
-        (1, 2_049, 90_112), (1, 30_000, 120_000), (1, 300_000, 1_200_000),
-    ])
-    def test_workspace_is_one_row_block_or_the_assembly(self, b, n, floats):
-        # The study stacks' sizes are those their fault counts were measured at. Past
-        # one row block of 2 048 rows, a lone solve's block is one row block's 44
-        # floats a row (90 112), or _assemble's 4 floats a row of the whole iterate.
-        assert ml._workspace_floats(b, n) == floats
-
     def test_stack_of_a_study_job_stays_within_60_floats_a_row(self, default_scene, traced_peak):
         # A study job solves up to 27 default runs as one ml stack (8 100 rows). Its
-        # iterates, assembly, workspace and the reports' final states peak at about
-        # 46 floats a row.
+        # iterates, assembly, step temporaries and the reports' final states peak at
+        # about 48 floats a row.
         data = [simulate(default_scene["truth"], default_scene["trajectory"], seed=s)
                 for s in range(27)]
         samples = np.stack([d.samples for d in data])
@@ -520,57 +534,52 @@ class TestSolve:
         rows = samples.shape[0] * samples.shape[1]
         assert traced_peak(lambda: ml.solve_ml_batch(samples, inits)) < 60 * 8 * rows
 
-    def test_no_workspace_slot_spills_past_the_block(self, default_scene, tmp_path, monkeypatch):
-        # An undersized block fails nowhere: a slot past its end is a fresh array, and the
-        # solve only loses the memory reuse. So every take on the benchmark ops' stacks
-        # (27 and 23 runs of Monte-Carlo, 21 of sensitivity) and on one 30 000-row solve
-        # must fit in the block sized before the first iterate.
-        from fault_probe import make_op
-
-        blocks, spills = set(), []
-        take = ml._Workspace.take
-
-        def recorded(ws, *shape):
-            slot = take(ws, *shape)
-            blocks.add(ws.block.size)
-            if ws.top > ws.block.size:
-                spills.append((ws.block.size, ws.top, shape))
-            return slot
-
-        monkeypatch.setattr(ml._Workspace, "take", recorded)
-        for name in ("montecarlo-300", "sensitivity-300"):
-            make_op(name, tmp_path)(0)
-        ds = simulate(default_scene["truth"], sweep_trajectory(30_000), seed=7)
-        solve_ml(ds, fit_initial(ds)[0])
-        assert spills == []
-        assert {ml._workspace_floats(b, n) for b, n in ((27, 300), (23, 300), (21, 300),
-                                                        (1, 30_000))} <= blocks
-
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
     def test_repeated_study_job_solves_do_not_fault_their_memory_back_in(self):
-        # Each solve frees its working set. Freed in many arrays, glibc trimmed it back to
-        # the kernel, and the next solve faulted it in again: 11 652 minor faults in 10
-        # solves. Freed as one workspace block, it raises glibc's mmap and trim thresholds
-        # (mallopt(3)), and later solves reuse the heap: 53.
-        script = """if True:
-            import resource
-            import numpy as np
-            from magcal import ml
-            from magcal.initfit import fit_initial
-            from magcal.simulate import default_truth, simulate, sweep_trajectory
+        # Each solve frees its working set in many arrays, none large enough to raise
+        # glibc's trim threshold far, so glibc trimmed the heap back to the kernel and the
+        # next solve faulted it in again: over 11 000 minor faults in 10 solves. _iterate
+        # frees an untouched 4 MiB block first, which raises glibc's mmap and trim
+        # thresholds (mallopt(3)), and later solves reuse the heap: 15-52 in 10 solves.
+        setup = """
             data = [simulate(default_truth(), sweep_trajectory(300), seed=s) for s in range(27)]
             samples = np.stack([d.samples for d in data])
             inits = [fit_initial(d)[0] for d in data]
-            for _ in range(3):
-                ml.solve_ml_batch(samples, inits)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(10):
-                ml.solve_ml_batch(samples, inits)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            solve = lambda: ml.solve_ml_batch(samples, inits)
         """
-        done = subprocess.run([sys.executable, "-c", script], env=_fresh_process_env(),
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert int(done.stdout) < 300
+        assert _minor_faults_per_solve(setup, warmup=3, solves=10) < 30  # 300 in the 10
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_repeated_30k_row_solves_do_not_fault_their_memory_back_in(self):
+        # With a 0.96 MB workspace block allocated and freed in each solve, glibc trimmed
+        # the heap and faulted it back in on every solve: 1 023 faults a solve. After the
+        # 4 MiB block _iterate frees, the trim threshold is 8 MiB and the heap keeps its
+        # pages: at most 36 faults a solve over 100 heap layouts. A 2 MiB block's 4 MiB
+        # threshold sat just above the 4 MB this solve frees at the heap's top, and 5 of
+        # the 100 layouts faulted 180-400 a solve.
+        setup = """
+            ds = simulate(default_truth(), sweep_trajectory(30_000), seed=7)
+            init = fit_initial(ds)[0]
+            solve = lambda: ml.solve_ml(ds, init)
+        """
+        assert _minor_faults_per_solve(setup, warmup=1, solves=5) < 100
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    @pytest.mark.parametrize("runs, n", [(23, 300), (21, 300), (1, 2_049), (1, 4_097),
+                                         (1, 10_000)])
+    def test_repeated_solves_of_other_shapes_do_not_fault_their_memory_back_in(self, runs, n):
+        # The other stacks of the benchmark ops (montecarlo-300's second job of 23 runs,
+        # sensitivity-300's 21), and lone solves of two, three and five row blocks.
+        # Without the 4 MiB block each faulted 410-1 150 pages a solve; with it 0-2.7,
+        # from checkout directories whose names were 1 to 17 characters long.
+        setup = f"""
+            data = [simulate(default_truth(), sweep_trajectory({n}), seed=s)
+                    for s in range({runs})]
+            samples = np.stack([d.samples for d in data])
+            inits = [fit_initial(d)[0] for d in data]
+            solve = lambda: ml.solve_ml_batch(samples, inits)
+        """
+        assert _minor_faults_per_solve(setup, warmup=3, solves=10) < 30
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
     def test_sensitivity_op_does_not_fault_its_memory_back_in(self, tmp_path):

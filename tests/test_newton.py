@@ -184,7 +184,7 @@ def _lone_nm(samples, init):
 @pytest.mark.parametrize("method, chunk", [
     pytest.param("nm", None, id="nm"),
     pytest.param("ml", None, id="ml"),
-    # Three row blocks of N = 300, each with its own workspace slots, which must not alias.
+    # Three row blocks of N = 300: back-substitution computes the first two blocks' inverses again.
     pytest.param("ml", 128, id="ml_three_row_blocks"),
 ])
 def test_stacked_solves_equal_lone_solves_in_either_order(method, chunk, monkeypatch):
