@@ -147,7 +147,10 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def report_dict(report: SolveReport, min_eigenvalue=None, input_digest=None) -> dict:

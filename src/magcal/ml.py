@@ -34,7 +34,6 @@ from .linalg import UPPER_COLS, UPPER_ROWS, UPPER_VEC_INDICES, invert_upper, pac
 from .linalg import unpack_upper
 from .types import CalibrationParams, SolveOptions, SolveReport, as_samples
 
-_EYE3 = np.eye(3)
 # The head Hessian is twice [[kron(m'm, I), kron(sum m, I)], [., n I]] struck to
 # the six T entries: head[p, q] = 2 (m'm)[c_p, c_q] where r_p = r_q, and
 # head[p, 6 + r_p] = head[6 + r_p, p] = 2 (sum m)[c_p]. This is where each entry
@@ -45,17 +44,19 @@ _HEAD_FROM[_SAME_P, _SAME_Q] = 3 * UPPER_COLS[_SAME_P] + UPPER_COLS[_SAME_Q]
 _HEAD_FROM[np.arange(6), 6 + UPPER_ROWS] = _HEAD_FROM[6 + UPPER_ROWS, np.arange(6)] = 9 + UPPER_COLS
 _HEAD_FROM[6 + np.arange(3), 6 + np.arange(3)] = 12
 # Sample k couples to the head along eigenvector j through the 9x7 matrix
-# lin[j], over y_k = [m_k, r_k, 1]: lin[j, p, c_p] = 2 (T V)[r_p, j],
-# lin[j, p, 3 + r_p] = -2 V[c_p, j] and lin[j, 6 + i, 6] = 2 (T V)[i, j]. These
+# lin[:, j], over y_k = [m_k, r_k, 1]: lin[p, j, c_p] = 2 (T V)[r_p, j],
+# lin[p, j, 3 + r_p] = -2 V[c_p, j] and lin[6 + i, j, 6] = 2 (T V)[i, j]. These
 # are where each entry takes its value in [vec(2 T V), vec(-2 V), 0], row-major.
-_J = np.arange(3)[:, None]
-_LIN_FROM = np.full((3, 9, 7), 18)
-_LIN_FROM[:, np.arange(6), UPPER_COLS] = 3 * UPPER_ROWS + _J
-_LIN_FROM[:, np.arange(6), 3 + UPPER_ROWS] = 9 + 3 * UPPER_COLS + _J
-_LIN_FROM[:, 6:, 6] = 3 * np.arange(3) + _J
-# _step_block inverts a row's own 4x4 block where its closed form would
-# cancel more than this fraction of the terms it sums.
-_FALLBACK_RTOL = 1e-4
+_J, _T6 = np.arange(3), np.arange(6)[:, None]
+_LIN_FROM = np.full((9, 3, 7), 18)
+_LIN_FROM[_T6, _J, UPPER_COLS[:, None]] = 3 * UPPER_ROWS[:, None] + _J
+_LIN_FROM[_T6, _J, 3 + UPPER_ROWS[:, None]] = 9 + 3 * UPPER_COLS[:, None] + _J
+_LIN_FROM[6:, :, 6] = 3 * _J[:, None] + _J
+# A row's P from its six entries [P_00, P_11, P_22, P_12, P_20, P_01]: P[j, l] = six[_SIX[j, l]].
+# The Schur sum's 21x21 moment over (j, y entry) takes M_jl from six moments in that order.
+_SIX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+_MOMENT_FROM = (49 * _SIX[:, None, :, None] + 7 * np.arange(7)[:, None, None]
+                + np.arange(7)).reshape(21, 21)
 try:  # the C library's malloc and free, which numpy's arrays go through
     _LIBC = ctypes.CDLL(None)
     _LIBC.malloc.restype, _LIBC.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
@@ -100,47 +101,50 @@ def _assemble(t, offset, dirs, lam, samples):
 
 
 def _block_inverses(ev, v, dirs, r, lam):
-    """The closed-form block inverses of some sample rows, and their y_k.
+    """The inverses of some sample rows' blocks, in adjugate form, and their y_k.
 
-    Returns (inv_a, w, inv_s, bad, bad_inv, y) as _step_block describes them;
-    bad_inv holds the flagged rows' inverted 4x4 blocks, item by item, or is
-    None if no row is flagged.
+    In the eigenbasis a row's block is [[diag(a), 2 mu], [2 mu', 0]], with a = 2 ev + 2 lambda_k
+    and mu = V'm_k. With i = j + 1, o = j + 2 (mod 3) and q = sum_j mu_j^2 a_i a_o, its inverse
+    is [[P, c], [c', d]]: P = [mu]x diag(a) [mu]x' / q, c_j = mu_j a_i a_o / (2q) and
+    d = -a_0 a_1 a_2 / (4q). No a_j is divided by, so a singular A_k costs no digits; q is 0
+    only for a singular block, which raises LinAlgError. Returns P's six entries (6, B, rows)
+    in _SIX's order and c (3, B, rows), component first, d (B, rows) and y (B, 7, rows).
     """
-    m_e = tr(v) @ tr(dirs)  # (B, 3, rows) in the eigenbasis
-    a = 2.0 * (ev[:, :, None] + lam[:, None, :])
-    abs_a = np.abs(a)
-    bad = abs_a.min(axis=1) <= _FALLBACK_RTOL * abs_a.max(axis=1)
-    inv_a = (np.divide(1.0, a, out=np.zeros_like(a), where=~bad[:, None, :]) if bad.any()
-             else 1.0 / a)
-    w = 2.0 * m_e * inv_a
-    m_w = m_e * w
-    s = 2.0 * m_w.sum(axis=1)
-    bad |= np.abs(s) <= _FALLBACK_RTOL * 2.0 * np.abs(m_w).sum(axis=1)
-    bad_inv = None
-    if bad.any():
-        tr(inv_a)[bad] = tr(w)[bad] = 0.0
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=~bad)
-        blocks = np.zeros((int(bad.sum()), 4, 4))
-        blocks[:, :3, :3] = _EYE3 * tr(a)[bad][:, None, :]
-        blocks[:, :3, 3] = blocks[:, 3, :3] = 2.0 * tr(m_e)[bad]
-        bad_inv = np.linalg.inv(blocks)
-    else:
-        inv_s = 1.0 / s
-    y = np.empty((lam.shape[0], 7, lam.shape[1]))
+    b, rows = lam.shape
+    # mu and a / 2 component first, each with its first two components again after
+    # the third, so that [1:4] and [2:5] are every j's i and o. Each term formed from
+    # a / 2 is a power of two times its value from a, and rounds alike.
+    mu, half_a = np.empty((5, b, rows)), np.empty((5, b, rows))
+    np.matmul(tr(v), tr(dirs), out=mu[:3].transpose(1, 0, 2))
+    np.add(ev.T[:, :, None], lam, out=half_a[:3])
+    mu[3:], half_a[3:] = mu[:2], half_a[:2]
+    c = half_a[1:4] * half_a[2:5]
+    d = half_a[0] * c[0]
+    c *= mu[:3]
+    quarter_q = np.einsum("jbk,jbk->bk", mu[:3], c)
+    if not quarter_q.all():
+        raise np.linalg.LinAlgError("singular (m_k, lambda_k) block")
+    neg = -0.5 / quarter_q  # -2 / q
+    c *= -neg
+    d *= neg
+    half_a *= neg  # -a / q from here on
+    six = np.empty((6, b, rows))  # P_jj = (mu_i^2 a_o + mu_o^2 a_i) / q, P_io = -mu_i mu_o a_j / q
+    np.multiply(mu[1:4], mu[2:5], out=six[3:])
+    six[3:] *= half_a[:3]
+    mu *= -mu  # -mu^2
+    np.multiply(mu[1:4], half_a[2:5], out=six[:3])
+    six[:3] += mu[2:5] * half_a[1:4]
+    y = np.empty((b, 7, rows))
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
-    return inv_a, w, inv_s, bad, bad_inv, y
+    return six, c, d, y
 
 
 def _solve_blocks(inverses, x, x_lam):
     """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
-    inv_a, w, inv_s, bad, bad_inv, _ = inverses
-    c = (x_lam - (w * x).sum(axis=1)) * inv_s
-    out_m, out_lam = x * inv_a, -c
-    out_m += w * c[:, None, :]
-    if bad_inv is not None:
-        sol = bad_inv @ np.vstack([tr(x)[bad].T, x_lam[bad]]).T[:, :, None]
-        tr(out_m)[bad], out_lam[bad] = sol[:, :3, 0], sol[:, 3, 0]
-    return out_m, out_lam
+    six, c, d, _ = inverses
+    out_m = np.einsum("jlbk,blk->jbk", six[_SIX], x)
+    out_m += c * x_lam
+    return out_m.swapaxes(0, 1), np.einsum("jbk,bjk->bk", c, x) + d * x_lam
 
 
 def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
@@ -148,13 +152,10 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
 
     Takes _assemble's stacked output and gives one (9 + 4N) step per item.
     Every block is [[A_k, 2 m_k], [2 m_k', 0]] with A_k = 2 T'T + 2 lambda_k I,
-    so one eigendecomposition T'T = V diag(ev) V' diagonalises all A_k. In
-    that basis a block's inverse is [[diag(1/a) - w w'/s, w/s], [w'/s, -1/s]]
-    with a = 2 ev + 2 lambda_k, w = 2 m_k / a and s = 2 m_k'w, and the Schur
-    sum is a sum of weighted moments of y_k = [m_k, r_k, 1]. Rows where this
-    closed form cancels (A_k or the block near singular) are flagged and
-    invert their own 4x4 block instead; that fallback is built and applied
-    only in a block of rows where some row is flagged.
+    so one eigendecomposition T'T = V diag(ev) V' diagonalises all A_k, and
+    _block_inverses inverts every row's block by one closed form. The Schur
+    sum is head - sum_jl lin[:, j] M_jl lin[:, l]', over the six moments
+    M_jl = sum_k P_jl y_k y_k' of y_k = [m_k, r_k, 1].
 
     The rows are taken _CHUNK at a time, so the temporaries are the size of
     one block: a first pass adds each block's part of the Schur complement
@@ -174,55 +175,38 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
                                                               r, lam)))
         return step
     ev, v = np.linalg.eigh(ttt)
-    tv = t @ v
     # take keeps each item's lin contiguous, as a BLAS product needs it to round as for B = 1.
-    lin = np.concatenate([(2.0 * tv).reshape(b, 9), (-2.0 * v).reshape(b, 9), np.zeros((b, 1))],
-                         axis=1).take(_LIN_FROM, axis=1)
-    lin_flat = lin.transpose(0, 2, 1, 3).reshape(b, 9, 21)
+    lin = np.concatenate([2.0 * (t @ v).reshape(b, 9), (-2.0 * v).reshape(b, 9), np.zeros((b, 1))],
+                         axis=1).take(_LIN_FROM, axis=1).reshape(b, 9, 21)
 
     def block_inverses(span):
         return _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
 
     spans = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
-    total, fallback = None, [None] * b
+    total = None
     for span in spans:
         inverses = block_inverses(span)
-        inv_a, w, inv_s, bad, bad_inv, y = inverses
-        rows, moments, zz = y.shape[2], np.empty((b, 21, 7)), np.empty((b, 9, 9))
-        step_items = max(1, _CHUNK // (2 * rows))  # (items, 21, rows) products of <= _CHUNK/2 rows
-        for g in (slice(i, i + step_items) for i in range(0, b, step_items)):
-            np.matmul((inv_a[g, :, None, :] * y[g, None]).reshape(-1, 21, rows), tr(y[g]),
-                      out=moments[g])
-            z = lin_flat[g] @ (w[g, :, None, :] * y[g, None]).reshape(-1, 21, rows)
-            np.matmul(z * inv_s[g, None, :], tr(z), out=zz[g])
-        moments = moments.reshape(b, 3, 7, 7)
+        six, y = inverses[0], inverses[3]
+        moments = np.empty((b, 42, 7))
+        for i in range(b):  # one (42, rows) product per item, as a lone step forms it
+            np.matmul((six[:, i, None] * y[i, None]).reshape(42, -1), y[i].T, out=moments[i])
         g_me = tr(v) @ tr(g_m[:, span])
-        part = moments, zz, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
+        part = moments, _solve_blocks(inverses, g_me, g_lam[:, span])[0] @ tr(y)
         # Each sum starts from its first block's part, so one block adds nothing.
         total = part if total is None else [p + q for p, q in zip(total, part)]
-        if bad_inv is not None:
-            ends = np.cumsum(bad.sum(axis=1))
-            for i in np.flatnonzero(bad.any(axis=1)):
-                g_bad = (lin[i] @ y[i][:, bad[i]]).transpose(2, 0, 1)
-                item_inv = bad_inv[ends[i] - len(g_bad) : ends[i]]
-                part = g_bad.reshape(-1, 9).T @ (item_inv[:, :3, :3] @ g_bad).reshape(-1, 9)
-                fallback[i] = part if fallback[i] is None else fallback[i] + part
-    moments, zz, g_y = total
-    schur = head - (lin @ moments @ tr(lin)).sum(axis=1) + zz
-    for i, part in enumerate(fallback):
-        if part is not None:
-            schur[i] -= part
+    moments, g_y = total
+    schur = head - lin @ moments.reshape(b, 294).take(_MOMENT_FROM, axis=1) @ tr(lin)
 
-    rhs = -g_head + (lin_flat @ g_y.reshape(b, 21, 1))[:, :, 0]
+    rhs = -g_head + (lin @ g_y.reshape(b, 21, 1))[:, :, 0]
     d_head = solve_newton_system(schur, rhs)
-    d_lin = (d_head[:, None, None, :] @ lin)[:, :, 0, :]
+    d_lin = (d_head[:, None, :] @ lin).reshape(b, 3, 7)
     step = np.empty((b, 9 + 4 * n))
     step[:, :9] = d_head
     d_dirs, d_lams = step[:, 9 : 9 + 3 * n].reshape(b, n, 3), step[:, 9 + 3 * n :]
     for span in reversed(spans):
         if span is not spans[-1]:  # the last block's inverses are those pass 1 ended with
             inverses = block_inverses(span)
-        d_x = d_lin @ inverses[5]
+        d_x = d_lin @ inverses[3]
         d_x += tr(v) @ tr(g_m[:, span])  # g_me, as in pass 1
         d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span])
         np.negative(tr(v @ d_m), out=d_dirs[:, span])
@@ -264,7 +248,7 @@ def solve_ml_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None)
     Returns, per problem in order, its SolveReport or the SolverFailure that
     ended it. Each problem's numbers are those of its lone solve_ml. The step
     takes CHUNK rows at a time, but the iterates span the stack: its traced peak
-    is about 48 floats a stacked row at N = 300, where one row block holds the
+    is about 55 floats a stacked row at N = 300, where one row block holds the
     whole stack, and 20 a row for one item of 30 000 rows. The caller bounds the
     stack, as for solve_nm_batch.
     """
@@ -277,7 +261,6 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     # Dropped untouched: glibc mmaps a 4 MiB block and, on its free, raises the mmap
     # threshold to 4 MiB and the trim threshold to 8 MiB (mallopt(3)), so later solves
     # reuse the heap instead of handing it back to the kernel and faulting it in again.
-    # (A 2 MiB block's 4 MiB is about what a 30 000-row solve frees at the heap's top.)
     # From the C library, not numpy: tracemalloc would count the block, never resident,
     # as the solve's memory.
     if _LIBC is not None:

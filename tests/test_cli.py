@@ -388,6 +388,24 @@ def test_malformed_json_exits_2_naming_it(tmp_path, capsys, command, document, m
     assert list(tmp_path.glob("out*")) == []
 
 
+
+@pytest.mark.parametrize("text", ["", "{"], ids=["empty", "truncated"])
+@pytest.mark.parametrize("command", ["apply", "metrics", "simulate"])
+def test_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, command, text):
+    # json's own message ("Expecting value: line 1 column 1 (char 0)") names no file.
+    bad, good, out = tmp_path / "bad.json", str(tmp_path / "good.json"), str(tmp_path / "out.csv")
+    bad.write_text(text)
+    fileio.write_json(good, _REPORT)
+    argv = {"apply": ["--report", str(bad), "--input", out, "--out", out],
+            "metrics": ["--estimate", good, "--truth", str(bad), "--out", out],
+            "simulate": ["--config", str(bad), "--out", out]}[command]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {bad}: not valid JSON: " in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("out*")) == []
+
+
 class TestStudyCommands:
     def test_montecarlo_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -215,29 +215,43 @@ class TestNewtonStep:
     )
     def test_block_step_equals_dense_step(self, n, seed, shifts):
         # States whose bordered blocks are themselves ill-conditioned are
-        # skipped: there Schur elimination, by LU or in closed form, loses
-        # digits that the dense solve keeps.
+        # skipped: there Schur elimination loses digits that the dense solve keeps.
         assembly, block_cond = _shifted_assembly(n, seed, shifts)
         assume(block_cond < 1e6)
         _assert_block_step_equals_dense(assembly)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "row 0's A_k has |a|min/|a|max = 2e-3, above _FALLBACK_RTOL = 1e-4, so it stays on the "
-        "closed form, which cancels there: the block step is 3.3e-8 off the dense one"))
-    def test_block_step_equals_dense_step_just_above_fallback_threshold(self):
+    def test_block_step_equals_dense_step_at_a_nearly_singular_a_k(self):
+        # Row 0's A_k has |a|min/|a|max = 2e-3, where a closed form that divides by each
+        # a_j cancels: such a form's step was 3.3e-8 off the dense one.
         assembly, block_cond = _shifted_assembly(3, 1348488, [0.001, 0.0])
         assert block_cond < 1e6
         _assert_block_step_equals_dense(assembly)
 
-    def test_row_at_a_singular_a_k_takes_the_4x4_fallback(self, monkeypatch):
-        # lambda_0 = -ev_j exactly zeroes one eigenvalue of A_0; only that row inverts its block.
+    @pytest.mark.parametrize("ratio", [1e-1, 1e-2, 2e-3, 1e-4, 1e-8, 0.0, -0.5],
+                             ids=["1e-1", "1e-2", "2e-3", "1e-4", "1e-8", "0", "mixed_signs"])
+    def test_block_step_equals_dense_step_over_a_k_conditioning(self, ratio):
+        # Row 0's lambda_k puts its a = 2 ev + 2 lambda_k at |a|min/|a|max = ratio, from
+        # a well-conditioned A_k to a singular one; at -0.5 lambda_k lies between two ev_j,
+        # so a has both signs and the terms of q do too.
+        rng = np.random.default_rng(17)
+        state = _random_state(rng, 10)
+        ev = np.linalg.eigvalsh(state.t_matrix.T @ state.t_matrix)
+        lam = state.lagrange.copy()
+        spread = ev[2] - ev[0]
+        lam[0] = -ev[0] + ratio * spread / (1.0 - ratio) if ratio >= 0 else -ev[0] - spread / 3.0
+        a = 2.0 * (ev + lam[0])
+        if ratio >= 0:
+            assert np.abs(a).min() / np.abs(a).max() == pytest.approx(ratio)
+        else:
+            assert a.min() < 0.0 < a.max()
+        state = MLState(state.t_matrix, state.offset, state.field_dirs, lam)
+        _assert_block_step_equals_dense(_assemble(state, rng.normal(0, 1.0, (10, 3))))
+
+    def test_block_step_equals_dense_step_at_a_singular_a_k(self):
+        # lambda_0 = -ev_j exactly zeroes one eigenvalue of A_0; its block is still regular.
         assembly, block_cond = _shifted_assembly(10, 3, [0.0])
         assert block_cond < 1e6
-        inverted = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         _assert_block_step_equals_dense(assembly)
-        assert inverted == [(1, 4, 4)]
 
     @pytest.mark.parametrize("n", [7, 8, 15, 300])
     def test_step_over_row_blocks_equals_one_block_step(self, n, monkeypatch):
@@ -252,53 +266,52 @@ class TestNewtonStep:
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
         _assert_block_step_equals_dense(assembly)
 
-    @pytest.mark.parametrize("n, rows, inversions", [
-        (12, [9], [(1, 4, 4)]),
-        (12, [6, 7], [(1, 4, 4)] * 3),
-        (15, [6, 7, 8], [(1, 4, 4), (2, 4, 4), (2, 4, 4), (1, 4, 4)]),
-    ])
-    def test_fallback_rows_in_later_row_blocks(self, n, rows, inversions, monkeypatch):
+    @pytest.mark.parametrize("n, rows", [(12, [9]), (12, [6, 7]), (15, [6, 7, 8])])
+    def test_singular_a_k_rows_in_later_row_blocks(self, n, rows, monkeypatch):
         # In blocks of 7 rows, row 9 is in the second block, and rows 6 and 7 (or
-        # 6, 7 and 8) sit either side of the first edge; each block inverts its own
-        # 4x4 blocks. Back-substitution walks the blocks last-first and computes
-        # every block's inverses but the last one's again, so a flagged row in an
-        # earlier block is inverted twice, the blocks in reverse order the second time.
+        # 6, 7 and 8) sit either side of the first edge. Back-substitution walks the
+        # blocks last-first and computes every block's inverses but the last one's again.
         assembly, block_cond = _shifted_assembly(n, 3, [0.0] * len(rows), first=rows[0])
         assert block_cond < 1e6
         whole = ml._step_block(*assembly)
         monkeypatch.setattr(ml, "_CHUNK", 7)
-        inverted = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         blocked = ml._step_block(*assembly)
-        assert inverted == inversions
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
         _assert_block_step_equals_dense(assembly)
 
-
-    def test_stacked_step_equals_lone_steps(self, monkeypatch):
-        # Items 0 and 2 have rows on the 4x4 fallback and item 1 has none. The
-        # stack inverts all three rows' blocks at once, and each item's step is
-        # bit for bit its step alone.
+    def test_stacked_step_equals_lone_steps(self):
+        # Items 0 and 2 have rows with a singular A_k and item 1 has none; each
+        # item's step is bit for bit its step alone.
         lone = [_shifted_assembly(12, 3, [0.0, 0.0], first=2)[0],
                 _shifted_assembly(12, 4, [])[0],
                 _shifted_assembly(12, 5, [0.0], first=9)[0]]
         stacked = tuple(np.concatenate(parts) for parts in zip(*lone))
-        inverted = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         steps = ml._step_block(*stacked)
-        assert inverted == [(3, 4, 4)]
         for i, assembly in enumerate(lone):
             np.testing.assert_array_equal(steps[i], ml._step_block(*assembly)[0])
+
+    def test_singular_block_raises(self):
+        # Row 4's A_k is singular along T'T's second eigenvector, and m_4 is orthogonal
+        # to it: the block has a zero row, and q = 0.
+        rng = np.random.default_rng(5)
+        state = _random_state(rng, 8)
+        ev, v = np.linalg.eigh(state.t_matrix.T @ state.t_matrix)
+        dirs, lam = state.field_dirs.copy(), state.lagrange.copy()
+        dirs[4] -= (dirs[4] @ v[:, 1]) * v[:, 1]
+        lam[4] = -ev[1]
+        assembly = _assemble(MLState(state.t_matrix, state.offset, dirs, lam),
+                             rng.normal(0, 1.0, (8, 3)))
+        with pytest.raises(np.linalg.LinAlgError):
+            ml._step_block(*assembly)
 
 
 def _shifted_assembly(n, seed, shifts, first=0):
     """A random state whose rows from ``first`` on have lambda_k at -ev_j (1 + shift),
     and its assembly.
 
-    Such rows make A_k (near) singular and take _step_block's 4x4 fallback.
-    Also returns the largest condition number of the bordered 4x4 blocks.
+    Such rows make A_k (near) singular, which the adjugate form of _block_inverses
+    takes as it takes every other row. Also returns the largest condition number
+    of the bordered 4x4 blocks.
     """
     rng = np.random.default_rng(seed)
     state = _random_state(rng, n)
@@ -504,13 +517,6 @@ class TestSolve:
         assert np.all(np.isnan(np.diag(report.final_params.shape)))
         assert report.warnings
 
-    def test_default_scenario_never_takes_the_4x4_fallback(self, default_scene, monkeypatch):
-        # No row is flagged on this data, so the step never builds or inverts fallback blocks.
-        ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=7)
-        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("4x4 fallback taken"))
-        report = solve_ml(ds, fit_initial(ds)[0])
-        assert report.converged and report.iterations > 0
-
     def test_step_temporaries_do_not_grow_with_n(self, default_scene, traced_peak):
         # The iterates, assembly, step and one row block's temporaries peak at about 20
         # N-vectors of 8N bytes: the solve holds neither its start nor the last step while
@@ -525,7 +531,8 @@ class TestSolve:
     def test_stack_of_a_study_job_stays_within_60_floats_a_row(self, default_scene, traced_peak):
         # A study job solves up to 27 default runs as one ml stack (8 100 rows). Its
         # iterates, assembly, step temporaries and the reports' final states peak at
-        # about 48 floats a row.
+        # about 55 floats a row, while a row block's inverses are expanded from P's six
+        # entries to nine to be applied.
         data = [simulate(default_scene["truth"], default_scene["trajectory"], seed=s)
                 for s in range(27)]
         samples = np.stack([d.samples for d in data])
