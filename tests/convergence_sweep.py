@@ -4,19 +4,17 @@
     PYTHONPATH=src python tests/convergence_sweep.py                 # seeds 5000-5399
     PYTHONPATH=src python tests/convergence_sweep.py --seeds 1000 1049 --scene 5 0.003
 
-Each run is a grid cell of ``make_golden.py``: 300 samples of ``default_truth(sigma)``
+Each run is a cell of ``make_golden.grid``: 300 samples of ``default_truth(sigma)``
 on ``sweep_trajectory(300, tilt)``, both solvers started from the ellipsoid fit.
 The default scenes are tilt 5 and tilt 3 at the default sigma, and tilt 20 at
 sigma 0.1. Prints, per scene and method, how many runs converged, stopped
 unconverged at the iteration cap, failed (a SolverFailure, divergence included)
-or lost their fit, and the median iterations of the converged runs. It is not
-part of the test suite: the default sweep of 1 200 datasets takes minutes.
+or lost their fit, and the median iterations of the converged runs. The runs
+go to make_golden's GRID_WORKERS processes. It is not part of the test suite.
 """
 
 import argparse
-import multiprocessing
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 
 import make_golden
 from magcal.simulate import DEFAULT_SIGMA
@@ -49,20 +47,15 @@ def main(argv=None) -> int:
                         metavar=("FIRST", "LAST"), help="inclusive seed range")
     parser.add_argument("--scene", nargs=2, type=float, action="append", metavar=("TILT", "SIGMA"),
                         help="a scene to sweep; repeat for more (default: the three above)")
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
     scenes = [tuple(scene) for scene in args.scene] if args.scene else DEFAULT_SCENES
-    jobs = [(scene, seed) for scene in scenes for seed in range(args.seeds[0], args.seeds[1] + 1)]
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=args.workers, mp_context=spawn) as pool:
-        cells = list(pool.map(make_golden.grid_cell, jobs, chunksize=10))
+    cells = make_golden.grid(scenes, range(args.seeds[0], args.seeds[1] + 1))
     print(f"seeds {args.seeds[0]}-{args.seeds[1]}, N = 300")
     print(f"{'tilt':>5} {'sigma':>6} method " + " ".join(f"{c:>11}" for c in COLUMNS)
           + " median iterations")
     for scene in scenes:
         for method in make_golden.METHODS:
-            counts, median = tally(cell[method]["outcome"]
-                                   for (s, _), cell in zip(jobs, cells) if s == scene)
+            counts, median = tally(cells[scene][method]["outcomes"])
             print(f"{scene[0]:5g} {scene[1]:6g} {method:>6} "
                   + " ".join(f"{counts[c]:11d}" for c in COLUMNS) + f" {median or '-':>17}")
     return 0

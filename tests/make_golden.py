@@ -91,9 +91,9 @@ def grid_cell(scene_seed) -> dict:
     return cell
 
 
-def grid() -> dict:
-    """(tilt, sigma) -> method -> per-seed outcomes (and estimates), over GRID_SCENES x seeds."""
-    jobs = [(scene, seed) for scene in GRID_SCENES for seed in GRID_SEEDS]
+def grid(scenes=GRID_SCENES, seeds=GRID_SEEDS) -> dict:
+    """(tilt, sigma) -> method -> per-seed outcomes (and estimates), over scenes x seeds."""
+    jobs = [(scene, seed) for scene in scenes for seed in seeds]
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=GRID_WORKERS, mp_context=spawn) as pool:
         cells = list(pool.map(grid_cell, jobs, chunksize=5))

@@ -86,7 +86,7 @@ def _unconverged(cells: dict) -> dict:
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3: under weak attitude excitation ml's full Newton steps on the KKT system "
-    "stall at the iteration cap more often than nm (tilt 5: 8 against 0; tilt 3: 31 against 14)"))
+    "stall at the iteration cap more often than nm (tilt 5: 9 against 0; tilt 3: 31 against 14)"))
 def test_ml_unconverged_no_more_often_than_nm_at_low_tilt(grid):
     # The paper's claim: ml is the more stable estimator without sufficient attitude excitation.
     for tilt in (5.0, 3.0):
