@@ -1,10 +1,8 @@
 """Newton iteration shared by the nm and ml estimators, over a stack of independent problems."""
 
-import math
-
 import numpy as np
 
-from .errors import DivergenceError, SolverFailure
+from .errors import CalibrationError, DivergenceError, SolverFailure
 from .types import SolveOptions, SolveReport
 
 CHUNK = 2048  # rows a block in the solvers' per-sample passes, so temporaries stay bounded
@@ -24,15 +22,14 @@ def solve_newton_system(hess, rhs) -> np.ndarray:
     """Solve symmetric Newton systems, one or a stack, by numpy's LU with partial pivoting.
 
     An exactly singular factor raises LinAlgError, for a stack as soon as one
-    system is singular. A non-finite system gives a NaN step, which newton_solve
-    calls divergence; LAPACK would call it singular, or even return a finite step.
+    system is singular. A non-finite system is solved as an identity stand-in
+    and gives a NaN step, which newton_solve calls divergence; LAPACK would call
+    it singular, or even return a finite step.
     """
-    if np.isfinite(hess).all() and np.isfinite(rhs).all():
-        return np.linalg.solve(hess, rhs[..., None])[..., 0]
     finite = np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
-    out = np.full(rhs.shape, np.nan)
-    if finite.any():
-        out[finite] = np.linalg.solve(hess[finite], rhs[finite][..., None])[..., 0]
+    hess = np.where(finite[..., None, None], hess, np.eye(hess.shape[-1]))
+    out = np.linalg.solve(hess, np.where(finite[..., None], rhs, 0.0)[..., None])[..., 0]
+    out[~finite] = np.nan
     return out
 
 
@@ -50,10 +47,10 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
     objective, and a tuple of per-item arrays that ``converged`` and ``step``
     then reuse. ``converged(values, previous, delta, cache)`` is asked of
     every iterate, with the objectives of this and the previous iterate as
-    lists of floats, and gives a flag per item; ``previous`` and ``delta`` are
-    None before the first step. ``step(x, cache)`` returns ``(delta, next_x)``,
-    one flat step per item. ``finish(item, records)`` gives the report's
-    fields from one item's arrays and its recorded histories.
+    arrays, and gives a boolean array, a flag per item; ``previous`` and
+    ``delta`` are None before the first step. ``step(x, cache)`` returns
+    ``(delta, next_x)``, one flat step per item. ``finish(item, records)``
+    gives the report's fields from one item's arrays and its recorded histories.
 
     Returns one entry per problem, in order: a SolveReport, or the SolverFailure
     (singular Newton system) or DivergenceError (non-finite objective or step)
@@ -65,7 +62,7 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
     """
     results = [None] * len(x[0])
     histories = [[] for _ in results]
-    active = list(range(len(results)))  # problem index of each stacked item
+    active = np.arange(len(results))  # problem index of each stacked item
     previous = delta = None
 
     def end(local, iterations, done=False, error=None, message=""):
@@ -78,53 +75,51 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(opts.max_iterations + 1):
             records, cache = objective(x)
-            values = []
-            for j, row in zip(active, zip(*[r.tolist() for r in records])):
+            for j, row in zip(active.tolist(), zip(*[r.tolist() for r in records])):
                 histories[j].append(row)
-                values.append(row[0])
-            finite = list(map(math.isfinite, values))
+            values = records[0]
+            finite = np.isfinite(values)
             if delta is not None:
-                finite = [a and b for a, b in zip(finite, np.isfinite(delta).all(axis=1).tolist())]
-            done = [a and b for a, b in zip(finite, converged(values, previous, delta, cache))]
+                finite &= np.isfinite(delta).all(axis=1)
+            done = finite & converged(values, previous, delta, cache)
             delta = None  # not held while the next step is formed
             last = iteration == opts.max_iterations
-            if last or any(done) or not all(finite):
+            if last or done.any() or not finite.all():
                 message = ("initial objective is non-finite" if iteration == 0
                            else "objective became non-finite")
-                for local, (ok, stop) in enumerate(zip(finite, done)):
+                for local, (ok, stop) in enumerate(zip(finite.tolist(), done.tolist())):
                     if not ok:
                         end(local, iteration, error=DivergenceError, message=message)
                     elif stop or last:
                         end(local, iteration, done=stop)
-                keep = [local for local, (ok, stop) in enumerate(zip(finite, done))
-                        if ok and not stop]
-                if last or not keep:
+                keep = finite & ~done
+                if last or not keep.any():
                     break
                 x, cache = take(x, keep), take(cache, keep)
-                active, values = [active[i] for i in keep], [values[i] for i in keep]
+                active, values = active[keep], values[keep]
             try:
                 delta, next_x = step(x, cache)
             except np.linalg.LinAlgError:
-                parts, keep = [], []
+                parts, keep = [], np.ones(len(active), dtype=bool)
                 for local in range(len(active)):
                     try:
                         parts.append(step(take(x, [local]), take(cache, [local])))
-                        keep.append(local)
                     except np.linalg.LinAlgError:
+                        keep[local] = False
                         end(local, iteration, error=SolverFailure, message="singular Newton system")
                 if not parts:
                     break
                 delta = np.concatenate([d for d, _ in parts])
                 next_x = tuple(np.concatenate(a) for a in zip(*(nx for _, nx in parts)))
-                active, values = [active[i] for i in keep], [values[i] for i in keep]
+                active, values = active[keep], values[keep]
             cache = None
             x, previous = next_x, values
             del next_x
     return results
 
 
-def only(results: list) -> SolveReport:
-    """The report of a one-problem newton_solve, or its failure raised."""
-    if isinstance(results[0], SolverFailure):
+def only(results: list):
+    """The one item of a one-problem stack's results, or its CalibrationError raised."""
+    if isinstance(results[0], CalibrationError):
         raise results[0]
     return results[0]

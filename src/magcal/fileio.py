@@ -109,6 +109,9 @@ def read_samples_csv(path) -> np.ndarray:
             raise ValueError(
                 f"{path}: header must contain columns {SAMPLE_COLUMNS}, got {header}"
             ) from None
+        for c in SAMPLE_COLUMNS:  # loadtxt would read the first of two and ignore the other
+            if header.count(c) > 1:
+                raise ValueError(f"{path}: header names column {c!r} more than once")
         extras = [h for h in header if h not in SAMPLE_COLUMNS]
         if extras:
             warnings.warn(f"{path}: ignoring extra columns {extras}")

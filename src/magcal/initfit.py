@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._newton import CHUNK, dot, tr
-from .errors import CalibrationError, DegenerateDataError, InsufficientDataError
+from ._newton import CHUNK, dot, only, tr
+from .errors import DegenerateDataError, InsufficientDataError
 from .linalg import UPPER_COLS, UPPER_ROWS, unpack_upper
 from .types import CalibrationParams, as_samples
 
@@ -63,10 +63,7 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     below 10 samples and DegenerateDataError when G overflows or the scaled quadric matrix
     has no finite Cholesky factor: the quadric is not an ellipsoid (too few attitudes).
     """
-    (fit,) = fit_initial_batch(as_samples(data)[None])
-    if isinstance(fit, CalibrationError):
-        raise fit
-    return fit
+    return only(fit_initial_batch(as_samples(data)[None]))
 
 
 def _each(fn, *stacks) -> np.ndarray:
@@ -91,20 +88,17 @@ def fit_initial_batch(samples: np.ndarray, scatter=None) -> list:
 
     Returns, per item in order, its (estimate, smallest eigenvalue) or the
     CalibrationError its lone fit raises. Each item's numbers are those of its
-    lone fit_initial.
+    lone fit_initial. Every item runs through the same arrays: an overflowing G
+    is decomposed as the identity, a failed factorization leaves NaN, and each
+    item is classified at the end.
     """
     n = samples.shape[1]
     if n < MIN_SAMPLES:
         return [InsufficientDataError(f"ellipsoid fit needs >= {MIN_SAMPLES} samples, got {n}")
                 for _ in samples]
     center, gram = _scatter(samples) if scatter is None else scatter
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    out = [None if ok else DegenerateDataError(
-        "the quadric's scatter matrix overflows; rescale the data") for ok in finite.tolist()]
-    items = np.flatnonzero(finite)
-    if not items.size:
-        return out
-    eigvals, eigvecs = np.linalg.eigh(gram[items])
+    overflow = ~np.isfinite(gram).all(axis=(1, 2))
+    eigvals, eigvecs = np.linalg.eigh(np.where(overflow[:, None, None], np.eye(10), gram))
     z = eigvecs[:, :, 0]
 
     a = unpack_upper(z[:, :6])
@@ -119,17 +113,18 @@ def fit_initial_batch(samples: np.ndarray, scatter=None) -> list:
         alpha = 4.0 / scale
         a, b = alpha[:, None, None] * a, alpha[:, None] * b
         shape = tr(_each(np.linalg.cholesky, a))  # upper, R'R = A
+        # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
+        rhs = b - 2.0 * (a @ center[:, :, None])[:, :, 0]
+        offset = -0.5 * _each(np.linalg.solve, a, rhs[:, :, None])[:, :, 0]
     ellipsoid = np.isfinite(shape).all(axis=(1, 2))
-    a, b, center = a[ellipsoid], b[ellipsoid], center[items[ellipsoid]]
-    # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
-    rhs = b - 2.0 * (a @ center[:, :, None])[:, :, 0]
-    offset = -0.5 * np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-    fits = iter(zip(shape[ellipsoid], offset, eigvals[ellipsoid, 0].tolist()))
-    for i, ok in zip(items.tolist(), ellipsoid.tolist()):
-        if ok:
-            r, h, min_eigenvalue = next(fits)
-            out[i] = CalibrationParams(shape=r.copy(), offset=h), min_eigenvalue
+    out = []
+    for i, min_eigenvalue in enumerate(eigvals[:, 0].tolist()):
+        if overflow[i]:
+            out.append(DegenerateDataError(
+                "the quadric's scatter matrix overflows; rescale the data"))
+        elif not ellipsoid[i]:
+            out.append(DegenerateDataError(
+                "fitted quadric is not an ellipsoid; attitude coverage is insufficient"))
         else:
-            out[i] = DegenerateDataError(
-                "fitted quadric is not an ellipsoid; attitude coverage is insufficient")
+            out.append((CalibrationParams(shape=shape[i].copy(), offset=offset[i]), min_eigenvalue))
     return out

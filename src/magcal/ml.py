@@ -163,18 +163,15 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     second pass back-substitutes each block into the step. Only the last
     block's inverses outlive the first pass, so the second pass walks the
     blocks last-first, reuses them, and computes every earlier block's
-    again, bit for bit. An item whose T'T is not finite gets a NaN step.
+    again, bit for bit. An item whose T'T is not finite keeps its place and gets a NaN step.
     """
     b, n = g_lam.shape
     ttt = tr(t) @ t
+    # Overflow is divergence, not a singular system: an item whose T'T is not finite is
+    # decomposed as the identity, and its NaN eigenvalues carry a NaN q to a NaN step.
     finite = np.isfinite(ttt).all(axis=(1, 2))
-    if not finite.all():  # overflow is divergence, not a singular system
-        step = np.full((b, 9 + 4 * n), np.nan)
-        if finite.any():
-            step[finite] = _step_block(*(a[finite] for a in (g_head, g_m, g_lam, head, t, dirs,
-                                                              r, lam)))
-        return step
-    ev, v = np.linalg.eigh(ttt)
+    ev, v = np.linalg.eigh(np.where(finite[:, None, None], ttt, np.eye(3)))
+    ev[~finite] = np.nan
     # take keeps each item's lin contiguous, as a BLAS product needs it to round as for B = 1.
     lin = np.concatenate([2.0 * (t @ v).reshape(b, 9), (-2.0 * v).reshape(b, 9), np.zeros((b, 1))],
                          axis=1).take(_LIN_FROM, axis=1).reshape(b, 9, 21)
@@ -276,7 +273,7 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
         g_head, g_m, g_lam = assembly[:3]
         grad_norm = np.sqrt(dot(g_head, g_head) + np.einsum("bij,bij->b", g_m, g_m)
                             + dot(g_lam, g_lam))
-        return (grad_norm <= opts.gradient_tolerance).tolist()
+        return grad_norm <= opts.gradient_tolerance
 
     def step(x, assembly):
         t, offset, dirs, lam, samples = x

@@ -20,8 +20,6 @@ iteration and R stays exactly triangular.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._newton import dot, newton_solve, only, solve_newton_system, tr
@@ -131,11 +129,9 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None,
 
     def converged(values, previous, delta, moments):
         if delta is None:
-            return [False] * len(values)
-        # The step norm is taken only where the objective has not stalled, as a 1-D dot.
-        return [abs(f - f0) <= opts.objective_tolerance
-                or math.sqrt(d @ d) <= opts.step_tolerance
-                for f, f0, d in zip(values, previous, delta)]
+            return np.zeros(len(values), dtype=bool)
+        return ((np.abs(values - previous) <= opts.objective_tolerance)
+                | (np.sqrt(dot(delta, delta)) <= opts.step_tolerance))
 
     x = (np.array([p.shape for p in inits]), np.array([p.offset for p in inits]), samples,
          *(_scatter(samples) if scatter is None else scatter))

@@ -406,6 +406,26 @@ def test_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, command, text
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize("command", ["calibrate", "apply"])
+def test_header_naming_a_sample_column_twice_exits_2_naming_it(tmp_path, capsys, command):
+    # The reader took the first of two yx columns without a word; swapped, the fit would
+    # have blamed attitude coverage.
+    data, report, out = tmp_path / "data.csv", tmp_path / "report.json", tmp_path / "out.csv"
+    main(["simulate", "--out", str(data), "--seed", "124"])
+    assert main(["calibrate", "--input", str(data), "--out", str(report)]) == 0
+    header, *rows = data.read_text().splitlines()
+    assert header == "yx,yy,yz"
+    data.write_text("\n".join(["yx,yy,yz,yx", *(row + ",0" for row in rows)]) + "\n")
+    capsys.readouterr()
+    argv = {"calibrate": ["--input", str(data), "--out", str(out)],
+            "apply": ["--report", str(report), "--method", "ml", "--input", str(data),
+                      "--out", str(out)]}[command]
+    assert main([command, *argv]) == 2
+    assert (f"error: {data}: header names column 'yx' more than once"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestStudyCommands:
     def test_montecarlo_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_initfit
 import test_ml
 import test_nm
 from conftest import examples
@@ -227,9 +228,12 @@ def test_stacked_ml_solves_equal_solve_ml():
         assert _summary(b) == _summary(one)
 
 
-def test_overflowing_t_in_a_ml_stack_diverges_alone():
+@pytest.mark.parametrize("chunk", [ml._CHUNK, 7], ids=["one_block", "blocks_of_7"])
+def test_overflowing_t_in_a_ml_stack_diverges_alone(monkeypatch, chunk):
     # Item 1's T'T overflows while its misfit stays finite: its step is NaN, and the
-    # step of item 0 is that of its lone solve.
+    # step of item 0 is that of its lone solve. In blocks of 7 rows, item 1's NaN runs
+    # through 43 row blocks and the last-first second pass.
+    monkeypatch.setattr(ml, "_CHUNK", chunk)
     samples, inits = [], []
     for seed in (7, 8):
         ds = simulate(default_truth(), sweep_trajectory(300), seed=seed)
@@ -243,3 +247,24 @@ def test_overflowing_t_in_a_ml_stack_diverges_alone():
     assert isinstance(batch[1], DivergenceError)
     assert str(batch[1]) == "objective became non-finite"
     assert batch[1].report.iterations == 1
+
+
+def test_outcomes_do_not_depend_on_what_lapack_does_with_non_finite_matrices(monkeypatch):
+    # LAPACK builds differ on a non-finite matrix: numpy's eigh may return NaN, raise or
+    # return finite numbers. With eigh, solve and cholesky raising on any non-finite
+    # argument, the overflowing ml stack still diverges, the mixed Newton systems still
+    # give a NaN step and the overflowing fit still says so: no stack leaves a failed
+    # item's outcome to LAPACK.
+    def strict(fn):
+        def call(*args, **kwargs):
+            if not all(np.isfinite(a).all() for a in args):
+                raise np.linalg.LinAlgError(f"non-finite argument to {fn.__name__}")
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "solve", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, strict(getattr(np.linalg, name)))
+    test_overflowing_t_in_a_ml_stack_diverges_alone(monkeypatch, ml._CHUNK)
+    for bad in (0, 1):
+        test_stack_mixing_finite_and_non_finite_systems(bad)
+    test_initfit.TestFitBatch().test_stack_equals_lone_fits_bit_for_bit()
