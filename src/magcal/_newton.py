@@ -18,19 +18,37 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def solve_newton_system(hess, rhs) -> np.ndarray:
-    """Solve symmetric Newton systems, one or a stack, by numpy's LU with partial pivoting.
+def each(fn, *stacks) -> tuple:
+    """``fn`` over stacks of matrices, shaped as the last, and a flag per item it fails on.
 
-    An exactly singular factor raises LinAlgError, for a stack as soon as one
-    system is singular. A non-finite system is solved as an identity stand-in
-    and gives a NaN step, which newton_solve calls divergence; LAPACK would call
-    it singular, or even return a finite step.
+    One call takes the whole stack. Only if it raises LinAlgError is ``fn``
+    called item by item; an item on which it raises alone is NaN and flagged.
     """
-    finite = np.isfinite(hess).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
-    hess = np.where(finite[..., None, None], hess, np.eye(hess.shape[-1]))
-    out = np.linalg.solve(hess, np.where(finite[..., None], rhs, 0.0)[..., None])[..., 0]
+    failed = np.zeros(len(stacks[-1]), dtype=bool)
+    try:
+        return fn(*stacks), failed
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+        for i in range(len(out)):
+            try:
+                out[i] = fn(*(s[i : i + 1] for s in stacks))[0]
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        return out, failed
+
+
+def solve_newton_system(hess, rhs) -> tuple:
+    """Solve a stack of symmetric Newton systems by numpy's LU with partial pivoting.
+
+    Returns the steps and a flag per exactly singular system, whose step is NaN. A
+    non-finite system is solved as an identity stand-in and gets a NaN step and no flag,
+    which newton_solve calls divergence; LAPACK might call it singular or solve it.
+    """
+    finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    hess = np.where(finite[:, None, None], hess, np.eye(hess.shape[-1]))
+    out, singular = each(np.linalg.solve, hess, np.where(finite[:, None], rhs, 0.0)[:, :, None])
     out[~finite] = np.nan
-    return out
+    return out[:, :, 0], singular
 
 
 def take(arrays: tuple, keep) -> tuple:
@@ -49,16 +67,17 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
     every iterate, with the objectives of this and the previous iterate as
     arrays, and gives a boolean array, a flag per item; ``previous`` and
     ``delta`` are None before the first step. ``step(x, cache)`` returns
-    ``(delta, next_x)``, one flat step per item. ``finish(item, records)``
-    gives the report's fields from one item's arrays and its recorded histories.
+    ``(delta, next_x, singular)``: one flat step per item and a flag for each
+    item whose Newton system is singular. ``finish(item, records)`` gives the
+    report's fields from one item's arrays and its recorded histories.
 
     Returns one entry per problem, in order: a SolveReport, or the SolverFailure
     (singular Newton system) or DivergenceError (non-finite objective or step)
     that ends it, carrying the partial report. Finished problems leave the
-    stack; one problem's failure does not stop the others. A step that raises
-    LinAlgError is redone one problem at a time, so that only the singular
-    ones fail. Every item's numbers are those of its lone solve, as long as
-    the callbacks compute each item as they would alone.
+    stack; one problem's failure does not stop the others. A flagged item ends
+    at that iteration and leaves the stack; no step is redone. Every item's
+    numbers are those of its lone solve, as long as the callbacks compute each
+    item as they would alone.
     """
     results = [None] * len(x[0])
     histories = [[] for _ in results]
@@ -72,7 +91,7 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
         report = SolveReport(records[0], iterations, done, **finish(take(x, local), records))
         results[j] = report if error is None else error(message, report)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for iteration in range(opts.max_iterations + 1):
             records, cache = objective(x)
             for j, row in zip(active.tolist(), zip(*[r.tolist() for r in records])):
@@ -97,20 +116,14 @@ def newton_solve(x: tuple, opts: SolveOptions, objective, step, converged, finis
                     break
                 x, cache = take(x, keep), take(cache, keep)
                 active, values = active[keep], values[keep]
-            try:
-                delta, next_x = step(x, cache)
-            except np.linalg.LinAlgError:
-                parts, keep = [], np.ones(len(active), dtype=bool)
-                for local in range(len(active)):
-                    try:
-                        parts.append(step(take(x, [local]), take(cache, [local])))
-                    except np.linalg.LinAlgError:
-                        keep[local] = False
-                        end(local, iteration, error=SolverFailure, message="singular Newton system")
-                if not parts:
+            delta, next_x, singular = step(x, cache)
+            if singular.any():
+                for local in np.flatnonzero(singular).tolist():
+                    end(local, iteration, error=SolverFailure, message="singular Newton system")
+                if singular.all():
                     break
-                delta = np.concatenate([d for d, _ in parts])
-                next_x = tuple(np.concatenate(a) for a in zip(*(nx for _, nx in parts)))
+                keep = ~singular
+                delta, next_x = delta[keep], take(next_x, keep)
                 active, values = active[keep], values[keep]
             cache = None
             x, previous = next_x, values

@@ -51,26 +51,31 @@ def write_samples_csv(path, samples) -> None:
     _write_csv(path, SAMPLE_COLUMNS, np.asarray(samples, dtype=float))
 
 
-def _parse_body(lines, indices) -> np.ndarray:
-    # The one cell parser for dataset bodies, used both for the whole file
-    # and, after a failure, for the ranges that locate the offending line.
-    # loadtxt warns on input with no rows; read_samples_csv reports that.
+def _parse_body(lines, header) -> np.ndarray:
+    # The one cell parser for dataset bodies, used both for the whole file and,
+    # after a failure, for the ranges that locate the offending line. A row has a
+    # cell per header column; extra columns' cells are not read. loadtxt warns
+    # on input with no rows; read_samples_csv reports that.
+    extras = {i: lambda cell: 0.0 for i, h in enumerate(header) if h not in SAMPLE_COLUMNS}
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, delimiter=",", usecols=indices, ndmin=2,
-                          comments=None, quotechar='"')
+        cells = np.loadtxt(lines, delimiter=",", converters=extras, ndmin=2,
+                           comments=None, quotechar='"')
+    if len(cells) and cells.shape[1] != len(header):
+        raise ValueError("a row's cells do not match the header's columns")
+    return cells.take([header.index(c) for c in SAMPLE_COLUMNS], axis=1)  # take keeps C order
 
 
-def _body_fault(lines, indices):
+def _body_fault(lines, header):
     """None if the lines parse to finite values, else what is wrong with them."""
     try:
-        samples = _parse_body(lines, indices)
+        samples = _parse_body(lines, header)
     except ValueError:
         return "bad row"
     return None if np.isfinite(samples).all() else "non-finite value"
 
 
-def _raise_first_bad_line(path, indices):
+def _raise_first_bad_line(path, header):
     """Raise the error for the first body line that _parse_body rejects or
     reads as non-finite; the whole body is known to contain one."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -80,21 +85,21 @@ def _raise_first_bad_line(path, indices):
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _body_fault(lines[lo:mid], indices) is None:
+        if _body_fault(lines[lo:mid], header) is None:
             lo = mid
         else:
             hi = mid
     row = next(csv.reader(lines[lo:hi]), [])
-    raise ValueError(f"{path}: {_body_fault(lines[lo:hi], indices)} at line {lo + 2}: {row}")
+    raise ValueError(f"{path}: {_body_fault(lines[lo:hi], header)} at line {lo + 2}: {row}")
 
 
 def read_samples_csv(path) -> np.ndarray:
     """Read a dataset CSV; extra columns are ignored with a warning.
 
-    Blank lines are skipped. A cell is a float64 literal as np.loadtxt reads
-    it, optionally in double quotes or with surrounding whitespace; ``#``
-    starts no comment. Raises ValueError naming the line of an unparseable
-    or non-finite value.
+    Blank lines are skipped; every other line has a cell per header column. A
+    cell is a float64 literal as np.loadtxt reads it, optionally in double
+    quotes or with surrounding whitespace; ``#`` starts no comment. Raises
+    ValueError naming the line of an unparseable or non-finite value.
     """
     # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports
     # put before the header.
@@ -103,25 +108,21 @@ def read_samples_csv(path) -> np.ndarray:
         if not first:
             raise ValueError(f"{path}: empty dataset file")
         header = [h.strip() for h in next(csv.reader([first]), [])]
-        try:
-            indices = [header.index(c) for c in SAMPLE_COLUMNS]
-        except ValueError:
-            raise ValueError(
-                f"{path}: header must contain columns {SAMPLE_COLUMNS}, got {header}"
-            ) from None
-        for c in SAMPLE_COLUMNS:  # loadtxt would read the first of two and ignore the other
+        if not set(SAMPLE_COLUMNS) <= set(header):
+            raise ValueError(f"{path}: header must contain columns {SAMPLE_COLUMNS}, got {header}")
+        for c in SAMPLE_COLUMNS:  # the body's parser would read the first of two
             if header.count(c) > 1:
                 raise ValueError(f"{path}: header names column {c!r} more than once")
         extras = [h for h in header if h not in SAMPLE_COLUMNS]
         if extras:
             warnings.warn(f"{path}: ignoring extra columns {extras}")
         try:
-            samples = _parse_body(fh, indices)
+            samples = _parse_body(fh, header)
             clean = np.isfinite(samples).all()
         except ValueError:
             clean = False
     if not clean:
-        _raise_first_bad_line(path, indices)
+        _raise_first_bad_line(path, header)
     if not len(samples):
         raise ValueError(f"{path}: no samples")
     return samples

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._newton import CHUNK, dot, only, tr
+from ._newton import CHUNK, dot, each, only, tr
 from .errors import DegenerateDataError, InsufficientDataError
 from .linalg import UPPER_COLS, UPPER_ROWS, unpack_upper
 from .types import CalibrationParams, as_samples
@@ -66,23 +66,6 @@ def fit_initial(data) -> tuple[CalibrationParams, float]:
     return only(fit_initial_batch(as_samples(data)[None]))
 
 
-def _each(fn, *stacks) -> np.ndarray:
-    """``fn`` over stacks of matrices, shaped as the last; after a LinAlgError, item by item.
-
-    An item on which ``fn`` raises alone is NaN.
-    """
-    try:
-        return fn(*stacks)
-    except np.linalg.LinAlgError:
-        out = np.full(stacks[-1].shape, np.nan)
-        for i in range(len(out)):
-            try:
-                out[i] = fn(*(s[i : i + 1] for s in stacks))[0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def fit_initial_batch(samples: np.ndarray, scatter=None) -> list:
     """fit_initial on a stack of validated (B, N, 3) ``samples``; ``scatter`` is their _scatter.
 
@@ -109,13 +92,13 @@ def fit_initial_batch(samples: np.ndarray, scatter=None) -> list:
     # The Cholesky factor alone decides: a singular A fails the scale's solve, an
     # indefinite one the factorization, and a zero or overflowing scale gives inf or NaN.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = dot(b, _each(np.linalg.solve, a, b[:, :, None])[:, :, 0]) - 4.0 * c
+        scale = dot(b, each(np.linalg.solve, a, b[:, :, None])[0][:, :, 0]) - 4.0 * c
         alpha = 4.0 / scale
         a, b = alpha[:, None, None] * a, alpha[:, None] * b
-        shape = tr(_each(np.linalg.cholesky, a))  # upper, R'R = A
+        shape = tr(each(np.linalg.cholesky, a)[0])  # upper, R'R = A
         # b is the linear term of the centred quadric; b - 2 A center is that of the raw one.
         rhs = b - 2.0 * (a @ center[:, :, None])[:, :, 0]
-        offset = -0.5 * _each(np.linalg.solve, a, rhs[:, :, None])[:, :, 0]
+        offset = -0.5 * each(np.linalg.solve, a, rhs[:, :, None])[0][:, :, 0]
     ellipsoid = np.isfinite(shape).all(axis=(1, 2))
     out = []
     for i, min_eigenvalue in enumerate(eigvals[:, 0].tolist()):

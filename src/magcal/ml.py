@@ -107,8 +107,9 @@ def _block_inverses(ev, v, dirs, r, lam):
     and mu = V'm_k. With i = j + 1, o = j + 2 (mod 3) and q = sum_j mu_j^2 a_i a_o, its inverse
     is [[P, c], [c', d]]: P = [mu]x diag(a) [mu]x' / q, c_j = mu_j a_i a_o / (2q) and
     d = -a_0 a_1 a_2 / (4q). No a_j is divided by, so a singular A_k costs no digits; q is 0
-    only for a singular block, which raises LinAlgError. Returns P's six entries (6, B, rows)
-    in _SIX's order and c (3, B, rows), component first, d (B, rows) and y (B, 7, rows).
+    only for a singular block, whose inverse is then inf or NaN. Returns P's six entries
+    (6, B, rows) in _SIX's order and c (3, B, rows), component first, d (B, rows), y (B, 7, rows)
+    and a flag per item with a singular block among these rows.
     """
     b, rows = lam.shape
     # mu and a / 2 component first, each with its first two components again after
@@ -122,8 +123,6 @@ def _block_inverses(ev, v, dirs, r, lam):
     d = half_a[0] * c[0]
     c *= mu[:3]
     quarter_q = np.einsum("jbk,jbk->bk", mu[:3], c)
-    if not quarter_q.all():
-        raise np.linalg.LinAlgError("singular (m_k, lambda_k) block")
     neg = -0.5 / quarter_q  # -2 / q
     c *= -neg
     d *= neg
@@ -136,12 +135,12 @@ def _block_inverses(ev, v, dirs, r, lam):
     six[:3] += mu[2:5] * half_a[1:4]
     y = np.empty((b, 7, rows))
     y[:, :3], y[:, 3:6], y[:, 6] = tr(dirs), tr(r), 1.0
-    return six, c, d, y
+    return six, c, d, y, ~quarter_q.all(axis=1)
 
 
 def _solve_blocks(inverses, x, x_lam):
     """Each row's block inverse applied to (x_k, x_lam_k); x is (B, 3, rows) in the eigenbasis."""
-    six, c, d, _ = inverses
+    six, c, d = inverses[:3]
     out_m = np.einsum("jlbk,blk->jbk", six[_SIX], x)
     out_m += c * x_lam
     return out_m.swapaxes(0, 1), np.einsum("jbk,bjk->bk", c, x) + d * x_lam
@@ -163,7 +162,9 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     second pass back-substitutes each block into the step. Only the last
     block's inverses outlive the first pass, so the second pass walks the
     blocks last-first, reuses them, and computes every earlier block's
-    again, bit for bit. An item whose T'T is not finite keeps its place and gets a NaN step.
+    again, bit for bit. Returns the steps and a flag per item whose block or Schur
+    complement is singular; such an item's step is NaN, as is that of an item whose T'T
+    is not finite, which keeps its place without a flag.
     """
     b, n = g_lam.shape
     ttt = tr(t) @ t
@@ -180,9 +181,10 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
         return _block_inverses(ev, v, dirs[:, span], r[:, span], lam[:, span])
 
     spans = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
-    total = None
+    total, singular = None, np.zeros(b, dtype=bool)
     for span in spans:
         inverses = block_inverses(span)
+        singular |= inverses[4]
         six, y = inverses[0], inverses[3]
         moments = np.empty((b, 42, 7))
         for i in range(b):  # one (42, rows) product per item, as a lone step forms it
@@ -195,7 +197,7 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
     schur = head - lin @ moments.reshape(b, 294).take(_MOMENT_FROM, axis=1) @ tr(lin)
 
     rhs = -g_head + (lin @ g_y.reshape(b, 21, 1))[:, :, 0]
-    d_head = solve_newton_system(schur, rhs)
+    d_head, schur_singular = solve_newton_system(schur, rhs)
     d_lin = (d_head[:, None, :] @ lin).reshape(b, 3, 7)
     step = np.empty((b, 9 + 4 * n))
     step[:, :9] = d_head
@@ -208,7 +210,7 @@ def _step_block(g_head, g_m, g_lam, head, t, dirs, r, lam):
         d_m, d_lam = _solve_blocks(inverses, d_x, g_lam[:, span])
         np.negative(tr(v @ d_m), out=d_dirs[:, span])
         np.negative(d_lam, out=d_lams[:, span])
-    return step
+    return step, singular | schur_singular
 
 
 def _initial_states(inits, samples: np.ndarray) -> tuple:
@@ -278,10 +280,10 @@ def _iterate(x: tuple, opts: SolveOptions | None = None) -> list:
     def step(x, assembly):
         t, offset, dirs, lam, samples = x
         n = lam.shape[1]
-        delta = _step_block(*assembly)
+        delta, singular = _step_block(*assembly)
         return delta, (unpack_upper(pack_upper(t) + delta[:, :6]), offset + delta[:, 6:9],
                        dirs + delta[:, 9 : 9 + 3 * n].reshape(-1, n, 3),
-                       lam + delta[:, 9 + 3 * n :], samples)
+                       lam + delta[:, 9 + 3 * n :], samples), singular
 
     def finish(item, records):
         t, offset, dirs, lam, _ = item

@@ -124,8 +124,9 @@ def solve_nm_batch(samples: np.ndarray, inits, opts: SolveOptions | None = None,
     def step(x, moments):
         shape, offset, *rest = x
         grad, hess = nm_gradient_hessian(shape, offset, *rest[1:], *moments)
-        delta = solve_newton_system(hess, grad)
-        return delta, (unpack_upper(pack_upper(shape) - delta[:, :6]), offset - delta[:, 6:], *rest)
+        delta, singular = solve_newton_system(hess, grad)
+        shape, offset = unpack_upper(pack_upper(shape) - delta[:, :6]), offset - delta[:, 6:]
+        return delta, (shape, offset, *rest), singular
 
     def converged(values, previous, delta, moments):
         if delta is None:

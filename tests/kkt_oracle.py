@@ -59,9 +59,10 @@ def ml_kkt_system(*assembly, item=0):
 
 
 def step_dense(*assembly):
-    """Newton steps from the dense systems; a drop-in for magcal.ml._step_block."""
+    """Newton steps from the dense systems, none flagged singular; a drop-in for
+    magcal.ml._step_block."""
     steps = []
     for item in range(len(assembly[0])):
         grad, hess = ml_kkt_system(*assembly, item=item)
         steps.append(scipy.linalg.solve(hess, -grad, assume_a="sym"))
-    return np.stack(steps)
+    return np.stack(steps), np.zeros(len(steps), dtype=bool)

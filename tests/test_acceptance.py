@@ -150,8 +150,8 @@ def test_6_block_elimination_matches_dense():
         )
         samples = rng.normal(0, 1.0, (n, 3))
         assembly = ml._assemble(*stacked(state, samples))
-        block = ml._step_block(*assembly)
-        dense = step_dense(*assembly)
+        block = ml._step_block(*assembly)[0]
+        dense = step_dense(*assembly)[0]
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(block - dense)) <= 1e-9 * scale
     assert time.perf_counter() - start < 10.0

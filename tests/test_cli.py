@@ -426,6 +426,20 @@ def test_header_naming_a_sample_column_twice_exits_2_naming_it(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_row_with_more_cells_than_the_header_exits_2_naming_its_line(tmp_path, capsys):
+    # Decimal commas split a row into four cells; the reader took the first three,
+    # [0, 486, 2.63], without a word.
+    data, out = tmp_path / "data.csv", tmp_path / "report.json"
+    main(["simulate", "--out", str(data), "--seed", "124"])
+    header, *rows = data.read_text().splitlines()
+    data.write_text("\n".join([header, "0,486,2.63,2.13", *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["calibrate", "--input", str(data), "--out", str(out)]) == 2
+    assert (f"error: {data}: bad row at line 2: ['0', '486', '2.63', '2.13']"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestStudyCommands:
     def test_montecarlo_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -139,8 +139,8 @@ class TestMonteCarlo:
         assert agg["scale_pct"]["std"] == pytest.approx(values.std(ddof=1))
 
     def test_non_finite_ml_step_becomes_failed_row(self, small_config, monkeypatch):
-        monkeypatch.setattr(ml, "_step_block", lambda g_head, g_m, *rest: np.full(
-            (len(g_m), 9 + 4 * g_m.shape[1]), np.inf))
+        monkeypatch.setattr(ml, "_step_block", lambda g_head, g_m, *rest: (np.full(
+            (len(g_m), 9 + 4 * g_m.shape[1]), np.inf), np.zeros(len(g_m), dtype=bool)))
         result = run_monte_carlo(small_config, runs=1, seed=5)
         assert result.failure_count("ml") == 1
         assert result.failure_count("nm") == 0

@@ -63,6 +63,8 @@ def _read_samples_csv_loop(path) -> np.ndarray:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: bad row at line {line_no}: {row}")
             try:
                 values = [float(row[i]) for i in indices]
             except (ValueError, IndexError):
@@ -177,7 +179,6 @@ _GOOD_BODIES = {
     "crlf_blank_lines": "\r\n1.5,-2,3\r\n\r\n4,5e-3,-0.0\r\n",
     "no_final_newline": "1.5,-2,3\n4,5e-3,-0.0",
     "crlf_no_final_newline": "1.5,-2,3\r\n4,5e-3,-0.0",
-    "trailing_fields": "1.5,-2,3,7,8\n4,5e-3,-0.0,\n",
 }
 
 # One malformed body line each; the reference loop and the reader must reject
@@ -185,6 +186,11 @@ _GOOD_BODIES = {
 _BAD_LINES = {
     "bad_cell": "1.0,2.0,oops",
     "short_row": "1.0,2.0",
+    # A row with more cells than the header: extra fields, a trailing comma, or
+    # decimal commas, which the reader once read as [0, 486, 2.63].
+    "trailing_fields": "1.5,-2,3,7,8",
+    "trailing_comma": "4,5e-3,-0.0,",
+    "decimal_commas": "0,486,2.63,2.13",
     "empty_cell": "1.0,,3.0",
     "hex": "0x10,2.0,3.0",
     "whitespace_only": "   ",

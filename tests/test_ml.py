@@ -202,8 +202,8 @@ class TestNewtonStep:
         rng = np.random.default_rng(n)
         state = _random_state(rng, n)
         assembly = _assemble(state, rng.normal(0, 1.0, (n, 3)))
-        block = ml._step_block(*assembly)
-        dense = step_dense(*assembly)
+        block = ml._step_block(*assembly)[0]
+        dense = step_dense(*assembly)[0]
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(block - dense)) <= 1e-9 * scale
 
@@ -264,9 +264,9 @@ class TestNewtonStep:
         rng = np.random.default_rng(n)
         state = _random_state(rng, n)
         assembly = _assemble(state, rng.normal(0, 1.0, (n, 3)))
-        whole = ml._step_block(*assembly)
+        whole = ml._step_block(*assembly)[0]
         monkeypatch.setattr(ml, "_CHUNK", 7)
-        blocked = ml._step_block(*assembly)
+        blocked = ml._step_block(*assembly)[0]
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
         _assert_block_step_equals_dense(assembly)
 
@@ -277,9 +277,9 @@ class TestNewtonStep:
         # blocks last-first and computes every block's inverses but the last one's again.
         assembly, block_cond = _shifted_assembly(n, 3, [0.0] * len(rows), first=rows[0])
         assert block_cond < 1e6
-        whole = ml._step_block(*assembly)
+        whole = ml._step_block(*assembly)[0]
         monkeypatch.setattr(ml, "_CHUNK", 7)
-        blocked = ml._step_block(*assembly)
+        blocked = ml._step_block(*assembly)[0]
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
         _assert_block_step_equals_dense(assembly)
 
@@ -290,21 +290,25 @@ class TestNewtonStep:
                 _shifted_assembly(12, 4, [])[0],
                 _shifted_assembly(12, 5, [0.0], first=9)[0]]
         stacked = tuple(np.concatenate(parts) for parts in zip(*lone))
-        steps = ml._step_block(*stacked)
+        steps, singular = ml._step_block(*stacked)
+        assert not singular.any()
         for i, assembly in enumerate(lone):
-            np.testing.assert_array_equal(steps[i], ml._step_block(*assembly)[0])
+            np.testing.assert_array_equal(steps[i], ml._step_block(*assembly)[0][0])
 
-    def test_singular_block_raises(self):
+    def test_singular_block_is_flagged(self):
         # m_4 = 0 zeroes the last row and column of row 4's block, so mu = 0 and q = 0
-        # exactly, whatever the rounding of T'T's eigendecomposition.
+        # exactly, whatever the rounding of T'T's eigendecomposition. Its inverse is
+        # then inf or NaN; the warnings that raises are silenced here as in the driver.
         rng = np.random.default_rng(5)
         state = _random_state(rng, 8)
         dirs = state.field_dirs.copy()
         dirs[4] = 0.0
         assembly = _assemble(MLState(state.t_matrix, state.offset, dirs, state.lagrange),
                              rng.normal(0, 1.0, (8, 3)))
-        with pytest.raises(np.linalg.LinAlgError):
-            ml._step_block(*assembly)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step, singular = ml._step_block(*assembly)
+        assert singular.tolist() == [True]
+        assert np.isnan(step).all()
 
 
 def _shifted_assembly(n, seed, shifts, first=0):
@@ -330,8 +334,8 @@ def _shifted_assembly(n, seed, shifts, first=0):
 
 
 def _assert_block_step_equals_dense(assembly):
-    dense = step_dense(*assembly)
-    assert np.max(np.abs(ml._step_block(*assembly) - dense)) <= 1e-9 * np.max(np.abs(dense))
+    dense = step_dense(*assembly)[0]
+    assert np.max(np.abs(ml._step_block(*assembly)[0] - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
 class TestSolve:
@@ -483,8 +487,8 @@ class TestSolve:
 
     def test_non_finite_step_raises_divergence(self, default_scene, monkeypatch):
         ds = simulate(default_scene["truth"], default_scene["trajectory"], seed=12)
-        monkeypatch.setattr(ml, "_step_block",
-                            lambda *a: np.full((1, 4 * ds.n_samples + 9), np.inf))
+        monkeypatch.setattr(ml, "_step_block", lambda *a: (
+            np.full((1, 4 * ds.n_samples + 9), np.inf), np.zeros(1, dtype=bool)))
         with pytest.raises(DivergenceError) as exc_info:
             solve_ml(ds, fit_initial(ds)[0], SolveOptions(gradient_tolerance=1e-300))
         assert exc_info.value.report.iterations == 1
